@@ -84,6 +84,13 @@ var (
 // manager.
 var ErrFrozenVersion = errors.New("cadcam: version is frozen")
 
+// ErrCheckpointUnreadable reports an Open of a directory whose
+// checkpoint exists but cannot be read (a damaged or unsupported
+// manifest or segment with no older loadable checkpoint, or a journal
+// chain that starts past the missing checkpoint). Open then modifies no
+// file, so the directory can be repaired or restored.
+var ErrCheckpointUnreadable = wal.ErrCheckpointUnreadable
+
 // Durability selects when a mutation is acknowledged relative to journal
 // I/O.
 type Durability int
@@ -194,10 +201,10 @@ type CheckpointStats struct {
 // RecoveryStats describes the recovery work the last Open performed.
 type RecoveryStats struct {
 	// Segments is the number of checkpoint segment files decoded (0 for
-	// a legacy single-snapshot directory or a fresh one).
+	// a directory without a checkpoint).
 	Segments int `json:"segments"`
 	// DecodeNs is the wall time spent locating and decoding the
-	// checkpoint state (manifest + segments, or legacy snapshot).
+	// checkpoint state (manifest + segments).
 	DecodeNs int64 `json:"decode_ns"`
 	// ReplayOps is the number of journal records replayed on top.
 	ReplayOps int `json:"replay_ops"`
@@ -317,15 +324,12 @@ func OpenMemory(cat *schema.Catalog) (*Database, error) {
 	return Open(cat, Options{})
 }
 
-// SnapshotFilename, WALFilename, ManifestFilename and SegmentFilename
-// name the epoch files a persistent database keeps in its directory.
-// Exported for tools (the crash-matrix harness locates the live journal
-// with them); the canonical definitions live in internal/wal, shared
-// with recovery and the replication shipper. Snapshot files are the
-// legacy single-blob checkpoint format, still read but no longer
-// written.
-func SnapshotFilename(epoch uint64) string { return wal.SnapshotFilename(epoch) }
-
+// WALFilename, ManifestFilename and SegmentFilename name the epoch files
+// a persistent database keeps in its directory. Exported for tools (the
+// crash-matrix harness locates the live journal with them); the
+// canonical definitions live in internal/wal, shared with recovery and
+// the replication shipper.
+//
 // WALFilename returns the journal file name of an epoch.
 func WALFilename(epoch uint64) string { return wal.WALFilename(epoch) }
 
@@ -336,10 +340,6 @@ func ManifestFilename(epoch uint64) string { return wal.ManifestFilename(epoch) 
 // segment encoded at an epoch.
 func SegmentFilename(epoch uint64, part int) string {
 	return wal.SegmentFilename(epoch, part)
-}
-
-func (db *Database) snapPath(epoch uint64) string {
-	return filepath.Join(db.dir, SnapshotFilename(epoch))
 }
 
 func (db *Database) walPath(epoch uint64) string {
@@ -356,7 +356,7 @@ func (db *Database) segPath(epoch uint64, part int) string {
 
 // epochFilePrefixes are the file-name prefixes recovery and checkpoint
 // GC own; nothing else in a database directory is ever removed.
-var epochFilePrefixes = [...]string{"snap-", "wal-", "manifest-", "seg-"}
+var epochFilePrefixes = [...]string{"wal-", "manifest-", "seg-"}
 
 func isEpochFile(name string) bool {
 	for _, p := range epochFilePrefixes {
@@ -388,14 +388,14 @@ type ScanState struct {
 // against its model oracle. Like recovery, scanning truncates a torn
 // journal tail in place.
 func ScanJournal(dir string) (*ScanState, error) {
-	ds, err := wal.LoadDirState(dir, 0, true)
+	ds, err := wal.LoadDirState(dir, 0)
 	if err != nil {
 		return nil, err
 	}
 	if cerr := ds.Log.Close(); cerr != nil {
 		return nil, cerr
 	}
-	return &ScanState{Epoch: ds.StateEpoch, Store: ds.Store, Versions: ds.Versions, Records: ds.Records}, nil
+	return &ScanState{Epoch: ds.Epoch, Store: ds.Store, Versions: ds.Versions, Records: ds.Records}, nil
 }
 
 // recover finds the newest valid checkpoint, imports it (segments
@@ -403,10 +403,11 @@ func ScanJournal(dir string) (*ScanState, error) {
 // chain on top (shard-parallel where the record mix allows, see
 // wal.ReplayN), and removes stale files from older epochs. It returns
 // the opened live journal, which the caller hands to the group
-// committer.
+// committer. A checkpoint that exists but cannot be read fails with
+// ErrCheckpointUnreadable before any file is created or removed.
 func (db *Database) recover() (*storage.Log, error) {
 	workers := db.opts.workers()
-	ds, err := wal.LoadDirState(db.dir, workers, true)
+	ds, err := wal.LoadDirState(db.dir, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -414,11 +415,11 @@ func (db *Database) recover() (*storage.Log, error) {
 	if ds.Store != nil {
 		if err := db.store.ImportParallel(ds.Store, workers); err != nil {
 			ds.Log.Close()
-			return nil, fmt.Errorf("cadcam: checkpoint epoch %d: %w", ds.StateEpoch, err)
+			return nil, fmt.Errorf("cadcam: checkpoint epoch %d: %w", ds.Epoch, err)
 		}
 		if err := db.versions.Import(ds.Versions); err != nil {
 			ds.Log.Close()
-			return nil, fmt.Errorf("cadcam: checkpoint epoch %d: %w", ds.StateEpoch, err)
+			return nil, fmt.Errorf("cadcam: checkpoint epoch %d: %w", ds.Epoch, err)
 		}
 	}
 	if err := wal.ReplayN(ds.Records, db.store, db.versions, workers); err != nil {
@@ -426,18 +427,18 @@ func (db *Database) recover() (*storage.Log, error) {
 		return nil, fmt.Errorf("cadcam: %w", err)
 	}
 	db.epoch = ds.LiveEpoch
-	if ds.FromManifest && len(ds.SegEpochs) == db.store.Shards() {
+	if len(ds.SegEpochs) == db.store.Shards() {
 		// Segment reuse carries across restarts: the dirty counters
 		// restart at zero, and replaying the journal tail re-dirties
 		// exactly the shards whose on-disk segments are now stale, so the
 		// next checkpoint re-encodes those and keeps the rest.
-		db.manifestEpoch = ds.StateEpoch
+		db.manifestEpoch = ds.Epoch
 		db.segEpochs = append([]uint64(nil), ds.SegEpochs...)
 		db.ckptBaseline = make([]uint64, db.store.Shards())
 	}
 	db.statMu.Lock()
 	db.recStats = RecoveryStats{
-		Segments:  ds.Segments,
+		Segments:  len(ds.SegEpochs),
 		DecodeNs:  ds.DecodeNs,
 		ReplayOps: len(ds.Records),
 		ReplayNs:  time.Since(t0).Nanoseconds(),
@@ -459,16 +460,12 @@ func (db *Database) gcStale(ds *wal.DirState) {
 	}
 	keep := make(map[string]bool)
 	if ds.Store != nil {
-		if ds.FromManifest {
-			keep[ManifestFilename(ds.StateEpoch)] = true
-			for p, se := range ds.SegEpochs {
-				keep[SegmentFilename(se, p)] = true
-			}
-		} else {
-			keep[SnapshotFilename(ds.StateEpoch)] = true
+		keep[ManifestFilename(ds.Epoch)] = true
+		for p, se := range ds.SegEpochs {
+			keep[SegmentFilename(se, p)] = true
 		}
 	}
-	for e := ds.StateEpoch; e <= ds.LiveEpoch; e++ {
+	for e := ds.Epoch; e <= ds.LiveEpoch; e++ {
 		keep[WALFilename(e)] = true
 	}
 	for _, e := range entries {

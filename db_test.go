@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cadcam/internal/fault"
 	"cadcam/internal/object"
 	"cadcam/internal/paperschema"
 	"cadcam/internal/version"
@@ -407,45 +408,53 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCorruptSnapshotFallsBack: a damaged newest manifest falls back to
+// an older checkpoint when that one still loads completely, and the
+// journal chain above it replays to the full state. The older checkpoint
+// survives here because the newer checkpoint's garbage collection was
+// skipped (the db/segment-gc failpoint). Without an older checkpoint,
+// Open refuses instead (TestOpenUnreadableCheckpoint).
 func TestCorruptSnapshotFallsBack(t *testing.T) {
+	defer fault.Reset()
 	dir := t.TempDir()
 	db := diskDB(t, dir)
-	_, iface, _ := buildGateScene(t, db)
+	_, iface, impl := buildGateScene(t, db)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.SetAttr(iface, "Width", Int(7)); err != nil {
 		t.Fatal(err)
 	}
+	if err := fault.Arm("db/segment-gc=error(gc skipped)@1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("checkpoint with the GC failpoint armed reported no error")
+	}
+	fault.Reset()
+	if err := db.SetAttr(iface, "Width", Int(8)); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the manifest: recovery falls back to epoch 0... which was
-	// garbage-collected by the checkpoint, so the database opens empty
-	// rather than with corrupt state. (Full state loss requires both
-	// checkpoint AND journal loss; verify the open at least succeeds and
-	// is consistent.)
-	snapPath := filepath.Join(dir, ManifestFilename(1))
-	b, err := os.ReadFile(snapPath)
+
+	path := filepath.Join(dir, ManifestFilename(2))
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[len(b)-1] ^= 0xFF
-	if err := os.WriteFile(snapPath, b, 0o644); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(paperschema.MustGates(), Options{Dir: dir})
-	if err != nil {
-		// Replaying the newer journal against the empty fallback state
-		// may legitimately fail; either behaviour (error or empty open)
-		// is acceptable, silent corruption is not.
-		return
-	}
+	db2 := diskDB(t, dir)
 	defer db2.Close()
-	if db2.Exists(iface) {
-		if v, _ := db2.GetAttr(iface, "Width"); !v.Equal(Int(7)) {
-			t.Error("recovered inconsistent state from corrupt snapshot")
-		}
+	if v, _ := db2.GetAttr(impl, "Width"); !v.Equal(Int(8)) {
+		t.Errorf("Width after fallback = %v, want 8", v)
+	}
+	if got := db2.Stats().Recovery.ReplayOps; got != 2 {
+		t.Errorf("fallback replayed %d ops, want 2 (the writes after checkpoint 1)", got)
 	}
 }
 

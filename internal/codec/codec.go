@@ -147,6 +147,14 @@ func (e *Buf) ValueMap(m map[string]domain.Value) {
 	}
 }
 
+// Strs appends a count-prefixed slice of strings.
+func (e *Buf) Strs(s []string) {
+	e.Uvarint(uint64(len(s)))
+	for _, x := range s {
+		e.Str(x)
+	}
+}
+
 // Surs appends a slice of surrogates.
 func (e *Buf) Surs(s []domain.Surrogate) {
 	e.Uvarint(uint64(len(s)))
@@ -341,6 +349,49 @@ func (r *Reader) ValueMap() map[string]domain.Value {
 		m[k] = r.Value()
 	}
 	return m
+}
+
+// Count reads an element count and fails unless that many elements of
+// at least minSize bytes each fit in the rest of the input, so a damaged
+// count can never size an allocation beyond the payload.
+func (r *Reader) Count(minSize int) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(r.Rest()/minSize) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// Strs reads a count-prefixed slice of strings; empty decodes as nil.
+func (r *Reader) Strs() []string {
+	n := r.Count(1) // each string carries at least its length byte
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, r.Str())
+	}
+	return out
+}
+
+// Pick reads an index into tab and returns that entry. The string is
+// shared with tab, not copied. An index outside tab fails the reader and
+// reads as "".
+func (r *Reader) Pick(tab []string) string {
+	i := r.Uvarint()
+	if r.err != nil {
+		return ""
+	}
+	if i >= uint64(len(tab)) {
+		r.fail()
+		return ""
+	}
+	return tab[i]
 }
 
 // Surs reads a slice of surrogates; empty decodes as nil.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -195,6 +197,56 @@ func TestResyncAfterCheckpointGC(t *testing.T) {
 	}
 	if got := s.Stats(); got.Snapshots == 0 {
 		t.Fatalf("shipper never shipped a checkpoint: %+v", got)
+	}
+}
+
+// TestResyncUnreadableCheckpoint: a primary whose only checkpoint has a
+// damaged segment fails the resync session with ErrCheckpointUnreadable
+// instead of sending a reset, which would empty the follower.
+func TestResyncUnreadableCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db := primary(t, dir)
+	writePins(t, db, 30)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, wal.SegmentFilename(1, 0))
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xFF
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := repl.NewShipper(dir, repl.ShipperConfig{})
+	client, server := repl.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(server) }()
+	hello := repl.Frame{Kind: repl.KindHello, Flags: repl.FlagResync}
+	if err := client.Send(hello.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, wal.ErrCheckpointUnreadable) {
+			t.Fatalf("Serve = %v, want ErrCheckpointUnreadable", err)
+		}
+	case <-time.After(5 * time.Second):
+		client.Close()
+		<-done
+		t.Fatal("shipper kept serving a directory with an unreadable checkpoint")
+	}
+	if b, err := client.Recv(); err == nil {
+		fr, _ := repl.DecodeFrame(b)
+		t.Fatalf("shipper sent a frame (%+v) for an unreadable checkpoint", fr)
+	}
+	if st := s.Stats(); st.Snapshots != 0 {
+		t.Fatalf("shipper counted %d snapshots", st.Snapshots)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cadcam/internal/fault"
-	"cadcam/internal/version"
 	"cadcam/internal/wal"
 )
 
@@ -202,23 +201,23 @@ func (s *Shipper) validPos(pos wal.ChainPos) bool {
 
 // sendResync ships the newest checkpoint state (or a reset for a
 // never-checkpointed primary) and rebases the session to replay the
-// chain from that checkpoint's epoch with a fresh stream sequence.
+// chain from that checkpoint's epoch with a fresh stream sequence. It
+// reads only the checkpoint; the chain on top streams afterwards. A
+// checkpoint that cannot be read fails the session (typically
+// wal.ErrCheckpointUnreadable) rather than resetting the follower to an
+// empty store.
 func (s *Shipper) sendResync(conn Conn, pos *wal.ChainPos, seq *uint64) error {
-	ds, err := wal.LoadDirState(s.dir, 0, false)
+	cp, err := wal.LoadCheckpoint(s.dir, 0)
 	if err != nil {
 		return err
 	}
 	var fr Frame
-	if ds.Store == nil {
+	if cp.Store == nil {
 		fr = Frame{Kind: KindReset}
 		*pos = wal.ChainPos{}
 	} else {
-		vs := ds.Versions
-		if vs == nil {
-			vs = &version.ManagerState{}
-		}
-		fr = Frame{Kind: KindSnapshot, Epoch: ds.StateEpoch, Blob: wal.EncodeSnapshot(ds.Store, vs)}
-		*pos = wal.ChainPos{Epoch: ds.StateEpoch}
+		fr = Frame{Kind: KindSnapshot, Epoch: cp.Epoch, Blob: wal.EncodeSnapshot(cp.Store, cp.Versions)}
+		*pos = wal.ChainPos{Epoch: cp.Epoch}
 	}
 	*seq = 0
 	if err := s.send(conn, &fr); err != nil {

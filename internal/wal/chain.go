@@ -9,15 +9,12 @@ import (
 	"cadcam/internal/storage"
 )
 
-// SnapshotFilename, WALFilename, ManifestFilename and SegmentFilename
-// name the epoch files a persistent database keeps in its directory.
-// They live here (rather than in the database facade) because everything
-// that walks a directory's journal chain — recovery, journal scanning,
-// and the replication shipper — shares this package. Snapshot files are
-// the legacy single-blob checkpoint format, still read but no longer
-// written.
-func SnapshotFilename(epoch uint64) string { return fmt.Sprintf("snap-%08d.snap", epoch) }
-
+// WALFilename, ManifestFilename and SegmentFilename name the epoch files
+// a persistent database keeps in its directory. They live here (rather
+// than in the database facade) because everything that walks a
+// directory's journal chain — recovery, journal scanning, and the
+// replication shipper — shares this package.
+//
 // WALFilename returns the journal file name of an epoch.
 func WALFilename(epoch uint64) string { return fmt.Sprintf("wal-%08d.log", epoch) }
 

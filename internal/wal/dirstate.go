@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,45 +15,38 @@ import (
 	"cadcam/internal/version"
 )
 
-// DirState is everything a reader derives from a database directory: the
-// newest decodable checkpoint state (nil Store for a fresh directory)
-// and the journal chain on top of it. Recovery, journal scanning and the
-// replication shipper's resync path all load directories through here,
-// so they can never disagree about which checkpoint is newest or what
-// the chain replays.
-type DirState struct {
-	// StateEpoch is the checkpoint epoch the state was loaded at (0 when
-	// the directory has no checkpoint). FromManifest distinguishes the
-	// incremental manifest+segments format from a legacy snapshot.
-	StateEpoch   uint64
-	FromManifest bool
-	SegEpochs    []uint64
-	Store        *object.StoreState
-	Versions     *version.ManagerState
-	Segments     int
-	DecodeNs     int64
+// ErrCheckpointUnreadable reports a directory whose history needs a
+// checkpoint that cannot be loaded: manifests exist but none decodes
+// together with its segments, or the journal chain starts past epoch 0
+// with no checkpoint beneath it. Loading on from an empty state would
+// silently drop everything the checkpoint held, so loaders stop here and
+// leave every file in place.
+var ErrCheckpointUnreadable = errors.New("wal: checkpoint unreadable")
 
-	// Records is the concatenated journal chain: every record of epochs
-	// StateEpoch..LiveEpoch in append order. A checkpoint rotates the
-	// journal *before* committing its manifest, so a crashed or failed
-	// checkpoint leaves several consecutive live logs; all of them
-	// replay. Log is the opened newest journal (the caller owns it) when
-	// the directory was loaded for writing, nil in read-only mode.
-	Records   [][]byte
-	LiveEpoch uint64
-	Log       *storage.Log
+// Checkpoint is the newest loadable checkpoint of a database directory.
+// Store is nil when the directory has none (a fresh directory, or one
+// whose first checkpoint never committed), and Epoch is then 0;
+// otherwise Versions is non-nil too.
+type Checkpoint struct {
+	// Epoch is the checkpoint epoch: the first journal epoch replayed on
+	// top of the state.
+	Epoch     uint64
+	SegEpochs []uint64
+	Store     *object.StoreState
+	Versions  *version.ManagerState
+	DecodeNs  int64
 }
 
-// LoadDirState locates the newest valid checkpoint in dir, decodes it
-// (segments concurrently, up to `workers` goroutines; <= 0 means
-// GOMAXPROCS), and reads the journal chain on top. A corrupt or
-// half-written checkpoint falls back to the next older one.
-//
-// openLive selects the consumer: recovery (true) opens the newest
-// journal for appending and truncates torn tails in place, exactly as a
-// restart must; a replication shipper (false) scans the chain strictly
-// read-only — a live primary owns those files — and leaves Log nil.
-func LoadDirState(dir string, workers int, openLive bool) (*DirState, error) {
+// LoadCheckpoint locates the newest checkpoint in dir whose manifest and
+// segments all decode, decoding segments concurrently on up to `workers`
+// goroutines (<= 0 means GOMAXPROCS). A damaged newer checkpoint falls
+// back to an older one only when that one loads completely; when none
+// does, the error wraps ErrCheckpointUnreadable. It never writes, so a
+// replication shipper can call it against a live primary. A manifest a
+// concurrent checkpoint garbage-collects mid-load is skipped, not
+// counted as damage; if every manifest went that way the error wraps
+// ErrChainGap and the caller retries.
+func LoadCheckpoint(dir string, workers int) (*Checkpoint, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -60,82 +54,95 @@ func LoadDirState(dir string, workers int, openLive bool) (*DirState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var manifests, snaps []uint64
+	var manifests []uint64
+	var journalZero, journalLater bool
 	for _, e := range entries {
+		// Exact names only: a crash mid-write leaves "manifest-….mf.tmp".
 		var n uint64
-		if _, err := fmt.Sscanf(e.Name(), "manifest-%d.mf", &n); err == nil {
+		if _, err := fmt.Sscanf(e.Name(), "manifest-%d.mf", &n); err == nil && e.Name() == ManifestFilename(n) {
 			manifests = append(manifests, n)
-		} else if _, err := fmt.Sscanf(e.Name(), "snap-%d.snap", &n); err == nil {
-			snaps = append(snaps, n)
+		} else if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &n); err == nil && e.Name() == WALFilename(n) {
+			journalZero = journalZero || n == 0
+			journalLater = journalLater || n > 0
 		}
 	}
 	sort.Slice(manifests, func(i, j int) bool { return manifests[i] > manifests[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 
-	ds := &DirState{}
 	t0 := time.Now()
+	var damaged error
 	for _, e := range manifests {
-		blob, err := storage.ReadSnapshot(filepath.Join(dir, ManifestFilename(e)))
-		if err != nil || blob == nil {
-			continue // corrupt or vanished manifest: fall back
+		cp, err := loadManifest(dir, e, workers)
+		if err == nil {
+			cp.DecodeNs = time.Since(t0).Nanoseconds()
+			return cp, nil
 		}
-		m, err := DecodeManifest(blob)
-		if err != nil || m.Epoch != e {
-			continue
+		if _, serr := os.Stat(filepath.Join(dir, ManifestFilename(e))); errors.Is(serr, os.ErrNotExist) {
+			continue // superseded and collected while we read it
 		}
-		st, err := decodeSegments(dir, m, workers)
-		if err != nil {
-			continue // a referenced segment is missing or corrupt
-		}
-		ds.StateEpoch, ds.FromManifest = e, true
-		ds.SegEpochs = m.SegEpochs
-		ds.Store, ds.Versions = st, m.Versions
-		ds.Segments = len(m.SegEpochs)
-		break
-	}
-	if ds.Store == nil {
-		// No usable manifest: fall back to the newest legacy snapshot
-		// (pre-incremental directories), then to an empty epoch-0 state.
-		for _, e := range snaps {
-			blob, err := storage.ReadSnapshot(filepath.Join(dir, SnapshotFilename(e)))
-			if err != nil || blob == nil {
-				continue
-			}
-			st, vs, err := DecodeSnapshotState(blob)
-			if err != nil {
-				continue
-			}
-			ds.StateEpoch = e
-			ds.Store, ds.Versions = st, vs
-			break
+		if damaged == nil {
+			damaged = fmt.Errorf("%s: %w", ManifestFilename(e), err)
 		}
 	}
-	ds.DecodeNs = time.Since(t0).Nanoseconds()
+	switch {
+	case damaged != nil:
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointUnreadable, damaged)
+	case len(manifests) > 0:
+		return nil, fmt.Errorf("%w: every checkpoint was superseded while loading", ErrChainGap)
+	case journalLater && !journalZero:
+		return nil, fmt.Errorf("%w: journal chain starts past epoch 0 and no checkpoint exists", ErrCheckpointUnreadable)
+	}
+	return &Checkpoint{DecodeNs: time.Since(t0).Nanoseconds()}, nil
+}
 
-	if openLive {
-		records, live, log, err := OpenChain(dir, ds.StateEpoch)
-		if err != nil {
-			return nil, err
-		}
-		ds.Records, ds.LiveEpoch, ds.Log = records, live, log
-		return ds, nil
-	}
-	frames, pos, err := TailFrames(dir, ChainPos{Epoch: ds.StateEpoch})
+// DirState is what recovery derives from a database directory: the
+// newest checkpoint and the journal chain on top of it.
+type DirState struct {
+	Checkpoint
+
+	// Records is the concatenated journal chain: every record of epochs
+	// Epoch..LiveEpoch in append order. A checkpoint rotates the journal
+	// *before* committing its manifest, so a crashed or failed checkpoint
+	// leaves several consecutive live logs; all of them replay. Log is the
+	// opened newest journal, which the caller owns.
+	Records   [][]byte
+	LiveEpoch uint64
+	Log       *storage.Log
+}
+
+// LoadDirState loads the newest checkpoint (LoadCheckpoint) and opens
+// the journal chain on top of it for appending, truncating torn tails in
+// place exactly as a restart must. Nothing is created or truncated when
+// the checkpoint cannot be loaded.
+func LoadDirState(dir string, workers int) (*DirState, error) {
+	cp, err := LoadCheckpoint(dir, workers)
 	if err != nil {
 		return nil, err
 	}
-	for _, fr := range frames {
-		ds.Records = append(ds.Records, fr.Records...)
+	records, live, log, err := OpenChain(dir, cp.Epoch)
+	if err != nil {
+		return nil, err
 	}
-	ds.LiveEpoch = pos.Epoch
-	return ds, nil
+	return &DirState{Checkpoint: *cp, Records: records, LiveEpoch: live, Log: log}, nil
 }
 
-// decodeSegments reads and decodes every segment a manifest references,
-// concurrently, and merges them with the manifest's base state. Any
-// missing or corrupt segment fails the whole checkpoint (the caller
-// falls back to an older one).
-func decodeSegments(dir string, m *Manifest, workers int) (*object.StoreState, error) {
+// loadManifest reads and decodes one manifest and every segment it
+// references, concurrently, and merges them with the manifest's base
+// state. Any missing or corrupt file fails the whole checkpoint.
+func loadManifest(dir string, epoch uint64, workers int) (*Checkpoint, error) {
+	blob, err := storage.ReadSnapshot(filepath.Join(dir, ManifestFilename(epoch)))
+	if err != nil {
+		return nil, err
+	}
+	if blob == nil {
+		return nil, fmt.Errorf("wal: manifest of epoch %d missing", epoch)
+	}
+	m, err := DecodeManifest(blob)
+	if err != nil {
+		return nil, err
+	}
+	if m.Epoch != epoch {
+		return nil, fmt.Errorf("wal: manifest file of epoch %d holds epoch %d", epoch, m.Epoch)
+	}
 	parts := len(m.SegEpochs)
 	st := &object.StoreState{
 		Classes: m.Base.Classes,
@@ -143,8 +150,9 @@ func decodeSegments(dir string, m *Manifest, workers int) (*object.StoreState, e
 		NextSur: m.Base.NextSur,
 		Seq:     m.Base.Seq,
 	}
+	cp := &Checkpoint{Epoch: epoch, SegEpochs: m.SegEpochs, Store: st, Versions: m.Versions}
 	if parts == 0 {
-		return st, nil
+		return cp, nil
 	}
 	objs := make([][]object.ObjectRecord, parts)
 	binds := make([][]object.BindingRecord, parts)
@@ -158,16 +166,17 @@ func decodeSegments(dir string, m *Manifest, workers int) (*object.StoreState, e
 		go func(w int) {
 			defer wg.Done()
 			for p := w; p < parts; p += workers {
-				blob, err := storage.ReadSnapshot(filepath.Join(dir, SegmentFilename(m.SegEpochs[p], p)))
+				name := SegmentFilename(m.SegEpochs[p], p)
+				blob, err := storage.ReadSnapshot(filepath.Join(dir, name))
+				if err == nil && blob == nil {
+					err = errors.New("missing")
+				}
+				if err == nil {
+					objs[p], binds[p], err = DecodeSegment(blob, p)
+				}
 				if err != nil {
-					errs[p] = err
-					continue
+					errs[p] = fmt.Errorf("%s: %w", name, err)
 				}
-				if blob == nil {
-					errs[p] = fmt.Errorf("wal: segment %d of epoch %d missing", p, m.SegEpochs[p])
-					continue
-				}
-				objs[p], binds[p], errs[p] = DecodeSegment(blob, p)
 			}
 		}(w)
 	}
@@ -181,5 +190,5 @@ func decodeSegments(dir string, m *Manifest, workers int) (*object.StoreState, e
 		st.Objects = append(st.Objects, objs[p]...)
 		st.Bindings = append(st.Bindings, binds[p]...)
 	}
-	return st, nil
+	return cp, nil
 }

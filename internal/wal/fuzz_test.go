@@ -54,6 +54,8 @@ func FuzzWALDecode(f *testing.F) {
 // FuzzSnapshotDecode drives the snapshot decoder the same way: recovery
 // reads the snapshot blob before any journal record, so a damaged blob
 // must be rejected with an error, never a panic or runaway allocation.
+// The seeds include a string index past the table and a table count
+// beyond the payload.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeSnapshot(&object.StoreState{NextSur: 5, Seq: 3}, &version.ManagerState{}))
@@ -131,7 +133,8 @@ func FuzzManifestDecode(f *testing.F) {
 
 // FuzzSegmentDecode drives the segment decoder the same way, pinned to
 // partition 0 (the decoder rejects any payload claiming another
-// partition, which the fuzzer will also exercise).
+// partition, which the fuzzer will also exercise), seeded with the same
+// two kinds of string-table damage as FuzzSnapshotDecode.
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeSegment(0, nil, nil))
@@ -143,6 +146,8 @@ func FuzzSegmentDecode(f *testing.F) {
 		[]object.BindingRecord{{
 			Sur: 32, RelType: "AllOf_GateInterface", Transmitter: 16, Inheritor: 48,
 		}}))
+	f.Add(badIndexSegment())
+	f.Add(hugeTableSegment())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		objs, binds, err := DecodeSegment(b, 0)
 		if err != nil {

@@ -23,13 +23,16 @@ import (
 // temp file, rename) after every referenced segment is durable, so a
 // crash anywhere in a checkpoint leaves either the previous manifest or
 // the new one fully backed by segments.
-// Manifest version 2 adds the secondary-index definitions after the class
-// records; version-1 manifests (no index section) still decode.
+//
+// A segment payload is magic, version, partition, then one record
+// section (encodeRecords): the string table, the object records and the
+// binding records. Decoders accept only the current version of each
+// format; an older file is unreadable, never silently reinterpreted.
 const (
 	manifestMagic   = uint64(0xCADC0FFE)
 	manifestVersion = uint64(2)
 	segMagic        = uint64(0xCAD5E600)
-	segVersion      = uint64(1)
+	segVersion      = uint64(2)
 )
 
 // Manifest describes one committed incremental checkpoint.
@@ -79,8 +82,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if r.Uvarint() != manifestMagic {
 		return nil, fmt.Errorf("wal: bad manifest magic")
 	}
-	v := r.Uvarint()
-	if v < 1 || v > manifestVersion {
+	if v := r.Uvarint(); v != manifestVersion {
 		return nil, fmt.Errorf("wal: unsupported manifest version %d", v)
 	}
 	m := &Manifest{Epoch: r.Uvarint(), Base: &object.StoreState{}}
@@ -92,9 +94,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 		m.SegEpochs = append(m.SegEpochs, r.Uvarint())
 	}
 	m.Base.Classes = decodeClassRecords(r)
-	if v >= 2 {
-		m.Base.Indexes = decodeIndexRecords(r)
-	}
+	m.Base.Indexes = decodeIndexRecords(r)
 	m.Base.NextSur = r.Uvarint()
 	m.Base.Seq = r.Uvarint()
 	m.Versions = decodeVersionState(r)
@@ -113,14 +113,7 @@ func EncodeSegment(part int, objs []object.ObjectRecord, binds []object.BindingR
 	e.Uvarint(segMagic)
 	e.Uvarint(segVersion)
 	e.Uvarint(uint64(part))
-	e.Uvarint(uint64(len(objs)))
-	for i := range objs {
-		encodeObjectRecord(&e, &objs[i])
-	}
-	e.Uvarint(uint64(len(binds)))
-	for i := range binds {
-		encodeBindingRecord(&e, &binds[i])
-	}
+	encodeRecords(&e, objs, binds)
 	return e.Bytes()
 }
 
@@ -138,22 +131,9 @@ func DecodeSegment(b []byte, part int) ([]object.ObjectRecord, []object.BindingR
 	if p := r.Uvarint(); r.Err() == nil && p != uint64(part) {
 		return nil, nil, fmt.Errorf("wal: segment belongs to partition %d, want %d", p, part)
 	}
-	var objs []object.ObjectRecord
-	for i, n := uint64(0), r.Uvarint(); i < n && r.Err() == nil; i++ {
-		objs = append(objs, decodeObjectRecord(r))
-	}
-	var binds []object.BindingRecord
-	for i, n := uint64(0), r.Uvarint(); i < n && r.Err() == nil; i++ {
-		binds = append(binds, decodeBindingRecord(r))
-	}
+	objs, binds := decodeRecords(r)
 	if err := r.Err(); err != nil {
 		return nil, nil, err
-	}
-	// Same normalization as the full-snapshot decoder: explicit nulls in
-	// attribute maps are deleted keys.
-	for _, o := range objs {
-		normalizeNulls(o.Attrs)
-		normalizeNulls(o.Participants)
 	}
 	return objs, binds, nil
 }

@@ -1,7 +1,11 @@
 package wal
 
 import (
+	"slices"
+	"sort"
+
 	"cadcam/internal/codec"
+	"cadcam/internal/domain"
 	"cadcam/internal/object"
 	"cadcam/internal/version"
 )
@@ -12,47 +16,165 @@ import (
 // changes the byte format of every snapshot artifact — including the
 // canonical encoding the crash-recovery oracle byte-compares.
 
-func encodeObjectRecord(e *codec.Buf, o *object.ObjectRecord) {
-	e.Sur(o.Sur)
-	e.Str(o.TypeName)
-	e.Bool(o.IsRel)
-	e.Sur(o.Parent)
-	e.Str(o.ParentSub)
-	e.Str(o.OwnerClass)
-	e.Uvarint(o.ModSeq)
-	e.ValueMap(o.Attrs)
-	e.ValueMap(o.Participants)
-}
+// Minimum encoded sizes, for bounding decoded counts against the bytes
+// left: an object record is nine one-byte fields at least, a binding
+// five, an attribute entry a name index plus a value tag.
+const (
+	minObjectRecord  = 9
+	minBindingRecord = 5
+	minAttrEntry     = 2
+)
 
-func decodeObjectRecord(r *codec.Reader) object.ObjectRecord {
-	return object.ObjectRecord{
-		Sur:          r.Sur(),
-		TypeName:     r.Str(),
-		IsRel:        r.Bool(),
-		Parent:       r.Sur(),
-		ParentSub:    r.Str(),
-		OwnerClass:   r.Str(),
-		ModSeq:       r.Uvarint(),
-		Attrs:        r.ValueMap(),
-		Participants: r.ValueMap(),
+// encodeRecords writes a blob's object and binding records. Type,
+// relationship, class and attribute names repeat across thousands of
+// records but come from a small schema, so the section opens with a
+// string table holding each distinct name once and every record names
+// them by uvarint index. The table is sorted, so equal record lists
+// encode to identical bytes whatever order their maps were filled in.
+func encodeRecords(e *codec.Buf, objs []object.ObjectRecord, binds []object.BindingRecord) {
+	t := newNameTable(objs, binds)
+	e.Strs(t.names)
+	e.Uvarint(uint64(len(objs)))
+	for i := range objs {
+		o := &objs[i]
+		e.Sur(o.Sur)
+		t.name(e, o.TypeName)
+		e.Bool(o.IsRel)
+		e.Sur(o.Parent)
+		t.name(e, o.ParentSub)
+		t.name(e, o.OwnerClass)
+		e.Uvarint(o.ModSeq)
+		t.values(e, o.Attrs)
+		t.values(e, o.Participants)
+	}
+	e.Uvarint(uint64(len(binds)))
+	for i := range binds {
+		b := &binds[i]
+		e.Sur(b.Sur)
+		t.name(e, b.RelType)
+		e.Sur(b.Transmitter)
+		e.Sur(b.Inheritor)
+		t.values(e, b.Attrs)
 	}
 }
 
-func encodeBindingRecord(e *codec.Buf, b *object.BindingRecord) {
-	e.Sur(b.Sur)
-	e.Str(b.RelType)
-	e.Sur(b.Transmitter)
-	e.Sur(b.Inheritor)
-	e.ValueMap(b.Attrs)
+// decodeRecords reads what encodeRecords writes. Every name index is
+// bounds-checked against the table, and decoded records share the
+// table's strings. Explicit nulls in object attribute maps are deleted
+// keys.
+func decodeRecords(r *codec.Reader) ([]object.ObjectRecord, []object.BindingRecord) {
+	names := r.Strs()
+	var objs []object.ObjectRecord
+	if n := r.Count(minObjectRecord); n > 0 {
+		objs = make([]object.ObjectRecord, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			o := object.ObjectRecord{
+				Sur:        r.Sur(),
+				TypeName:   r.Pick(names),
+				IsRel:      r.Bool(),
+				Parent:     r.Sur(),
+				ParentSub:  r.Pick(names),
+				OwnerClass: r.Pick(names),
+				ModSeq:     r.Uvarint(),
+			}
+			o.Attrs = decodeValues(r, names)
+			o.Participants = decodeValues(r, names)
+			normalizeNulls(o.Attrs)
+			normalizeNulls(o.Participants)
+			objs = append(objs, o)
+		}
+	}
+	var binds []object.BindingRecord
+	if n := r.Count(minBindingRecord); n > 0 {
+		binds = make([]object.BindingRecord, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			binds = append(binds, object.BindingRecord{
+				Sur:         r.Sur(),
+				RelType:     r.Pick(names),
+				Transmitter: r.Sur(),
+				Inheritor:   r.Sur(),
+				Attrs:       decodeValues(r, names),
+			})
+		}
+	}
+	return objs, binds
 }
 
-func decodeBindingRecord(r *codec.Reader) object.BindingRecord {
-	return object.BindingRecord{
-		Sur:         r.Sur(),
-		RelType:     r.Str(),
-		Transmitter: r.Sur(),
-		Inheritor:   r.Sur(),
-		Attrs:       r.ValueMap(),
+// nameTable is the string table of one record section: the sorted
+// distinct names and each name's index.
+type nameTable struct {
+	names []string
+	index map[string]uint64
+	ids   []uint64 // reused buffer for ordering one map's entries
+}
+
+func newNameTable(objs []object.ObjectRecord, binds []object.BindingRecord) *nameTable {
+	index := make(map[string]uint64)
+	addKeys := func(m map[string]domain.Value) {
+		for k := range m {
+			index[k] = 0
+		}
+	}
+	for i := range objs {
+		o := &objs[i]
+		index[o.TypeName] = 0
+		index[o.ParentSub] = 0
+		index[o.OwnerClass] = 0
+		addKeys(o.Attrs)
+		addKeys(o.Participants)
+	}
+	for i := range binds {
+		index[binds[i].RelType] = 0
+		addKeys(binds[i].Attrs)
+	}
+	names := make([]string, 0, len(index))
+	for s := range index {
+		names = append(names, s)
+	}
+	sort.Strings(names)
+	for i, s := range names {
+		index[s] = uint64(i)
+	}
+	return &nameTable{names: names, index: index}
+}
+
+func (t *nameTable) name(e *codec.Buf, s string) { e.Uvarint(t.index[s]) }
+
+// values writes a name->value map in name order, which is index order
+// because the table is sorted.
+func (t *nameTable) values(e *codec.Buf, m map[string]domain.Value) {
+	t.ids = t.ids[:0]
+	for k := range m {
+		t.ids = append(t.ids, t.index[k])
+	}
+	slices.Sort(t.ids)
+	e.Uvarint(uint64(len(t.ids)))
+	for _, id := range t.ids {
+		e.Uvarint(id)
+		e.Value(m[t.names[id]])
+	}
+}
+
+// decodeValues reads a map written by nameTable.values; empty decodes as
+// nil.
+func decodeValues(r *codec.Reader, names []string) map[string]domain.Value {
+	n := r.Count(minAttrEntry)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]domain.Value, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := r.Pick(names)
+		m[k] = r.Value()
+	}
+	return m
+}
+
+func normalizeNulls(m map[string]domain.Value) {
+	for k, v := range m {
+		if domain.IsNull(v) {
+			delete(m, k)
+		}
 	}
 }
 

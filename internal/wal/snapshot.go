@@ -4,17 +4,17 @@ import (
 	"fmt"
 
 	"cadcam/internal/codec"
-	"cadcam/internal/domain"
 	"cadcam/internal/object"
 	"cadcam/internal/version"
 )
 
-// Snapshot format: magic, format version, store state, version state.
-// Version 2 adds the secondary-index definitions after the class records;
-// the decoder still accepts version-1 blobs (no index section).
+// Snapshot format: magic, format version, class and index records, one
+// record section (encodeRecords: string table, objects, bindings), the
+// global counters, version state. Version 3 introduced the string table;
+// older blobs are rejected.
 const (
 	snapMagic   = uint64(0xCADCA55E)
-	snapVersion = uint64(2)
+	snapVersion = uint64(3)
 )
 
 // EncodeSnapshot serializes the full logical state of the store and
@@ -28,14 +28,7 @@ func EncodeSnapshot(st *object.StoreState, vs *version.ManagerState) []byte {
 
 	encodeClassRecords(&e, st.Classes)
 	encodeIndexRecords(&e, st.Indexes)
-	e.Uvarint(uint64(len(st.Objects)))
-	for i := range st.Objects {
-		encodeObjectRecord(&e, &st.Objects[i])
-	}
-	e.Uvarint(uint64(len(st.Bindings)))
-	for i := range st.Bindings {
-		encodeBindingRecord(&e, &st.Bindings[i])
-	}
+	encodeRecords(&e, st.Objects, st.Bindings)
 	e.Uvarint(st.NextSur)
 	e.Uvarint(st.Seq)
 
@@ -64,21 +57,13 @@ func DecodeSnapshotState(b []byte) (*object.StoreState, *version.ManagerState, e
 	if r.Uvarint() != snapMagic {
 		return nil, nil, fmt.Errorf("wal: bad snapshot magic")
 	}
-	v := r.Uvarint()
-	if v < 1 || v > snapVersion {
+	if v := r.Uvarint(); v != snapVersion {
 		return nil, nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
 	}
 	st := &object.StoreState{}
 	st.Classes = decodeClassRecords(r)
-	if v >= 2 {
-		st.Indexes = decodeIndexRecords(r)
-	}
-	for i, n := uint64(0), r.Uvarint(); i < n && r.Err() == nil; i++ {
-		st.Objects = append(st.Objects, decodeObjectRecord(r))
-	}
-	for i, n := uint64(0), r.Uvarint(); i < n && r.Err() == nil; i++ {
-		st.Bindings = append(st.Bindings, decodeBindingRecord(r))
-	}
+	st.Indexes = decodeIndexRecords(r)
+	st.Objects, st.Bindings = decodeRecords(r)
 	st.NextSur = r.Uvarint()
 	st.Seq = r.Uvarint()
 
@@ -86,18 +71,5 @@ func DecodeSnapshotState(b []byte) (*object.StoreState, *version.ManagerState, e
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Attrs maps in records may contain explicit nulls; normalize.
-	for _, o := range st.Objects {
-		normalizeNulls(o.Attrs)
-		normalizeNulls(o.Participants)
-	}
 	return st, vs, nil
-}
-
-func normalizeNulls(m map[string]domain.Value) {
-	for k, v := range m {
-		if domain.IsNull(v) {
-			delete(m, k)
-		}
-	}
 }
