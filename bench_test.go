@@ -9,6 +9,7 @@ package cadcam_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -1091,5 +1092,58 @@ func TestQueryIndexSpeedupLarge(t *testing.T) {
 		if fast[i] != slow[i] {
 			t.Fatalf("mismatch at %d: %v vs %v", i, fast[i], slow[i])
 		}
+	}
+}
+
+// BenchmarkHeapPerObject reports the live heap per object of the
+// benchmark/ corpus shape on an in-memory database: 5k chains of a
+// GateInterface_I with 3 pins, its GateInterface and 4 bound
+// GateImplementations in class Impls (70k objects including bindings),
+// with an index over the implementations' inherited Width. A report, not
+// a gate; run it with -benchtime=1x.
+func BenchmarkHeapPerObject(b *testing.B) {
+	const chains = 5000
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db, err := cadcam.OpenMemory(paperschema.MustGates())
+		if err != nil {
+			b.Fatal(err)
+		}
+		check := func(err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		sur := func(s cadcam.Surrogate, err error) cadcam.Surrogate {
+			check(err)
+			return s
+		}
+		check(db.DefineClass("Impls", paperschema.TypeGateImplementation))
+		for j := 0; j < chains; j++ {
+			root := sur(db.NewObject(paperschema.TypeGateInterfaceI, ""))
+			for p := 1; p <= 3; p++ {
+				pin := sur(db.NewSubobject(root, "Pins"))
+				check(db.SetAttr(pin, "InOut", cadcam.Sym("IN")))
+				check(db.SetAttr(pin, "PinId", cadcam.Int(int64(p))))
+			}
+			iface := sur(db.NewObject(paperschema.TypeGateInterface, ""))
+			sur(db.Bind(paperschema.RelAllOfGateInterfaceI, iface, root))
+			check(db.SetAttr(iface, "Length", cadcam.Int(int64(j%97))))
+			check(db.SetAttr(iface, "Width", cadcam.Int(int64(j%1000))))
+			for k := 0; k < 4; k++ {
+				impl := sur(db.NewObject(paperschema.TypeGateImplementation, "Impls"))
+				sur(db.Bind(paperschema.RelAllOfGateInterface, impl, iface))
+				check(db.SetAttr(impl, "TimeBehavior", cadcam.Int(int64(k))))
+			}
+		}
+		check(db.CreateIndex("impl_width", "Impls", "Width"))
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		objects := db.Store().Len()
+		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(objects), "heap_B/object")
+		b.ReportMetric(float64(objects), "objects")
+		check(db.Close())
 	}
 }
