@@ -68,7 +68,8 @@ type Follower struct {
 	pos        wal.ChainPos
 	applied    uint64 // stream seq of the last applied record
 	sealed     uint64 // newest stream seq the shipper reported
-	caughtUp   bool
+	syncSent   uint64 // newest catch-up probe token WaitCaughtUp issued
+	synced     uint64 // newest probe token a heartbeat answered
 	needResync bool
 	err        error // sticky; cleared by a successful resync
 	stats      FollowerStats
@@ -151,19 +152,27 @@ func (f *Follower) session(bo *Backoff) error {
 	if err != nil {
 		return &Error{Op: "dial", Err: err}
 	}
-	f.connMu.Lock()
-	f.conn = conn
-	f.connMu.Unlock()
 	defer conn.Close()
 
+	// The hello and the newest pending probe go out under connMu, so a
+	// probe WaitCaughtUp issues meanwhile follows the hello on this
+	// connection or was already read into the one sent here.
+	f.connMu.Lock()
+	f.conn = conn
 	f.mu.Lock()
 	f.stats.Connects++
 	hello := Frame{Kind: KindHello, Epoch: f.pos.Epoch, Offset: f.pos.Offset, Seq: f.applied}
 	if f.needResync {
 		hello.Flags |= FlagResync
 	}
+	probe := Frame{Kind: KindSync, Epoch: f.syncSent}
 	f.mu.Unlock()
-	if err := conn.Send(hello.Encode()); err != nil {
+	err = conn.Send(hello.Encode())
+	if err == nil && probe.Epoch > 0 {
+		err = conn.Send(probe.Encode())
+	}
+	f.connMu.Unlock()
+	if err != nil {
 		return &Error{Op: "handshake", Err: err}
 	}
 	for {
@@ -214,7 +223,9 @@ func (f *Follower) handle(fr *Frame) error {
 			return f.err
 		}
 		f.sealed = fr.Sealed
-		f.caughtUp = true
+		if fr.Epoch > f.synced {
+			f.synced = fr.Epoch
+		}
 		return nil
 	default:
 		return &Error{Op: "decode", Err: fmt.Errorf("unexpected frame kind %d", fr.Kind)}
@@ -282,7 +293,6 @@ func (f *Follower) applyBatchLocked(fr *Frame) (uint64, error) {
 		if fr.Sealed > f.sealed {
 			f.sealed = fr.Sealed
 		}
-		f.caughtUp = f.applied >= f.sealed
 		f.stats.Batches++
 		f.stats.Applied = f.applied
 		return f.applied, nil
@@ -322,7 +332,6 @@ func (f *Follower) resync(fr *Frame) error {
 	f.store, f.vm = store, vm
 	f.pos = wal.ChainPos{Epoch: fr.Epoch}
 	f.applied, f.sealed = 0, 0
-	f.caughtUp = false
 	f.needResync = false
 	f.err = nil // a fresh base state clears the sticky failure
 	f.stats.Resyncs++
@@ -400,19 +409,23 @@ func (f *Follower) Stats() FollowerStats {
 	return st
 }
 
-// WaitCaughtUp blocks until the follower has applied everything the
-// shipper reports sealed, or the timeout expires. The caught-up flag is
-// cleared on entry, so the wait always observes a heartbeat or batch
-// that arrived after the call — writes committed on the primary just
-// before the call cannot satisfy it with a stale flag.
+// WaitCaughtUp blocks until the follower has applied every record the
+// primary had sealed when the call began, or the timeout expires. It
+// sends the shipper a Sync probe with a fresh token and waits for a
+// heartbeat echoing it. The shipper sends a heartbeat only after a
+// chain scan that found nothing left to ship, and echoes only tokens it
+// had received before that scan began, so neither a heartbeat nor a
+// batch from an older scan can satisfy the wait.
 func (f *Follower) WaitCaughtUp(timeout time.Duration) error {
 	f.mu.Lock()
-	f.caughtUp = false
+	f.syncSent++
+	tok := f.syncSent
 	f.mu.Unlock()
+	f.sendSync(tok)
 	deadline := f.clock.Now().Add(timeout)
 	for {
 		f.mu.Lock()
-		ok := f.caughtUp
+		ok := f.synced >= tok
 		f.mu.Unlock()
 		if ok {
 			return nil
@@ -433,6 +446,16 @@ func (f *Follower) WaitCaughtUp(timeout time.Duration) error {
 				timeout, st.Applied, st.Sealed, st.LastError)
 		}
 		f.clock.Sleep(time.Millisecond)
+	}
+}
+
+// sendSync sends a probe on the current connection. A failed send is
+// left to the session loop: its reconnect resends the newest token.
+func (f *Follower) sendSync(tok uint64) {
+	f.connMu.Lock()
+	defer f.connMu.Unlock()
+	if f.conn != nil {
+		f.conn.Send((&Frame{Kind: KindSync, Epoch: tok}).Encode())
 	}
 }
 

@@ -6,14 +6,15 @@ import (
 	"hash/crc32"
 )
 
-// Frame kinds. Hello opens a session (follower → shipper, carrying the
-// resume position); everything else flows shipper → follower.
+// Frame kinds. Hello opens a session and Sync probes for catch-up (both
+// follower → shipper); everything else flows shipper → follower.
 const (
 	KindHello     byte = 1 // follower's resume position and applied seq
 	KindBatch     byte = 2 // one sealed journal frame's records
 	KindSnapshot  byte = 3 // full checkpoint state (resync)
 	KindReset     byte = 4 // resync of a primary with no checkpoint: start empty
 	KindHeartbeat byte = 5 // idle keep-alive carrying the sealed seq
+	KindSync      byte = 6 // follower's catch-up probe carrying a fresh token
 )
 
 // FlagResync on a Hello asks the shipper to ignore the position and
@@ -43,7 +44,10 @@ var ErrFrame = errors.New("repl: corrupt frame")
 // the newest record the shipper has scanned, so the follower can
 // measure its lag mid-catch-up. A Hello reuses Epoch/Offset/Seq as the
 // resume position and applied count. A Snapshot carries the encoded
-// checkpoint state in Blob with Epoch naming the checkpoint epoch.
+// checkpoint state in Blob with Epoch naming the checkpoint epoch. A
+// Sync carries its token in Epoch; a Heartbeat reuses Epoch for the
+// newest Sync token the shipper had received when the scan that found
+// nothing to ship began.
 type Frame struct {
 	Kind    byte
 	Flags   byte
@@ -102,7 +106,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, ErrFrame
 	}
 	f := &Frame{Kind: payload[0], Flags: payload[1]}
-	if f.Kind < KindHello || f.Kind > KindHeartbeat {
+	if f.Kind < KindHello || f.Kind > KindSync {
 		return nil, ErrFrame
 	}
 	d := payload[2:]

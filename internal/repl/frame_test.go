@@ -15,7 +15,8 @@ func sampleFrames() []*Frame {
 			Records: [][]byte{[]byte("alpha"), {}, []byte("gamma")}},
 		{Kind: KindSnapshot, Epoch: 5, Blob: bytes.Repeat([]byte{0xAB}, 300)},
 		{Kind: KindReset},
-		{Kind: KindHeartbeat, Seq: 99, Sealed: 99},
+		{Kind: KindHeartbeat, Epoch: 7, Seq: 99, Sealed: 99},
+		{Kind: KindSync, Epoch: 7},
 	}
 }
 

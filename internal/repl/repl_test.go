@@ -447,3 +447,45 @@ func TestFollowerRestartResumes(t *testing.T) {
 	}
 	exportEqual(t, db, f2)
 }
+
+// TestWaitCaughtUpNeedsFreshScan: a heartbeat from a shipper scan that
+// began before WaitCaughtUp's probe arrived cannot satisfy the wait; one
+// echoing the probe's token does.
+func TestWaitCaughtUpNeedsFreshScan(t *testing.T) {
+	client, server := repl.Pipe()
+	f := follow(t, nil, repl.FollowerConfig{Dial: func() (repl.Conn, error) { return client, nil }})
+	recv := func(kind byte) *repl.Frame {
+		t.Helper()
+		b, err := server.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := repl.DecodeFrame(b)
+		if err != nil || fr.Kind != kind {
+			t.Fatalf("got frame %+v (%v), want kind %d", fr, err, kind)
+		}
+		return fr
+	}
+	heartbeat := func(tok uint64) {
+		t.Helper()
+		if err := server.Send((&repl.Frame{Kind: repl.KindHeartbeat, Epoch: tok}).Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv(repl.KindHello)
+
+	errc := make(chan error, 1)
+	go func() { errc <- f.WaitCaughtUp(200 * time.Millisecond) }()
+	probe := recv(repl.KindSync)
+	heartbeat(probe.Epoch - 1)
+	if err := <-errc; err == nil {
+		t.Fatal("a heartbeat from an older scan satisfied WaitCaughtUp")
+	}
+
+	go func() { errc <- f.WaitCaughtUp(5 * time.Second) }()
+	probe = recv(repl.KindSync)
+	heartbeat(probe.Epoch)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}

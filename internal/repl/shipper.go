@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cadcam/internal/fault"
@@ -80,8 +81,9 @@ func (s *Shipper) Dialer() Dialer { return s.Dial }
 
 // Serve runs one follower session on conn until the connection closes
 // or fails: handshake, optional checkpoint resync, then stream sealed
-// batches as the chain grows, heartbeating when idle. Blocks; run it in
-// a goroutine per connection (Dial does).
+// batches as the chain grows, heartbeating when idle. Each heartbeat
+// echoes the newest Sync probe received before its scan began. Blocks;
+// run it in a goroutine per connection (Dial does).
 func (s *Shipper) Serve(conn Conn) error {
 	defer conn.Close()
 	s.mu.Lock()
@@ -110,6 +112,17 @@ func (s *Shipper) Serve(conn Conn) error {
 		resync = true
 	}
 
+	var token atomic.Uint64
+	synced := make(chan struct{})
+	go func() {
+		defer close(synced)
+		readSyncs(conn, &token)
+	}()
+	defer func() {
+		conn.Close()
+		<-synced
+	}()
+
 	for {
 		// Evaluated once per chain scan, so a countdown can force the
 		// resync path at any depth into the stream, not just at Hello.
@@ -128,6 +141,9 @@ func (s *Shipper) Serve(conn Conn) error {
 			}
 			resync = false
 		}
+		// Read before the scan, so the heartbeat answering it proves the
+		// scan started after the follower's probe was sent.
+		tok := token.Load()
 		frames, npos, err := wal.TailFrames(s.dir, pos)
 		if errors.Is(err, wal.ErrChainGap) {
 			resync = true
@@ -173,7 +189,7 @@ func (s *Shipper) Serve(conn Conn) error {
 		}
 		pos = npos
 		if len(frames) == 0 {
-			hb := Frame{Kind: KindHeartbeat, Seq: seq, Sealed: seq}
+			hb := Frame{Kind: KindHeartbeat, Epoch: tok, Seq: seq, Sealed: seq}
 			if err := s.send(conn, &hb); err != nil {
 				if isClosed(err) {
 					return nil
@@ -184,6 +200,20 @@ func (s *Shipper) Serve(conn Conn) error {
 			s.stats.Heartbeats++
 			s.mu.Unlock()
 			s.clock.Sleep(s.poll)
+		}
+	}
+}
+
+// readSyncs records the newest Sync token the follower sends until the
+// connection closes; any other frame on the return path is ignored.
+func readSyncs(conn Conn, token *atomic.Uint64) {
+	for {
+		b, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		if fr, err := DecodeFrame(b); err == nil && fr.Kind == KindSync && fr.Epoch > token.Load() {
+			token.Store(fr.Epoch)
 		}
 	}
 }
