@@ -67,7 +67,8 @@ func (m *Model) ResolveMembers(sur domain.Surrogate, name string) ([]domain.Surr
 		return nil, fmt.Errorf("model: %s is a relationship object", sur)
 	}
 	// Sub-relationship members shadow subclass resolution, as in
-	// membersLocked: a materialized subrel class answers directly.
+	// the store's members read: a materialized subrel class answers
+	// directly.
 	if rels := m.childrenOf(sur, name, true); len(rels) != 0 {
 		return rels, nil
 	}

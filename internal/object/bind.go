@@ -72,7 +72,7 @@ func (s *Store) Bind(relType string, inheritor, transmitter domain.Surrogate) (d
 	}
 	obj.initClasses()
 	obj.initAttrs(nil, 0)
-	s.shardOf(sur).objects[sur] = obj
+	s.putObj(obj, pending)
 	s.markDirty(sur)
 	b := &Binding{Obj: obj, Rel: rel, Transmitter: transmitter, Inheritor: inheritor}
 	obj.binding = b
@@ -137,8 +137,7 @@ func (s *Store) Unbind(relType string, inheritor domain.Surrogate) error {
 // hold all shard write locks.
 func (s *Store) removeBindingLocked(b *Binding, seq uint64) {
 	s.indexBinding(b, seq, without)
-	delete(s.shardOf(b.Obj.sur).objects, b.Obj.sur)
-	// Snapshot side: the binding object dies at seq.
+	// The binding object dies at seq.
 	s.retireObj(b.Obj, seq)
 	// The binding object disappears from its shard's durable state.
 	s.markDirty(b.Obj.sur)
@@ -232,19 +231,13 @@ func (s *Store) BindingOf(inheritor domain.Surrogate, relType string) (*Binding,
 // BindingsOfTransmitter returns all bindings in which the object is the
 // transmitter (its inheritors).
 func (s *Store) BindingsOfTransmitter(transmitter domain.Surrogate) []*Binding {
-	sh := s.shardOf(transmitter)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]*Binding(nil), s.bindingsOut(transmitter)...)
+	return s.live().bindingsOfTransmitter(transmitter)
 }
 
 // BindingsOfInheritor returns all bindings in which the object is the
 // inheritor, keyed by relationship type name.
 func (s *Store) BindingsOfInheritor(inheritor domain.Surrogate) map[string]*Binding {
-	sh := s.shardOf(inheritor)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return relMapOf(s.bindingsIn(inheritor))
+	return s.live().bindingsOfInheritor(inheritor)
 }
 
 // bindingLocked finds the inheritor's binding; callers hold at least one

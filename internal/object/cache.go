@@ -27,6 +27,15 @@ import (
 // resolution runs under a shard lock, which freezes topology store-wide
 // (see the shard type), so the recorded stamps are exact.
 //
+// Entry: every read that can be served from a route enters through the
+// read context's entry points (rd.attrOf, membersOf, collectionOf in
+// read.go): Store.GetAttr/Members, the exported expression environment
+// (Store.Env, ClassEnv member reads — so query residuals hit the cache
+// too), ResolveChainStamped, and their Snapshot forms, which check the
+// stamps against the pin's epochs instead of the current ones. Only live
+// resolutions memoize; snapshot and index-maintenance resolutions do not,
+// and environments inside store operations bypass the hit path.
+//
 // Concurrency: routes live in sync.Maps and attribute slots publish
 // atomically, so the GetAttr/Members hit path takes no lock. Structural
 // writers bump epochs while holding all shard write locks; a concurrent
@@ -85,25 +94,6 @@ func (rc *routeCache) reset() {
 	rc.stored.Store(0)
 }
 
-func loadRoute(m *atomic.Pointer[sync.Map], sur domain.Surrogate, name string) (*route, bool) {
-	v, ok := m.Load().Load(routeKey{sur, name})
-	if !ok {
-		return nil, false
-	}
-	return v.(*route), true
-}
-
-// valid reports whether every shard the route's chain crosses still has
-// the epoch recorded at resolution time.
-func (s *Store) valid(r *route) bool {
-	for _, st := range r.stamps {
-		if s.shards[st.shard].epoch.Load() != st.epoch {
-			return false
-		}
-	}
-	return true
-}
-
 // stampChain collects the current epochs of the distinct shards along a
 // chain. Callers hold at least one shard lock, so the epochs cannot move.
 func (s *Store) stampChain(chain []domain.Surrogate) []shardStamp {
@@ -122,25 +112,6 @@ func (s *Store) stampChain(chain []domain.Surrogate) []shardStamp {
 		}
 	}
 	return stamps
-}
-
-// loadAttrRoute returns a memoized attribute route if it is still valid
-// against the epochs of every shard it crosses.
-func (s *Store) loadAttrRoute(sur domain.Surrogate, name string) (*route, bool) {
-	r, ok := loadRoute(&s.shardOf(sur).routes.attrs, sur, name)
-	if !ok || !s.valid(r) {
-		return nil, false
-	}
-	return r, true
-}
-
-// loadMembersRoute is loadAttrRoute for subclass resolution.
-func (s *Store) loadMembersRoute(sur domain.Surrogate, name string) (*route, bool) {
-	r, ok := loadRoute(&s.shardOf(sur).routes.members, sur, name)
-	if !ok || !s.valid(r) {
-		return nil, false
-	}
-	return r, true
 }
 
 // memoAttr stores an attribute route resolved under a shard lock (no
@@ -219,7 +190,7 @@ func (s *Store) Stats() StoreStats {
 		sh.mu.RLock()
 		p := ShardStats{
 			Shard:         i,
-			Objects:       len(sh.objects),
+			Objects:       sh.live,
 			Hits:          sh.hits.Load(),
 			Misses:        sh.misses.Load(),
 			Invalidations: sh.invalidations.Load(),
@@ -272,49 +243,41 @@ func (s *Store) ResolveChain(sur domain.Surrogate, member string) ([]domain.Surr
 // cheaply re-check (StampValid) that the chain is still current after
 // acquiring locks on it.
 func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]domain.Surrogate, ChainStamp, error) {
-	if r, ok := s.loadAttrRoute(sur, member); ok {
-		s.shardOf(sur).hits.Add(1)
-		return r.chain, ChainStamp{stamps: r.stamps}, nil
-	}
-	if r, ok := s.loadMembersRoute(sur, member); ok {
-		s.shardOf(sur).hits.Add(1)
-		return r.chain, ChainStamp{stamps: r.stamps}, nil
-	}
+	r := s.live()
 	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
+	if rt := r.route(sh, &sh.routes.attrs, sur, member); rt != nil {
+		return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+	}
+	if rt := r.route(sh, &sh.routes.members, sur, member); rt != nil {
+		return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+	}
+	o, ok := r.enter(sh, sur)
+	defer r.leave(sh)
 	if !ok {
 		return nil, ChainStamp{}, noObject(sur)
 	}
+	var err error
+	if eff, effErr := s.effectiveLocked(o); effErr == nil {
+		if a, ok := eff.Attr(member); ok && a.Inherited() {
+			owner, chain, err := r.attrWalk(o, member, []domain.Surrogate{sur})
+			if err != nil {
+				return nil, ChainStamp{}, err
+			}
+			rt := s.memoAttr(sur, member, owner, chain)
+			return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+		}
+		if sd, ok := eff.SubclassByName(member); ok && sd.Inherited() {
+			var cls *Class
+			var chain []domain.Surrogate
+			if cls, chain, err = r.subclassWalk(o, member, []domain.Surrogate{sur}); err == nil {
+				rt := s.memoMembers(sur, member, cls, chain)
+				return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+			}
+			if err == errNoMembersYet {
+				err = nil
+			}
+		}
+	}
 	self := []domain.Surrogate{sur}
-	selfStamp := func() ChainStamp { return ChainStamp{stamps: s.stampChain(self)} }
-	if o.isRel {
-		return self, selfStamp(), nil
-	}
-	eff, err := s.effectiveLocked(o)
-	if err != nil {
-		return self, selfStamp(), nil
-	}
-	if a, ok := eff.Attr(member); ok {
-		if !a.Inherited() {
-			return self, selfStamp(), nil
-		}
-		_, r, err := s.resolveAttrLocked(o, member)
-		if err != nil {
-			return nil, ChainStamp{}, err
-		}
-		return r.chain, ChainStamp{stamps: r.stamps}, nil
-	}
-	if sd, ok := eff.SubclassByName(member); ok {
-		if !sd.Inherited() {
-			return self, selfStamp(), nil
-		}
-		r, err := s.resolveMembersLocked(o, member)
-		if err != nil || r == nil {
-			return self, selfStamp(), err
-		}
-		return r.chain, ChainStamp{stamps: r.stamps}, nil
-	}
-	return self, selfStamp(), nil
+	return self, ChainStamp{stamps: s.stampChain(self)}, err
 }

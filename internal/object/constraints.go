@@ -2,7 +2,6 @@ package object
 
 import (
 	"fmt"
-	"sort"
 
 	"cadcam/internal/domain"
 	"cadcam/internal/expr"
@@ -32,7 +31,7 @@ func (s *Store) CheckConstraints(sur domain.Surrogate) ([]ConstraintViolation, e
 	sh := s.shardOf(sur)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
+	o, ok := s.obj(sur)
 	if !ok {
 		return nil, noObject(sur)
 	}
@@ -41,7 +40,7 @@ func (s *Store) CheckConstraints(sur domain.Surrogate) ([]ConstraintViolation, e
 
 func (s *Store) checkConstraintsLocked(o *Object) []ConstraintViolation {
 	var out []ConstraintViolation
-	env := &lockedEnv{s: s, o: o}
+	env := s.lockedEnv(o.sur)
 	check := func(src string, e expr.Expr) {
 		holds, err := expr.EvalBool(e, env)
 		switch {
@@ -100,27 +99,9 @@ func (s *Store) CheckAll() []ConstraintViolation {
 	s.rlockAll()
 	defer s.runlockAll()
 	var out []ConstraintViolation
-	for _, sur := range s.surrogatesLocked() {
+	for _, sur := range s.live().surrogates() {
 		o, _ := s.obj(sur)
 		out = append(out, s.checkConstraintsLocked(o)...)
 	}
-	return out
-}
-
-// surrogatesLocked returns every live surrogate across all shards in
-// ascending order. Callers hold at least one shard lock (all of them for
-// a consistent store-wide view).
-func (s *Store) surrogatesLocked() []domain.Surrogate {
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].objects)
-	}
-	out := make([]domain.Surrogate, 0, n)
-	for i := range s.shards {
-		for sur := range s.shards[i].objects {
-			out = append(out, sur)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -150,7 +150,7 @@ func (s *Store) collectCascadeLocked(o *Object, acc map[domain.Surrogate]bool) {
 // hold all shard and stripe write locks.
 func (s *Store) removeObjectLocked(sur domain.Surrogate, seq uint64) {
 	sh := s.shardOf(sur)
-	o, ok := sh.objects[sur]
+	o, ok := s.obj(sur)
 	if !ok {
 		return
 	}
@@ -197,13 +197,7 @@ func (s *Store) removeObjectLocked(sur domain.Surrogate, seq uint64) {
 			}
 		}
 	}
-	delete(sh.objects, sur)
-	if seq > 0 {
-		s.retireObj(o, seq)
-	} else {
-		// Rollback of an unpublished object: nothing to retire.
-		sh.snapObjs.Delete(sur)
-	}
+	s.retireObj(o, seq)
 	s.markDirty(sur)
 	// Routes from or through the dead object must not be served again;
 	// every such route carries sur in its chain, so its shard's epoch

@@ -5,185 +5,90 @@ import (
 	"cadcam/internal/expr"
 )
 
-// lockedEnv implements expr.Env for one object, assuming a shard lock is
-// already held (any shard lock freezes topology store-wide, and attribute
-// slots publish atomically, so chain walks may cross shards). It backs
-// constraint checking inside store operations.
-type lockedEnv struct {
-	s *Store
-	o *Object
-}
-
-func (e *lockedEnv) Lookup(name string) (domain.Value, bool) {
-	v, err := e.s.getAttrLocked(e.o, name)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
-func (e *lockedEnv) Collection(name string) ([]domain.Value, bool) {
-	return e.s.collectionLocked(e.o, name)
-}
-
-func (e *lockedEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
-	o, ok := e.s.obj(domain.Surrogate(ref))
-	if !ok {
-		return nil, false
-	}
-	v, err := e.s.getAttrLocked(o, attr)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
-func (e *lockedEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
-	o, ok := e.s.obj(domain.Surrogate(ref))
-	if !ok {
-		return nil, false
-	}
-	return e.s.collectionLocked(o, name)
-}
-
-// collectionLocked resolves a name as a collection on an object: a local
-// subclass or sub-relationship (following inheritance), a set-of
-// participant role, or a set/list-valued attribute.
-func (s *Store) collectionLocked(o *Object, name string) ([]domain.Value, bool) {
-	if o.isRel {
-		if v, ok := o.participants[name]; ok {
-			if set, isSet := v.(*domain.Set); isSet {
-				return set.Elems(), true
-			}
-			return []domain.Value{v}, true
-		}
-	}
-	if members, err := s.membersLocked(o, name); err == nil {
-		out := make([]domain.Value, len(members))
-		for i, m := range members {
-			out[i] = domain.Ref(m)
-		}
-		return out, true
-	}
-	if v, err := s.getAttrLocked(o, name); err == nil {
-		switch x := v.(type) {
-		case *domain.Set:
-			return x.Elems(), true
-		case *domain.List:
-			return x.Elems(), true
-		}
-	}
-	return nil, false
-}
-
-// storeEnv is the exported Env: every call takes the object's shard read
-// lock (which freezes topology store-wide, see shard), so it must not be
-// used from inside store operations (use lockedEnv there). Attribute
-// values read through other shards are loaded atomically per value; the
-// view is not a store-wide snapshot.
-type storeEnv struct {
-	s   *Store
-	sur domain.Surrogate
+// env is the expr.Env of one object at a read point: attributes (own and
+// inherited), local subclasses, sub-relationships and participant roles.
+// Store.Env and Snapshot.Env read through the entry points, route hit
+// first, exactly like GetAttr and Members. A locked env serves a store
+// operation that already holds its locks, possibly with its topology
+// half-changed (constraint and where-restriction checks): it resolves
+// directly, without the hit path and without locking.
+type env struct {
+	r      rd
+	sur    domain.Surrogate
+	locked bool
 }
 
 // Env returns an expr.Env evaluating names against the given object:
 // attributes (own and inherited), local subclasses, sub-relationships and
 // participant roles. Version-selection queries and user-level constraint
-// checks use it.
+// checks use it. Values read through other shards are loaded atomically
+// per value; the view is not a store-wide snapshot (Snapshot.Env is).
 func (s *Store) Env(sur domain.Surrogate) expr.Env {
-	return &storeEnv{s: s, sur: sur}
+	return env{r: s.live(), sur: sur}
 }
 
-func (e *storeEnv) Lookup(name string) (domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
-	}
-	return (&lockedEnv{s: e.s, o: o}).Lookup(name)
+// Env returns an expr.Env evaluating names against the given object as of
+// the pin.
+func (sn *Snapshot) Env(sur domain.Surrogate) expr.Env {
+	return env{r: sn.rd(), sur: sur}
 }
 
-func (e *storeEnv) Collection(name string) ([]domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
-	}
-	return (&lockedEnv{s: e.s, o: o}).Collection(name)
+// lockedEnv is the env of sur inside a store operation holding its locks.
+func (s *Store) lockedEnv(sur domain.Surrogate) expr.Env {
+	return env{r: s.live(), sur: sur, locked: true}
 }
 
-func (e *storeEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
-	}
-	return (&lockedEnv{s: e.s, o: o}).AttrOf(ref, attr)
+func (e env) Lookup(name string) (domain.Value, bool) { return e.attr(e.sur, name) }
+
+func (e env) Collection(name string) ([]domain.Value, bool) { return e.collection(e.sur, name) }
+
+func (e env) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
+	return e.attr(domain.Surrogate(ref), attr)
 }
 
-func (e *storeEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
+func (e env) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
+	return e.collection(domain.Surrogate(ref), name)
+}
+
+func (e env) attr(sur domain.Surrogate, name string) (domain.Value, bool) {
+	if !e.locked {
+		v, err := e.r.attrOf(sur, name)
+		return v, err == nil
 	}
-	return (&lockedEnv{s: e.s, o: o}).CollectionOf(ref, name)
+	if o, ok := e.r.obj(sur); ok {
+		v, err := e.r.getAttr(o, name)
+		return v, err == nil
+	}
+	return nil, false
+}
+
+func (e env) collection(sur domain.Surrogate, name string) ([]domain.Value, bool) {
+	if !e.locked {
+		return e.r.collectionOf(sur, name)
+	}
+	if o, ok := e.r.obj(sur); ok {
+		return e.r.collection(o, name)
+	}
+	return nil, false
 }
 
 // ClassEnv returns an expr.Env over the database-level classes, for
 // queries that scan class extents (e.g. top-down version selection).
-func (s *Store) ClassEnv() expr.Env { return &classEnv{s: s} }
+func (s *Store) ClassEnv() expr.Env { return classEnv{env{r: s.live()}} }
 
-type classEnv struct{ s *Store }
+// classEnv resolves collection names as class extents; member references
+// read through the live env.
+type classEnv struct{ env }
 
-func (e *classEnv) Lookup(string) (domain.Value, bool) { return nil, false }
+func (e classEnv) Lookup(string) (domain.Value, bool) { return nil, false }
 
-func (e *classEnv) Collection(name string) ([]domain.Value, bool) {
-	stripe := e.s.stripeOf(name)
-	stripe.mu.RLock()
-	cls, ok := stripe.classes[name]
-	stripe.mu.RUnlock()
+func (e classEnv) Collection(name string) ([]domain.Value, bool) {
+	st := e.r.s.stripeOf(name)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	cls, ok := e.r.class(name)
 	if !ok {
 		return nil, false
 	}
-	items := cls.items()
-	out := make([]domain.Value, len(items))
-	for i, m := range items {
-		out[i] = domain.Ref(m)
-	}
-	return out, true
-}
-
-func (e *classEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
-	sh := e.s.shardOf(domain.Surrogate(ref))
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[domain.Surrogate(ref)]
-	if !ok {
-		return nil, false
-	}
-	v, err := e.s.getAttrLocked(o, attr)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
-func (e *classEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
-	sh := e.s.shardOf(domain.Surrogate(ref))
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[domain.Surrogate(ref)]
-	if !ok {
-		return nil, false
-	}
-	return e.s.collectionLocked(o, name)
+	return refs(cls.membersAt(e.r.at)), true
 }

@@ -277,52 +277,25 @@ func dec(c *atomic.Uint64) {
 // simply have no posting — exactly the rows a comparison predicate
 // rejects.
 func (ix *attrIndex) refresh(s *Store, sur domain.Surrogate, seq uint64) {
-	o, ok := s.obj(sur)
-	if !ok || o.isRel {
-		ix.update(s, sur, ikey{}, false, seq)
-		return
-	}
-	v, ok := s.idxResolve(o, ix.attrName)
-	if !ok || domain.IsNull(v) {
-		ix.update(s, sur, ikey{}, false, seq)
-		return
-	}
-	k, scalar := indexKey(v)
-	ix.update(s, sur, k, scalar, seq)
+	k, ok := s.idxKey(sur, ix.attrName)
+	ix.update(s, sur, k, ok, seq)
 }
 
-// idxResolve walks the inheritance chain for an attribute value without
-// memoizing a route: unlike resolveAttrLocked it may run for an object on
-// a shard the caller does not hold (the notifier reaches inheritors
-// cross-shard under the writer's single shard lock, which freezes
-// topology but does not license route-map writes on other shards).
-func (s *Store) idxResolve(o *Object, name string) (domain.Value, bool) {
-	cur := o
-	for {
-		eff, err := s.effectiveLocked(cur)
-		if err != nil {
-			return nil, false
-		}
-		a, ok := eff.Attr(name)
-		if !ok {
-			return nil, false
-		}
-		if !a.Inherited() {
-			if v, ok := cur.attr(name); ok {
-				return v, true
-			}
-			return domain.NullValue, true
-		}
-		b := byRel(cur.bindingsIn(), a.Via)
-		if b == nil {
-			return domain.NullValue, true
-		}
-		t, ok := s.obj(b.Transmitter)
-		if !ok {
-			return domain.NullValue, true
-		}
-		cur = t
+// idxKey resolves the live value of an indexed attribute on sur and its
+// index key: ok is false for no posting. The resolution is the store's
+// own walk at liveSeq, without memoizing a route: the notifier reaches
+// inheritors on shards the writer does not hold.
+func (s *Store) idxKey(sur domain.Surrogate, name string) (k ikey, ok bool) {
+	r := s.live()
+	o, ok := r.obj(sur)
+	if !ok || o.isRel {
+		return ikey{}, false
 	}
+	v, err := r.resolve(o, name)
+	if err != nil || domain.IsNull(v) {
+		return ikey{}, false
+	}
+	return indexKey(v)
 }
 
 // ---- the maintenance funnel ----
@@ -510,48 +483,58 @@ func (s *Store) createIndex(name, className, attrName string, replaySeq uint64) 
 	}
 	s.lockAll()
 	defer s.unlockAll()
-	reg := s.indexes.Load()
-	if reg != nil {
-		if _, dup := reg.byName[name]; dup {
-			return fmt.Errorf("%w: %q", ErrIndexExists, name)
-		}
-	}
-	cls, ok := s.lookupClass(className)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchClass, className)
+	cls, err := s.indexClass(name, className)
+	if err != nil {
+		return err
 	}
 	seq := replaySeq
 	if seq == 0 {
 		seq = s.seq.Add(1)
 	}
-	ix := &attrIndex{
-		name:       name,
-		className:  className,
-		attrName:   attrName,
-		cls:        cls,
-		createdSeq: seq,
-		parts:      make([]idxPart, len(s.shards)),
+	s.addIndex(&attrIndex{name: name, className: className, attrName: attrName, cls: cls, createdSeq: seq}, seq)
+	if replaySeq == 0 {
+		s.emit(&oplog.Op{Kind: oplog.KindCreateIndex, Name: name, Name2: className, Value: domain.Str(attrName), Seq: seq})
 	}
+	return nil
+}
+
+// indexClass checks a new index's name against the registry and returns
+// the database class it covers.
+func (s *Store) indexClass(name, className string) (*Class, error) {
+	if reg := s.indexes.Load(); reg != nil {
+		if _, dup := reg.byName[name]; dup {
+			return nil, fmt.Errorf("%w: %q", ErrIndexExists, name)
+		}
+	}
+	cls, ok := s.lookupClass(className)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, className)
+	}
+	return cls, nil
+}
+
+// addIndex builds ix's postings from its class's members at seq and
+// publishes it in a copy of the registry. Callers hold the all-shard lock.
+func (s *Store) addIndex(ix *attrIndex, seq uint64) {
+	ix.parts = make([]idxPart, len(s.shards))
 	for i := range ix.parts {
 		ix.parts[i].buckets = make(map[ikey]map[domain.Surrogate]*postNode)
 		ix.parts[i].cur = make(map[domain.Surrogate]ikey)
 	}
-	for _, sur := range cls.Members() {
+	for _, sur := range ix.cls.Members() {
 		ix.refresh(s, sur, seq)
 	}
-	var next *idxRegistry
-	if reg == nil {
-		next = &idxRegistry{
-			byName: map[string]*attrIndex{},
-			byAttr: map[string][]*attrIndex{},
-			byCls:  map[*Class][]*attrIndex{},
-		}
-	} else {
+	next := &idxRegistry{
+		byName: map[string]*attrIndex{},
+		byAttr: map[string][]*attrIndex{},
+		byCls:  map[*Class][]*attrIndex{},
+	}
+	if reg := s.indexes.Load(); reg != nil {
 		next = reg.clone()
 	}
-	next.byName[name] = ix
-	next.byAttr[attrName] = append(next.byAttr[attrName], ix)
-	next.byCls[cls] = append(next.byCls[cls], ix)
+	next.byName[ix.name] = ix
+	next.byAttr[ix.attrName] = append(next.byAttr[ix.attrName], ix)
+	next.byCls[ix.cls] = append(next.byCls[ix.cls], ix)
 	next.list = append(next.list, ix)
 	sort.Slice(next.list, func(i, j int) bool {
 		if next.list[i].name != next.list[j].name {
@@ -560,10 +543,6 @@ func (s *Store) createIndex(name, className, attrName string, replaySeq uint64) 
 		return next.list[i].createdSeq < next.list[j].createdSeq
 	})
 	s.indexes.Store(next)
-	if replaySeq == 0 {
-		s.emit(&oplog.Op{Kind: oplog.KindCreateIndex, Name: name, Name2: className, Value: domain.Str(attrName), Seq: seq})
-	}
-	return nil
 }
 
 // DropIndex removes a secondary index. The definition stays readable to
@@ -625,106 +604,42 @@ func removeIdx(list []*attrIndex, ix *attrIndex) []*attrIndex {
 }
 
 // Indexes lists the live index definitions, sorted by name.
-func (s *Store) Indexes() []IndexDef {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return nil
-	}
-	var out []IndexDef
-	for _, ix := range reg.list {
-		if ix.dropped() == 0 {
-			out = append(out, IndexDef{Name: ix.name, ClassName: ix.className, AttrName: ix.attrName, CreatedSeq: ix.createdSeq})
-		}
-	}
-	return out
-}
+func (s *Store) Indexes() []IndexDef { return s.live().indexes() }
 
 // Indexes is the snapshot form: definitions that were live across the
 // pin's sequence point, sorted by name. A dropped index stays planable
 // for pins taken before the drop (it was maintained for their whole
 // window).
-func (sn *Snapshot) Indexes() []IndexDef {
-	reg := sn.s.indexes.Load()
-	if reg == nil {
-		return nil
-	}
+func (sn *Snapshot) Indexes() []IndexDef { return sn.rd().indexes() }
+
+// indexes lists the index definitions maintained at the read point.
+// Lock-free: the registry is an atomic pointer and definitions are
+// immutable but for the atomic droppedSeq.
+func (r rd) indexes() []IndexDef {
 	var out []IndexDef
-	for _, ix := range reg.list {
-		if ix.covers(sn.seq) {
-			out = append(out, IndexDef{Name: ix.name, ClassName: ix.className, AttrName: ix.attrName, CreatedSeq: ix.createdSeq})
-		}
+	for _, ix := range r.s.indexRecords(r.at) {
+		out = append(out, IndexDef(ix))
 	}
 	return out
 }
 
-// indexFor finds a live index over (className, attrName).
-func (r *idxRegistry) indexFor(className, attrName string) *attrIndex {
-	for _, ix := range r.byAttr[attrName] {
-		if ix.className == className {
-			return ix
-		}
-	}
-	return nil
-}
-
 // seedIndexState rebuilds index definitions (entries included) from
-// imported records: the counterpart of seedSnapshotState for the index
-// layer. Runs under the import's all-shard lock, after objects, classes
-// and bindings are linked; postings are seeded at sequence 0, below any
-// pin a reopened store can take.
+// imported records. Runs under the import's all-shard lock, after
+// objects, classes and bindings are linked; postings are seeded at
+// sequence 0, below any pin a reopened store can take.
 func (s *Store) seedIndexState(recs []IndexRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
 	for _, r := range recs {
-		cls, ok := s.lookupClass(r.ClassName)
-		if !ok {
-			return fmt.Errorf("%w: index %q over %q", ErrNoSuchClass, r.Name, r.ClassName)
+		cls, err := s.indexClass(r.Name, r.ClassName)
+		if err != nil {
+			return fmt.Errorf("index %q in snapshot: %w", r.Name, err)
 		}
-		reg := s.indexes.Load()
-		if reg != nil {
-			if _, dup := reg.byName[r.Name]; dup {
-				return fmt.Errorf("%w: %q in snapshot", ErrIndexExists, r.Name)
-			}
-		}
-		ix := &attrIndex{
-			name:       r.Name,
-			className:  r.ClassName,
-			attrName:   r.AttrName,
-			cls:        cls,
-			createdSeq: r.CreatedSeq,
-			parts:      make([]idxPart, len(s.shards)),
-		}
-		for i := range ix.parts {
-			ix.parts[i].buckets = make(map[ikey]map[domain.Surrogate]*postNode)
-			ix.parts[i].cur = make(map[domain.Surrogate]ikey)
-		}
-		for _, sur := range cls.Members() {
-			ix.refresh(s, sur, 0)
-		}
-		var next *idxRegistry
-		if reg == nil {
-			next = &idxRegistry{
-				byName: map[string]*attrIndex{},
-				byAttr: map[string][]*attrIndex{},
-				byCls:  map[*Class][]*attrIndex{},
-			}
-		} else {
-			next = reg.clone()
-		}
-		next.byName[r.Name] = ix
-		next.byAttr[r.AttrName] = append(next.byAttr[r.AttrName], ix)
-		next.byCls[cls] = append(next.byCls[cls], ix)
-		next.list = append(next.list, ix)
-		s.indexes.Store(next)
+		s.addIndex(&attrIndex{name: r.Name, className: r.ClassName, attrName: r.AttrName, cls: cls, createdSeq: r.CreatedSeq}, 0)
 	}
 	return nil
 }
 
-// indexRecords exports the index definitions visible at sequence point at
-// (liveSeq exports the live set), sorted by name. Lock-free: the registry
-// is an atomic pointer and definitions are immutable but for the atomic
-// droppedSeq.
+// indexRecords exports the index definitions maintained at sequence point
+// at (liveSeq: the live set), sorted by name.
 func (s *Store) indexRecords(at uint64) []IndexRecord {
 	reg := s.indexes.Load()
 	if reg == nil {
@@ -732,19 +647,27 @@ func (s *Store) indexRecords(at uint64) []IndexRecord {
 	}
 	var out []IndexRecord
 	for _, ix := range reg.list {
-		if at == liveSeq {
-			if ix.dropped() != 0 {
-				continue
-			}
-		} else if !ix.covers(at) {
-			continue
+		if ix.covers(at) {
+			out = append(out, IndexRecord{Name: ix.name, ClassName: ix.className, AttrName: ix.attrName, CreatedSeq: ix.createdSeq})
 		}
-		out = append(out, IndexRecord{Name: ix.name, ClassName: ix.className, AttrName: ix.attrName, CreatedSeq: ix.createdSeq})
 	}
 	return out
 }
 
 // ---- probes ----
+
+// index finds the index over (className, attrName) maintained at the read
+// point: at liveSeq the live one, at a pin one maintained across it.
+func (r rd) index(className, attrName string) *attrIndex {
+	if reg := r.s.indexes.Load(); reg != nil {
+		for _, ix := range reg.list {
+			if ix.className == className && ix.attrName == attrName && ix.covers(r.at) {
+				return ix
+			}
+		}
+	}
+	return nil
+}
 
 // IndexProbe returns the candidate members whose indexed attribute value
 // lies within [lo, hi] (nil = unbounded; bounds inclusive — see inRange)
@@ -753,54 +676,53 @@ func (s *Store) indexRecords(at uint64) []IndexRecord {
 // scalar. Candidates are a superset of the true matches (bounds are
 // widened); callers re-apply the full predicate.
 func (s *Store) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return nil, false
-	}
-	ix := reg.indexFor(className, attrName)
-	if ix == nil {
-		return nil, false
-	}
-	return ix.probe(lo, hi, 0)
+	return s.live().indexProbe(className, attrName, lo, hi)
 }
 
 // IndexProbe is the snapshot form: it serves candidates as of the pin's
 // sequence point, and only from an index that was maintained across it.
 func (sn *Snapshot) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	reg := sn.s.indexes.Load()
-	if reg == nil {
-		return nil, false
+	return sn.rd().indexProbe(className, attrName, lo, hi)
+}
+
+// IndexEstimate counts candidates in range without materializing them;
+// the planner's costing probe. Returns -1 when no usable index.
+func (s *Store) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
+	return s.live().indexEstimate(className, attrName, lo, hi)
+}
+
+// IndexEstimate is the snapshot form of costing.
+func (sn *Snapshot) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
+	return sn.rd().indexEstimate(className, attrName, lo, hi)
+}
+
+// bounds normalizes a probe's range bounds into index keys (nil: open);
+// ok is false when a bound is not an indexable scalar.
+func bounds(lo, hi domain.Value) (loK, hiK *ikey, ok bool) {
+	loK, okLo := boundKey(lo)
+	hiK, okHi := boundKey(hi)
+	return loK, hiK, okLo && okHi
+}
+
+func boundKey(v domain.Value) (*ikey, bool) {
+	if v == nil || domain.IsNull(v) {
+		return nil, true
 	}
-	var ix *attrIndex
-	for _, c := range reg.list {
-		if c.className == className && c.attrName == attrName && c.covers(sn.seq) {
-			ix = c
-			break
-		}
-	}
+	k, ok := indexKey(v)
+	return &k, ok
+}
+
+// indexProbe scans the partitions of the index maintained at the read
+// point for keys in [lo, hi] and returns the members whose interval
+// covers the point, ascending.
+func (r rd) indexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
+	ix := r.index(className, attrName)
 	if ix == nil {
 		return nil, false
 	}
-	return ix.probe(lo, hi, sn.seq)
-}
-
-// probe scans the partitions for keys in [lo, hi]. at == 0 reads the live
-// postings; at > 0 reads the interval visible at that sequence point.
-func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, bool) {
-	var loK, hiK *ikey
-	if lo != nil && !domain.IsNull(lo) {
-		k, ok := indexKey(lo)
-		if !ok {
-			return nil, false
-		}
-		loK = &k
-	}
-	if hi != nil && !domain.IsNull(hi) {
-		k, ok := indexKey(hi)
-		if !ok {
-			return nil, false
-		}
-		hiK = &k
+	loK, hiK, ok := bounds(lo, hi)
+	if !ok {
+		return nil, false
 	}
 	var out []domain.Surrogate
 	for i := range ix.parts {
@@ -811,18 +733,12 @@ func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, 
 				continue
 			}
 			for sur, n := range m {
-				if at == 0 {
-					if n.removed == 0 {
-						out = append(out, sur)
-					}
-					continue
-				}
 				for ; n != nil; n = n.prev {
-					if n.added <= at && (n.removed == 0 || n.removed > at) {
+					if n.added <= r.at && (n.removed == 0 || n.removed > r.at) {
 						out = append(out, sur)
 						break
 					}
-					if n.added <= at {
+					if n.added <= r.at {
 						break // deeper intervals are older still
 					}
 				}
@@ -834,41 +750,16 @@ func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, 
 	return out, true
 }
 
-// indexEstimate counts live candidates in range without materializing
-// them; the planner's costing probe. Returns -1 when no usable index.
-func (s *Store) indexEstimate(className, attrName string, lo, hi domain.Value, at uint64) int {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return -1
-	}
-	var ix *attrIndex
-	if at == 0 {
-		ix = reg.indexFor(className, attrName)
-	} else {
-		for _, c := range reg.list {
-			if c.className == className && c.attrName == attrName && c.covers(at) {
-				ix = c
-				break
-			}
-		}
-	}
+// indexEstimate counts the postings in range of the index maintained at
+// the read point, retained intervals included.
+func (r rd) indexEstimate(className, attrName string, lo, hi domain.Value) int {
+	ix := r.index(className, attrName)
 	if ix == nil {
 		return -1
 	}
-	var loK, hiK *ikey
-	if lo != nil && !domain.IsNull(lo) {
-		k, ok := indexKey(lo)
-		if !ok {
-			return -1
-		}
-		loK = &k
-	}
-	if hi != nil && !domain.IsNull(hi) {
-		k, ok := indexKey(hi)
-		if !ok {
-			return -1
-		}
-		hiK = &k
+	loK, hiK, ok := bounds(lo, hi)
+	if !ok {
+		return -1
 	}
 	total := 0
 	for i := range ix.parts {
@@ -882,16 +773,6 @@ func (s *Store) indexEstimate(className, attrName string, lo, hi domain.Value, a
 		p.mu.Unlock()
 	}
 	return total
-}
-
-// IndexEstimate exposes costing for the live store (see indexEstimate).
-func (s *Store) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return s.indexEstimate(className, attrName, lo, hi, 0)
-}
-
-// IndexEstimate is the snapshot form of costing.
-func (sn *Snapshot) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return sn.s.indexEstimate(className, attrName, lo, hi, sn.seq)
 }
 
 // ---- sweep and stats ----
@@ -1002,15 +883,7 @@ func (s *Store) idxAudit(report func(format string, args ...any)) {
 		}
 		want := make(map[domain.Surrogate]ikey)
 		for _, sur := range ix.cls.items() {
-			o, ok := s.obj(sur)
-			if !ok || o.isRel {
-				continue
-			}
-			v, ok := s.idxResolve(o, ix.attrName)
-			if !ok || domain.IsNull(v) {
-				continue
-			}
-			if k, scalar := indexKey(v); scalar {
+			if k, ok := s.idxKey(sur, ix.attrName); ok {
 				want[sur] = k
 			}
 		}

@@ -25,7 +25,8 @@ import (
 //  5. the participant index matches the participants actually stored on
 //     relationship objects, in both directions;
 //  6. no allocated surrogate exceeds the allocation counter;
-//  7. every object lives in the shard its surrogate hashes to;
+//  7. every object lives in the table slot its surrogate maps to, and
+//     each shard's live count matches its table;
 //  8. every live secondary index agrees with a fresh resolution of each
 //     member's attribute value (inherited values included).
 func (s *Store) CheckInvariants() []string {
@@ -38,7 +39,7 @@ func (s *Store) CheckInvariants() []string {
 
 	// 1. database classes <-> ownerClass.
 	for i := range s.stripes {
-		for name, cls := range s.stripes[i].classes {
+		for name, cls := range s.stripes[i].classMap() {
 			for _, m := range cls.items() {
 				o, ok := s.obj(m)
 				if !ok {
@@ -51,11 +52,11 @@ func (s *Store) CheckInvariants() []string {
 			}
 		}
 	}
+	live := s.live().surrogates()
 	forEachObject := func(f func(sur domain.Surrogate, o *Object)) {
-		for i := range s.shards {
-			for sur, o := range s.shards[i].objects {
-				f(sur, o)
-			}
+		for _, sur := range live {
+			o, _ := s.obj(sur)
+			f(sur, o)
 		}
 	}
 	forEachObject(func(sur domain.Surrogate, o *Object) {
@@ -113,34 +114,32 @@ func (s *Store) CheckInvariants() []string {
 	})
 
 	// 3. binding list symmetry.
-	for i := range s.shards {
-		for sur, o := range s.shards[i].objects {
-			list := o.bindingsIn()
-			for _, b := range list {
-				if b.Inheritor != sur || byRel(list, b.Rel.Name) != b {
-					report("binding list mismatch at (%s, %s)", sur, b.Rel.Name)
-				}
-				if _, ok := s.obj(b.Obj.sur); !ok || b.Obj.binding != b {
-					report("binding object %s not registered", b.Obj.sur)
-				}
-				if !slices.Contains(s.bindingsOut(b.Transmitter), b) {
-					report("binding %s missing from transmitter %s", b.Obj.sur, b.Transmitter)
-				}
+	forEachObject(func(sur domain.Surrogate, o *Object) {
+		list := o.bindingsIn()
+		for _, b := range list {
+			if b.Inheritor != sur || byRel(list, b.Rel.Name) != b {
+				report("binding list mismatch at (%s, %s)", sur, b.Rel.Name)
 			}
-			// 4. acyclicity: walk transmitter edges from every inheritor.
-			if len(list) > 0 && s.reachesLocked(sur, sur) {
-				report("binding cycle through %s", sur)
+			if _, ok := s.obj(b.Obj.sur); !ok || b.Obj.binding != b {
+				report("binding object %s not registered", b.Obj.sur)
 			}
-			for _, b := range o.bindingsOut() {
-				if b.Transmitter != sur {
-					report("transmitter list mismatch at %s", sur)
-				}
-				if ib := s.bindingLocked(b.Inheritor, b.Rel.Name); ib != b {
-					report("binding %s missing from inheritor %s", b.Obj.sur, b.Inheritor)
-				}
+			if !slices.Contains(s.bindingsOut(b.Transmitter), b) {
+				report("binding %s missing from transmitter %s", b.Obj.sur, b.Transmitter)
 			}
 		}
-	}
+		// 4. acyclicity: walk transmitter edges from every inheritor.
+		if len(list) > 0 && s.reachesLocked(sur, sur) {
+			report("binding cycle through %s", sur)
+		}
+		for _, b := range o.bindingsOut() {
+			if b.Transmitter != sur {
+				report("transmitter list mismatch at %s", sur)
+			}
+			if ib := s.bindingLocked(b.Inheritor, b.Rel.Name); ib != b {
+				report("binding %s missing from inheritor %s", b.Obj.sur, b.Inheritor)
+			}
+		}
+	})
 
 	// 5. participant index in both directions.
 	for i := range s.shards {
@@ -191,16 +190,28 @@ func (s *Store) CheckInvariants() []string {
 		}
 	})
 
-	// 6. surrogate allocation; 7. shard placement.
+	// 6. surrogate allocation; 7. table placement and live counts.
 	next := s.nextSur.Load()
 	for i := range s.shards {
-		for sur := range s.shards[i].objects {
-			if uint64(sur) > next {
-				report("surrogate %s exceeds allocation counter %d", sur, next)
+		sh := &s.shards[i]
+		live := 0
+		for j := uint64(0); j < sh.objs.slots(); j++ {
+			o := sh.objs.load(j)
+			if o == nil {
+				continue
 			}
-			if s.shardIndex(sur) != i {
-				report("%s stored in shard %d, expected %d", sur, i, s.shardIndex(sur))
+			if uint64(o.sur) > next {
+				report("surrogate %s exceeds allocation counter %d", o.sur, next)
 			}
+			if s.shardIndex(o.sur) != i || s.slot(o.sur) != j {
+				report("%s stored in shard %d slot %d, expected %d/%d", o.sur, i, j, s.shardIndex(o.sur), s.slot(o.sur))
+			}
+			if o.visibleAt(liveSeq) {
+				live++
+			}
+		}
+		if live != sh.live {
+			report("shard %d counts %d live objects, holds %d", i, sh.live, live)
 		}
 	}
 

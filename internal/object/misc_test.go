@@ -259,6 +259,37 @@ func TestImportValidationErrors(t *testing.T) {
 	}
 }
 
+// TestImportRejectsSurrogatesOutsideState: the object tables are sized by
+// surrogate, so a record at 0 or past the state's NextSur is damage that
+// must fail the import before anything is built — without sizing a table
+// for it.
+func TestImportRejectsSurrogatesOutsideState(t *testing.T) {
+	for _, st := range []*StoreState{
+		{
+			Classes: []ClassRecord{{Name: "C"}},
+			Objects: []ObjectRecord{{Sur: 1 << 62, TypeName: paperschema.TypeGateInterfaceI}},
+			NextSur: 1,
+		},
+		{Objects: []ObjectRecord{{Sur: 0, TypeName: paperschema.TypeGateInterfaceI}}, NextSur: 1},
+		{
+			Objects: []ObjectRecord{
+				{Sur: 1, TypeName: paperschema.TypeGateInterfaceI},
+				{Sur: 2, TypeName: paperschema.TypeGateInterface},
+			},
+			Bindings: []BindingRecord{{Sur: 3, RelType: paperschema.RelAllOfGateInterfaceI, Transmitter: 1, Inheritor: 2}},
+			NextSur:  2,
+		},
+	} {
+		s := gateStore(t)
+		if err := s.Import(st); err == nil {
+			t.Errorf("import of %+v accepted", st)
+		}
+		if n, names := s.Len(), s.ClassNames(); n != 0 || len(names) != 0 {
+			t.Errorf("failed import left %d objects and classes %v", n, names)
+		}
+	}
+}
+
 func TestWithExclusive(t *testing.T) {
 	s := gateStore(t)
 	mustSur(t)(s.NewObject(paperschema.TypePin, ""))

@@ -57,7 +57,7 @@ func (s *Store) SetAttrAt(sur domain.Surrogate, name string, v domain.Value, seq
 // number and is journaled. replaySeq != 0 is the recovery path: the
 // journaled sequence is applied verbatim and nothing is re-journaled.
 func (s *Store) setAttrShard(sh *shard, sur domain.Surrogate, name string, v domain.Value, replaySeq uint64) (bool, error) {
-	o, ok := sh.objects[sur]
+	o, ok := s.obj(sur)
 	if !ok {
 		return false, noObject(sur)
 	}
@@ -220,217 +220,20 @@ func (s *Store) checkRefValueLocked(d *domain.Domain, v domain.Value) error {
 	return nil
 }
 
-// GetAttr reads an attribute with the paper's resolution rule: own
-// attributes come from the object itself; inherited attributes are read
-// through the binding from the live transmitter (view semantics — never a
-// copy), or read as null while unbound (type-level inheritance only).
-//
-// The hot path is lock-free: a memoized route valid against the current
-// epochs of the shards it crosses names the object whose own attribute
-// slot holds the value, and that slot is read live — so transmitter
-// updates are visible immediately after a hit, while any structural
-// change forces the locked slow path via the epoch check.
+// GetAttr reads an attribute with the paper's resolution rule (see
+// rd.getAttr). The hot path is lock-free: a memoized route valid against
+// the current epochs of the shards it crosses names the object whose own
+// attribute slot holds the value, and that slot is read live.
 func (s *Store) GetAttr(sur domain.Surrogate, name string) (domain.Value, error) {
-	if r, ok := s.loadAttrRoute(sur, name); ok {
-		s.shardOf(sur).hits.Add(1)
-		if r.owner == nil {
-			return domain.NullValue, nil
-		}
-		if v, ok := r.owner.attr(name); ok {
-			return v, nil
-		}
-		return domain.NullValue, nil
-	}
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return nil, noObject(sur)
-	}
-	return s.getAttrLocked(o, name)
-}
-
-func (s *Store) getAttrLocked(o *Object, name string) (domain.Value, error) {
-	if name == "Surrogate" {
-		return domain.Ref(o.sur), nil
-	}
-	if o.isRel {
-		return s.getRelAttrLocked(o, name)
-	}
-	v, _, err := s.resolveAttrLocked(o, name)
-	return v, err
-}
-
-// resolveAttrLocked walks the inheritance chain iteratively, memoizing the
-// route taken: either the chain ends at the object owning the attribute
-// (the value is read from its live slot) or it ends unbound (the read is
-// null until a Bind — which bumps the inheritor's shard epoch — changes
-// that). Unknown attributes are not memoized and keep their error
-// semantics. The walk crosses shards freely: the caller holds some shard
-// lock, which freezes topology store-wide.
-func (s *Store) resolveAttrLocked(o *Object, name string) (domain.Value, *route, error) {
-	chain := []domain.Surrogate{o.sur}
-	cur := o
-	for {
-		eff, err := s.effectiveLocked(cur)
-		if err != nil {
-			return nil, nil, err
-		}
-		a, ok := eff.Attr(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cur.typeName, name)
-		}
-		if !a.Inherited() {
-			r := s.memoAttr(o.sur, name, cur, chain)
-			if v, ok := cur.attr(name); ok {
-				return v, r, nil
-			}
-			return domain.NullValue, r, nil
-		}
-		b := byRel(cur.bindingsIn(), a.Via)
-		if b == nil {
-			r := s.memoAttr(o.sur, name, nil, chain)
-			return domain.NullValue, r, nil
-		}
-		t, ok := s.obj(b.Transmitter)
-		if !ok {
-			r := s.memoAttr(o.sur, name, nil, chain)
-			return domain.NullValue, r, nil
-		}
-		chain = append(chain, t.sur)
-		cur = t
-	}
-}
-
-func (s *Store) getRelAttrLocked(o *Object, name string) (domain.Value, error) {
-	return s.relAttrAt(o, name, liveSeq)
-}
-
-// relAttrAt reads a relationship object's attribute as of sequence point
-// at (liveSeq: the live state): participant roles (immutable), the
-// binding bookkeeping, then user-declared attributes.
-func (s *Store) relAttrAt(o *Object, name string, at uint64) (domain.Value, error) {
-	if v, ok := o.participants[name]; ok {
-		return v, nil
-	}
-	if o.binding != nil {
-		k, _ := o.binding.book.at(at)
-		switch name {
-		case AttrTransmitterUpdates:
-			return domain.Int(k.upd), nil
-		case AttrLastUpdateSeq:
-			return domain.Int(k.last), nil
-		case AttrAcknowledgedSeq:
-			return domain.Int(k.ack), nil
-		}
-	}
-	if b, ok := o.attrMap()[name]; ok {
-		if v, ok := b.valueAt(at); ok {
-			return v, nil
-		}
-	}
-	// Verify the name is declared before returning null (O(1) via the
-	// catalog's precomputed attribute index).
-	if _, ok := s.cat.RelAttr(o.typeName, name); ok {
-		return domain.NullValue, nil
-	}
-	if _, ok := s.cat.InherRelType(o.typeName); ok {
-		switch name {
-		case AttrTransmitterUpdates, AttrLastUpdateSeq, AttrAcknowledgedSeq:
-			return domain.Int(0), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, o.typeName, name)
+	return s.live().attrOf(sur, name)
 }
 
 // Members returns the member surrogates of a local subclass or
 // relationship subclass, following inheritance for subclasses the object's
-// type inherits (the interface's Pins seen from the implementation).
-//
-// Like GetAttr, the hot path is lock-free: a valid members route points at
-// the owner's materialized class, whose membership slice is published
-// atomically. Routes exist only for names that resolve as (possibly
-// inherited) subclasses; sub-relationship and relationship-object reads
-// always take the locked slow path, so the route can never shadow them.
+// type inherits (the interface's Pins seen from the implementation). Like
+// GetAttr, the hot path is a lock-free route hit.
 func (s *Store) Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
-	if r, ok := s.loadMembersRoute(sur, name); ok {
-		s.shardOf(sur).hits.Add(1)
-		if r.cls == nil {
-			return nil, nil
-		}
-		return r.cls.Members(), nil
-	}
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return nil, noObject(sur)
-	}
-	return s.membersLocked(o, name)
-}
-
-func (s *Store) membersLocked(o *Object, name string) ([]domain.Surrogate, error) {
-	if cls, ok := o.relMap()[name]; ok {
-		return cls.Members(), nil
-	}
-	if o.isRel {
-		if cls, ok := o.subMap()[name]; ok {
-			return cls.Members(), nil
-		}
-		if s.cat.RelMemberName(o.typeName, name) {
-			return nil, nil // declared but empty
-		}
-		return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, o.typeName, name)
-	}
-	r, err := s.resolveMembersLocked(o, name)
-	if err != nil {
-		return nil, err
-	}
-	if r == nil || r.cls == nil {
-		return nil, nil
-	}
-	return r.cls.Members(), nil
-}
-
-// resolveMembersLocked walks the inheritance chain for a subclass name,
-// memoizing the route to the owner's materialized class. A nil route (with
-// nil error) marks a declared sub-relationship with no members yet — not
-// memoized, because materializing it does not bump any epoch.
-func (s *Store) resolveMembersLocked(o *Object, name string) (*route, error) {
-	chain := []domain.Surrogate{o.sur}
-	cur := o
-	for {
-		eff, err := s.effectiveLocked(cur)
-		if err != nil {
-			return nil, err
-		}
-		sd, ok := eff.SubclassByName(name)
-		if !ok {
-			for _, sr := range eff.Type.SubRels {
-				if sr.Name == name {
-					return nil, nil // declared but no members yet
-				}
-			}
-			return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, cur.typeName, name)
-		}
-		if !sd.Inherited() {
-			// cur's class may be nil (not materialized yet); materialization
-			// bumps cur's shard epoch, invalidating this route.
-			return s.memoMembers(o.sur, name, cur.subMap()[name], chain), nil
-		}
-		b := byRel(cur.bindingsIn(), sd.Via)
-		if b == nil {
-			return s.memoMembers(o.sur, name, nil, chain), nil // unbound: structure without members
-		}
-		t, ok := s.obj(b.Transmitter)
-		if !ok {
-			return s.memoMembers(o.sur, name, nil, chain), nil
-		}
-		chain = append(chain, t.sur)
-		cur = t
-	}
+	return s.live().membersOf(sur, name)
 }
 
 // notifier walks the inheritance fan-out from changed transmitters,

@@ -28,7 +28,10 @@ package object
 // Store-exclusive operations learn their sequence only at commit, so they
 // publish class-membership heads stamped pending (above every pin) and
 // re-stamp them in commitClassHist: an uncommitted head is never returned
-// by at(S) for any pin.
+// by at(S) for any pin. New objects follow the same protocol: they enter
+// the shard's object table with createdSeq pending and publishObj
+// re-stamps it, so the live store (which reads at liveSeq, at or above
+// pending) sees them at once and no pin does before the commit.
 
 import (
 	"math"
@@ -205,12 +208,6 @@ type attrBox struct {
 	decl *schema.EffAttr
 }
 
-// load returns the live value; ok is false on a tombstone head.
-func (b *attrBox) load() (domain.Value, bool) {
-	v, _ := b.live()
-	return v, v != nil
-}
-
 // valueAt returns the value visible at sequence point s (absent if the
 // slot did not exist, or held a tombstone, at s).
 func (b *attrBox) valueAt(s uint64) (domain.Value, bool) {
@@ -260,8 +257,12 @@ func (b *Binding) acknowledge(seq, ceil uint64, ack int64) bool {
 }
 
 // membersAt returns the class membership visible at s. A class
-// materialized after s has no node at or below s and reads empty.
+// materialized after s has no node at or below s and reads empty, as does
+// a nil class (an unbound or unmaterialized subclass).
 func (c *Class) membersAt(s uint64) []domain.Surrogate {
+	if c == nil {
+		return nil
+	}
 	m, _ := c.members.at(s)
 	return m
 }
@@ -314,32 +315,55 @@ func (s *Store) stepPoint(name string) {
 	}
 }
 
-// publishObj stamps a newly created object with its creating sequence and
-// makes it visible to snapshot readers. Called at the operation's commit
-// point, under the locks the creation ran under, so a snapshot pinned
-// before the operation never observes it mid-flight.
-func (s *Store) publishObj(o *Object, seq uint64) {
-	o.createdSeq = seq
-	s.shardOf(o.sur).snapObjs.Store(o.sur, o)
+// putObj enters a new object in its shard's table stamped created at at:
+// pending for live creation, whose commit re-stamps it (publishObj), 0 for
+// imported base state. The creating operation can look the object up at
+// liveSeq at once; no pin sees it before the commit. Callers hold the
+// owning shard's write lock.
+func (s *Store) putObj(o *Object, at uint64) {
+	o.createdSeq.Store(at)
+	sh := s.shardOf(o.sur)
+	sh.objs.store(s.slot(o.sur), o)
+	sh.live++
 }
 
-// retireObj marks an object deleted at seq for snapshot readers. With no
-// live pin the snapshot entry is dropped eagerly (nothing can read it and
-// any later pin sees a higher sequence); otherwise the entry stays dead
-// until the sweep reclaims it. Callers hold the store-exclusive lock.
+// slot maps a surrogate to its slot in the owning shard's table.
+func (s *Store) slot(sur domain.Surrogate) uint64 {
+	return uint64(sur) / uint64(len(s.shards))
+}
+
+// publishObj stamps a newly created object with its creating sequence,
+// making it visible to snapshots pinned from then on. Called at the
+// operation's commit point, under the locks the creation ran under.
+func (s *Store) publishObj(o *Object, seq uint64) {
+	o.createdSeq.Store(seq)
+}
+
+// retireObj removes o from the live store at seq. While a pin may still
+// read it, it stays in its slot stamped deleted until the sweep clears it;
+// with no pin (or for the rollback of an unpublished object, seq == 0) the
+// slot is cleared at once: nothing can read it and any later pin sees a
+// higher sequence. Retiring a retired object is a no-op (deleting a
+// binding's object dissolves the binding, which retires it first).
+// Callers hold the store-exclusive lock.
 func (s *Store) retireObj(o *Object, seq uint64) {
-	sh := s.shardOf(o.sur)
-	if s.ceiling() == 0 {
-		sh.snapObjs.Delete(o.sur)
+	if o.deletedSeq.Load() != 0 {
 		return
 	}
+	sh := s.shardOf(o.sur)
+	sh.live--
 	o.deletedSeq.Store(seq)
+	if seq == 0 || s.ceiling() == 0 {
+		sh.objs.store(s.slot(o.sur), nil)
+		return
+	}
 	sh.retained.Add(1)
 }
 
-// visibleAt reports whether the object existed at sequence point s.
+// visibleAt reports whether the object existed at sequence point s. At
+// liveSeq that is from creation (pending included) until deletion.
 func (o *Object) visibleAt(s uint64) bool {
-	if o.createdSeq > s {
+	if o.createdSeq.Load() > s {
 		return false
 	}
 	d := o.deletedSeq.Load()
@@ -530,13 +554,16 @@ func (s *Store) SweepVersions() uint64 {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		low := s.lowWater()
-		sh.snapObjs.Range(func(k, v any) bool {
-			o := v.(*Object)
+		for j := uint64(0); j < sh.objs.slots(); j++ {
+			o := sh.objs.load(j)
+			if o == nil {
+				continue
+			}
 			if d := o.deletedSeq.Load(); d != 0 {
 				if d <= low {
-					sh.snapObjs.Delete(k)
+					sh.objs.store(j, nil)
 					t.rec++
-					return true
+					continue
 				}
 				t.dead++
 			}
@@ -561,8 +588,7 @@ func (s *Store) SweepVersions() uint64 {
 					trimChain(&t, &c.members, low)
 				}
 			}
-			return true
-		})
+		}
 		sh.mu.Unlock()
 	}
 	for i := range s.stripes {
@@ -570,7 +596,7 @@ func (s *Store) SweepVersions() uint64 {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		low := s.lowWater()
-		for _, c := range st.classes {
+		for _, c := range st.classMap() {
 			trimChain(&t, &c.members, low)
 		}
 		st.mu.Unlock()
@@ -597,21 +623,4 @@ func (o *Object) removeBoxes(names []string) {
 		delete(m, n)
 	}
 	o.attrs.Store(&m)
-}
-
-// seedSnapshotState makes the imported base state visible to snapshot
-// readers: every object and database-level class. Chains were built at
-// sequence 0 by the import itself. Callers hold all locks.
-func (s *Store) seedSnapshotState() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for sur, o := range sh.objects {
-			sh.snapObjs.Store(sur, o)
-		}
-	}
-	for i := range s.stripes {
-		for name, c := range s.stripes[i].classes {
-			s.snapClasses.Store(name, c)
-		}
-	}
 }

@@ -65,11 +65,12 @@ type Object struct {
 	// checkin; each node's value is its own stamp.
 	mod vchain[struct{}]
 
-	// createdSeq is the sequence of the creating operation, written before
-	// the object is published to snapshot readers (0 for imported base
-	// state). deletedSeq is set by the deleting operation; a snapshot at S
-	// sees the object iff createdSeq <= S < deletedSeq.
-	createdSeq uint64
+	// createdSeq is the sequence of the creating operation: pending while
+	// that operation runs, re-stamped at its commit (0 for imported base
+	// state). deletedSeq is set by the deleting operation; a read at S
+	// sees the object iff createdSeq <= S < deletedSeq (deletedSeq 0: not
+	// deleted), so the live store (S = liveSeq) sees it from creation on.
+	createdSeq atomic.Uint64
 	deletedSeq atomic.Uint64
 }
 
@@ -155,33 +156,6 @@ func (o *Object) putSubrel(name string, c *Class) {
 	}
 	m[name] = c
 	o.subrels.Store(&m)
-}
-
-// attr loads one attribute's live value; the second result reports
-// presence (a tombstone head reads as absent).
-func (o *Object) attr(name string) (domain.Value, bool) {
-	if b, ok := o.attrMap()[name]; ok {
-		return b.load()
-	}
-	return nil, false
-}
-
-// attrValues materializes the live attribute map as plain values.
-func (o *Object) attrValues() map[string]domain.Value {
-	m := o.attrMap()
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]domain.Value, len(m))
-	for k, b := range m {
-		if v, ok := b.load(); ok {
-			out[k] = v
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // setAttr sets name to v at the given operation sequence. Setting an

@@ -146,7 +146,7 @@ func (s *Store) relateLocked(relType string, parts Participants, owner domain.Su
 	}
 	o.initClasses()
 	o.initAttrs(nil, 0)
-	s.shardOf(sur).objects[sur] = o
+	s.putObj(o, pending)
 	s.markDirty(sur)
 	for _, v := range assigned {
 		s.indexParticipantLocked(o.sur, v)
@@ -221,12 +221,9 @@ func (s *Store) indexParticipantLocked(rel domain.Surrogate, v domain.Value) {
 
 // Participant reads a role of a relationship object.
 func (s *Store) Participant(rel domain.Surrogate, role string) (domain.Value, error) {
-	sh := s.shardOf(rel)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[rel]
-	if !ok {
-		return nil, noObject(rel)
+	o, err := s.Get(rel)
+	if err != nil {
+		return nil, err
 	}
 	if !o.isRel {
 		return nil, fmt.Errorf("%w: %s is not a relationship object", ErrTypeMismatch, rel)
@@ -256,11 +253,8 @@ func (s *Store) RelationshipsOf(sur domain.Surrogate) []domain.Surrogate {
 // ParticipantsOf returns the object surrogates a relationship object
 // relates (flattening set-of roles), sorted by surrogate.
 func (s *Store) ParticipantsOf(rel domain.Surrogate) []domain.Surrogate {
-	sh := s.shardOf(rel)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[rel]
-	if !ok || !o.isRel {
+	o, err := s.Get(rel)
+	if err != nil || !o.isRel {
 		return nil
 	}
 	var out []domain.Surrogate
@@ -337,10 +331,9 @@ func (s *Store) NewRelSubobject(rel domain.Surrogate, subclass string) (domain.S
 // bound under the subclass name and the relationship type name, so both
 // "Pin1 in Pins" and "Wires.Pin1 in Pins" read naturally.
 func (s *Store) whereEnvLocked(owner *Object, sr *schema.SubRel, rel domain.Surrogate) expr.Env {
-	ro, _ := s.obj(rel)
 	var env expr.Env = &overlayEnv{
-		first:  &lockedEnv{s: s, o: ro},
-		second: &lockedEnv{s: s, o: owner},
+		first:  s.lockedEnv(rel),
+		second: s.lockedEnv(owner.sur),
 	}
 	env = bindName(env, sr.Name, domain.Ref(rel))
 	env = bindName(env, sr.RelType, domain.Ref(rel))

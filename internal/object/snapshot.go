@@ -86,40 +86,60 @@ func (s *Store) WithExclusive(f func(st *StoreState) error) error {
 }
 
 func (s *Store) exportLocked() *StoreState {
-	st := s.baseStateLocked()
-	for _, sur := range s.surrogatesLocked() {
-		o, _ := s.obj(sur)
-		if o.binding != nil {
-			st.Bindings = append(st.Bindings, bindingRecord(sur, o.binding, liveSeq))
-			continue
-		}
-		st.Objects = append(st.Objects, objectRecord(o, liveSeq))
+	return s.live().export(s.nextSur.Load(), s.seq.Load())
+}
+
+// export captures the state visible at the read point; nextSur and seq
+// are the counters at that point.
+func (r rd) export(nextSur, seq uint64) *StoreState {
+	st := r.baseState(nextSur, seq)
+	for _, sur := range r.surrogates() {
+		st.Objects, st.Bindings = r.record(sur, st.Objects, st.Bindings)
 	}
 	return st
 }
 
-// liveSeq reads a version chain at its head: the live state.
-const liveSeq = ^uint64(0)
-
-// baseStateLocked captures the non-partitioned part of the state: classes
-// and the global counters, no object or binding records.
-func (s *Store) baseStateLocked() *StoreState {
-	st := &StoreState{NextSur: s.nextSur.Load(), Seq: s.seq.Load()}
-	classes := make(map[string]*Class)
-	for i := range s.stripes {
-		for name, cls := range s.stripes[i].classes {
-			classes[name] = cls
-		}
-	}
+// baseState captures the non-partitioned part of the state at the read
+// point: classes, index definitions and the counters, no records.
+func (r rd) baseState(nextSur, seq uint64) *StoreState {
+	st := &StoreState{NextSur: nextSur, Seq: seq}
+	classes := r.classes()
 	for _, name := range sortedNames(classes) {
 		st.Classes = append(st.Classes, ClassRecord{Name: name, ElemType: classes[name].elemType})
 	}
-	st.Indexes = s.indexRecords(liveSeq)
+	st.Indexes = r.s.indexRecords(r.at)
 	return st
 }
 
-// bindingRecord captures one binding as visible at sequence point at
-// (liveSeq for the live state).
+// record appends sur's record as visible at the read point: a binding
+// record for an inheritance binding's object, an object record otherwise.
+func (r rd) record(sur domain.Surrogate, objs []ObjectRecord, binds []BindingRecord) ([]ObjectRecord, []BindingRecord) {
+	o, _ := r.obj(sur)
+	if o.binding != nil {
+		return objs, append(binds, bindingRecord(sur, o.binding, r.at))
+	}
+	return append(objs, objectRecord(o, r.at)), binds
+}
+
+// exportShards captures a partitioned export at the read point: shard i
+// carries records iff dirty[i]; marks[i] becomes its Mark.
+func (r rd) exportShards(nextSur, seq uint64, marks []uint64, dirty []bool) *StoreExport {
+	ex := &StoreExport{Base: r.baseState(nextSur, seq), Shards: make([]ShardExport, len(r.s.shards))}
+	for i := range r.s.shards {
+		se := &ex.Shards[i]
+		se.Mark = marks[i]
+		se.Exported = dirty[i]
+		if !dirty[i] {
+			continue
+		}
+		for _, sur := range r.shardSurrogates(i) {
+			se.Objects, se.Bindings = r.record(sur, se.Objects, se.Bindings)
+		}
+	}
+	return ex
+}
+
+// bindingRecord captures one binding as visible at sequence point at.
 func bindingRecord(sur domain.Surrogate, b *Binding, at uint64) BindingRecord {
 	attrs := copyBoxAttrsAt(b.Obj.attrMap(), at)
 	if attrs == nil {
@@ -151,6 +171,20 @@ func objectRecord(o *Object, at uint64) ObjectRecord {
 		Attrs:        copyBoxAttrsAt(o.attrMap(), at),
 		Participants: copyAttrs(o.participants),
 	}
+}
+
+// dirtyMarks captures each shard's dirty mark and its dirtiness against
+// baseline (nil or mismatched length: everything dirty). Callers hold the
+// store-exclusive lock.
+func (s *Store) dirtyMarks(baseline []uint64) (marks []uint64, dirty []bool) {
+	marks = make([]uint64, len(s.shards))
+	dirty = make([]bool, len(s.shards))
+	full := len(baseline) != len(s.shards)
+	for i := range s.shards {
+		marks[i] = s.shards[i].dirty.Load()
+		dirty[i] = full || marks[i] != baseline[i]
+	}
+	return marks, dirty
 }
 
 // ShardExport is one shard's slice of a partitioned export. Mark is the
@@ -185,31 +219,8 @@ type StoreExport struct {
 func (s *Store) WithExclusiveExport(baseline []uint64, f func(ex *StoreExport) error) error {
 	s.lockAll()
 	defer s.unlockAll()
-	ex := &StoreExport{Base: s.baseStateLocked(), Shards: make([]ShardExport, len(s.shards))}
-	full := len(baseline) != len(s.shards)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		se := &ex.Shards[i]
-		se.Mark = sh.dirty.Load()
-		se.Exported = full || se.Mark != baseline[i]
-		if !se.Exported {
-			continue
-		}
-		surs := make([]domain.Surrogate, 0, len(sh.objects))
-		for sur := range sh.objects {
-			surs = append(surs, sur)
-		}
-		sort.Slice(surs, func(a, b int) bool { return surs[a] < surs[b] })
-		for _, sur := range surs {
-			o := sh.objects[sur]
-			if o.binding != nil {
-				se.Bindings = append(se.Bindings, bindingRecord(sur, o.binding, liveSeq))
-				continue
-			}
-			se.Objects = append(se.Objects, objectRecord(o, liveSeq))
-		}
-	}
-	return f(ex)
+	marks, dirty := s.dirtyMarks(baseline)
+	return f(s.live().exportShards(s.nextSur.Load(), s.seq.Load(), marks, dirty))
 }
 
 func copyAttrs(m map[string]domain.Value) map[string]domain.Value {
@@ -247,10 +258,10 @@ func (s *Store) Import(st *StoreState) error {
 	return s.ImportParallel(st, 1)
 }
 
-// importObject validates one object record and inserts the rebuilt object
-// into its shard map. Safe to run concurrently for records owned by
+// importObject validates one object record and enters the rebuilt object
+// in its shard's table. Safe to run concurrently for records owned by
 // *different shards* while the coordinating goroutine holds all write
-// locks: each worker touches only its own shards' maps, and the catalog
+// locks: each worker touches only its own shards' tables, and the catalog
 // lookups are read-only.
 func (s *Store) importObject(r *ObjectRecord) error {
 	if _, dup := s.obj(r.Sur); dup {
@@ -277,7 +288,7 @@ func (s *Store) importObject(r *ObjectRecord) error {
 	}
 	o.initClasses()
 	o.initAttrs(copyAttrs(r.Attrs), 0)
-	s.shardOf(r.Sur).objects[r.Sur] = o
+	s.putObj(o, 0)
 	return nil
 }
 
@@ -291,16 +302,28 @@ func (s *Store) ImportParallel(st *StoreState, workers int) error {
 	s.lockAll()
 	defer s.unlockAll()
 	for i := range s.shards {
-		if len(s.shards[i].objects) != 0 {
+		if s.shards[i].live != 0 {
 			return fmt.Errorf("object: Import needs an empty store")
+		}
+	}
+	// The object tables are sized by surrogate: a record outside the
+	// allocated range is damage, rejected before anything is built.
+	for _, r := range st.Objects {
+		if err := checkSur(r.Sur, st.NextSur); err != nil {
+			return err
+		}
+	}
+	for _, r := range st.Bindings {
+		if err := checkSur(r.Sur, st.NextSur); err != nil {
+			return err
 		}
 	}
 	for _, c := range st.Classes {
 		stripe := s.stripeOf(c.Name)
-		if _, dup := stripe.classes[c.Name]; dup {
+		if _, dup := stripe.classMap()[c.Name]; dup {
 			return fmt.Errorf("object: duplicate class %q in snapshot", c.Name)
 		}
-		stripe.classes[c.Name] = newClass(c.Name, c.ElemType)
+		stripe.putClass(newClass(c.Name, c.ElemType))
 	}
 	// Objects in ascending surrogate order so parents precede subobjects
 	// is NOT guaranteed in general; link classes in a second pass.
@@ -320,7 +343,7 @@ func (s *Store) ImportParallel(st *StoreState, workers int) error {
 		}
 	} else {
 		// Partition records by owning shard; worker w handles shards
-		// w, w+workers, ... so no two goroutines touch one shard map.
+		// w, w+workers, ... so no two goroutines touch one shard table.
 		byShard := make([][]int, len(s.shards))
 		for i := range recs {
 			si := s.shardIndex(recs[i].Sur)
@@ -415,7 +438,7 @@ func (s *Store) ImportParallel(st *StoreState, workers int) error {
 		if s.bindingLocked(r.Inheritor, r.RelType) != nil {
 			return fmt.Errorf("object: duplicate binding for %s in %s", r.Inheritor, r.RelType)
 		}
-		s.shardOf(r.Sur).objects[r.Sur] = obj
+		s.putObj(obj, 0)
 		s.indexBinding(b, 0, with)
 	}
 	s.nextSur.Store(st.NextSur)
@@ -423,8 +446,16 @@ func (s *Store) ImportParallel(st *StoreState, workers int) error {
 	if err := s.seedIndexState(st.Indexes); err != nil {
 		return err
 	}
-	s.seedSnapshotState()
 	s.bumpAllEpochs()
+	return nil
+}
+
+// checkSur rejects a record surrogate outside the state's allocated range
+// (1..nextSur).
+func checkSur(sur domain.Surrogate, nextSur uint64) error {
+	if sur == 0 || uint64(sur) > nextSur {
+		return fmt.Errorf("object: snapshot surrogate %s outside the allocated range 1..%d", sur, nextSur)
+	}
 	return nil
 }
 

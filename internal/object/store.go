@@ -3,7 +3,6 @@ package object
 import (
 	"fmt"
 	"hash/maphash"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -63,19 +62,28 @@ const DefaultShards = 16
 // classStripes is the fixed stripe count for database-level classes.
 const classStripes = 16
 
-// shard owns a surrogate-hashed partition of the store: its objects (each
-// carrying its own binding lists), a structure epoch and the
-// resolution-route cache for routes rooted at its surrogates.
+// shard owns a surrogate-hashed partition of the store: its object table
+// (each object carrying its own version chains and binding lists), a
+// structure epoch and the resolution-route cache for routes rooted at its
+// surrogates.
+//
+// The object table is the only store of the shard's objects. Live reads
+// and snapshot reads both look objects up in it, at a sequence point: the
+// live store is the point liveSeq, where an object is visible from its
+// creation (still pending inside the creating operation) until its
+// deletion. Deleted objects stay in their slots while a pin may still
+// read them.
 //
 // Locking protocol (the shard-ordering invariant):
 //
-//   - Topology — the objects map, binding lists, participant index,
+//   - Topology — the object table, binding lists, participant index,
 //     class membership and parent links — is only mutated while holding
 //     ALL shard write locks (and all class stripes), acquired in
 //     ascending index order. Consequently, holding any ONE shard lock
 //     (read or write) freezes topology store-wide, so single-shard
 //     operations may follow inheritance chains through other shards
-//     without further locking.
+//     without further locking. Snapshot readers take no lock: they read
+//     the table and the version chains at their pin.
 //   - Per-object data (attribute slots, modSeq) is mutated under the
 //     owning object's shard write lock only; binding bookkeeping uses
 //     commuting atomics and may be touched under any shard lock.
@@ -85,7 +93,9 @@ const classStripes = 16
 type shard struct {
 	mu sync.RWMutex
 
-	objects map[domain.Surrogate]*Object
+	objs objTable
+	// live counts the objects visible at liveSeq; guarded by mu.
+	live int
 	// relsByParticipant indexes relationship objects by participants owned
 	// by this shard, for cascading deletes.
 	relsByParticipant map[domain.Surrogate]map[domain.Surrogate]bool
@@ -108,14 +118,8 @@ type shard struct {
 	// shards while holding only one shard lock.
 	dirty atomic.Uint64
 
-	// snapObjs is the snapshot-side object map (mvcc.go), which a pinned
-	// Snapshot traverses lock-free: sur -> *Object, inserted at the
-	// creating operation's commit point (createdSeq already stamped) and
-	// retained past deletion until the sweep unlinks dead entries.
-	//
 	// retained counts version nodes and dead objects kept alive for pins;
 	// the sweep pacing compares its total against the last sweep.
-	snapObjs sync.Map
 	retained atomic.Uint64
 
 	hits, misses, invalidations atomic.Uint64
@@ -123,14 +127,94 @@ type shard struct {
 	_ [64]byte // avoid false sharing between neighbouring shards
 }
 
+// chunkBits sizes the object table's chunks (512 slots, 4 KiB).
+const chunkBits = 9
+
+type objChunk [1 << chunkBits]atomic.Pointer[Object]
+
+// objTable maps a shard's slot numbers (surrogate / shard count) to
+// objects. Surrogates are dense and sequential, so it is a copy-on-write
+// directory of fixed-size chunks of atomic slots: a lookup is two loads
+// and an index. Writers hold the shard's write lock; readers load slots
+// without one.
+type objTable struct {
+	dir atomic.Pointer[[]*objChunk]
+}
+
+// load returns the object in slot i, or nil.
+func (t *objTable) load(i uint64) *Object {
+	d := t.dir.Load()
+	if d == nil || i>>chunkBits >= uint64(len(*d)) {
+		return nil
+	}
+	if c := (*d)[i>>chunkBits]; c != nil {
+		return c[i&(1<<chunkBits-1)].Load()
+	}
+	return nil
+}
+
+// store sets slot i (nil clears it). A missing chunk is added by
+// publishing a grown copy of the directory; published directories are
+// never written.
+func (t *objTable) store(i uint64, o *Object) {
+	var d []*objChunk
+	if p := t.dir.Load(); p != nil {
+		d = *p
+	}
+	c := i >> chunkBits
+	if c >= uint64(len(d)) || d[c] == nil {
+		if o == nil {
+			return
+		}
+		next := make([]*objChunk, max(uint64(len(d)), c+1))
+		copy(next, d)
+		next[c] = new(objChunk)
+		t.dir.Store(&next)
+		d = next
+	}
+	d[c][i&(1<<chunkBits-1)].Store(o)
+}
+
+// slots reports the table's slot capacity: every occupied slot is below.
+func (t *objTable) slots() uint64 {
+	if p := t.dir.Load(); p != nil {
+		return uint64(len(*p)) << chunkBits
+	}
+	return 0
+}
+
 // classStripe owns a name-hashed partition of the database-level classes.
 // Stripe locks order after all shard locks: multi-shard operations take
 // shards ascending, then stripes ascending; DefineClass and class reads
 // take only the stripe.
+//
+// The stripe's class map is copy-on-write: DefineClass publishes a copy
+// under the stripe lock, and classes are never removed, so snapshot
+// readers load it without a lock and gate each class by its createdSeq.
 type classStripe struct {
 	mu      sync.RWMutex
-	classes map[string]*Class
+	classes atomic.Pointer[map[string]*Class]
 	_       [64]byte
+}
+
+// classMap returns the stripe's published class map (immutable).
+func (st *classStripe) classMap() map[string]*Class {
+	if p := st.classes.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// putClass publishes a copy of the class map with c added. Callers hold
+// the stripe's write lock.
+func (st *classStripe) putClass(c *Class) {
+	old := st.classMap()
+	m := make(map[string]*Class, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	m[c.name] = c
+	st.classes.Store(&m)
 }
 
 // hookQueue decouples UpdateHook delivery from the store critical
@@ -181,9 +265,6 @@ type Store struct {
 
 	// mvcc is the snapshot-pin registry and version-GC state (mvcc.go).
 	mvcc mvccState
-	// snapClasses mirrors the database-level classes for lock-free
-	// snapshot lookup (Class.createdSeq gates visibility).
-	snapClasses sync.Map
 	// touched collects classes whose membership the running
 	// store-exclusive operation mutates; commitClassHist stamps their
 	// pending heads with the operation's sequence. All-shard lock only.
@@ -225,12 +306,8 @@ func NewStoreShards(cat *schema.Catalog, shards int) (*Store, error) {
 	s.mvcc.lowA.Store(^uint64(0)) // no pins: low-water mark at infinity
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.objects = make(map[domain.Surrogate]*Object)
 		sh.relsByParticipant = make(map[domain.Surrogate]map[domain.Surrogate]bool)
 		sh.routes.init()
-	}
-	for i := range s.stripes {
-		s.stripes[i].classes = make(map[string]*Class)
 	}
 	hooks := []UpdateHook(nil)
 	s.hooks.Store(&hooks)
@@ -312,19 +389,9 @@ func (s *Store) runlockAll() {
 	}
 }
 
-// obj looks an object up in its owning shard's map. Callers hold at least
-// one shard lock (any shard: topology is frozen store-wide, see shard).
-func (s *Store) obj(sur domain.Surrogate) (*Object, bool) {
-	o, ok := s.shardOf(sur).objects[sur]
-	return o, ok
-}
-
 // lookupClass finds a database-level class; callers hold the class's
 // stripe lock (or all stripes).
-func (s *Store) lookupClass(name string) (*Class, bool) {
-	c, ok := s.stripeOf(name).classes[name]
-	return c, ok
-}
+func (s *Store) lookupClass(name string) (*Class, bool) { return s.live().class(name) }
 
 // Catalog returns the schema catalog.
 func (s *Store) Catalog() *schema.Catalog { return s.cat }
@@ -446,16 +513,7 @@ func (s *Store) FinishReplay(maxSeq uint64, maxSur domain.Surrogate) {
 // ModSeq returns the store sequence of the object's last direct mutation;
 // 0 if it was never mutated since creation. Long transactions use it for
 // optimistic checkin validation.
-func (s *Store) ModSeq(sur domain.Surrogate) (uint64, error) {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return 0, noObject(sur)
-	}
-	return o.modAt(liveSeq), nil
-}
+func (s *Store) ModSeq(sur domain.Surrogate) (uint64, error) { return s.live().modSeq(sur) }
 
 // DefineClass creates a database-level class holding objects of the given
 // type ("" = unrestricted). Several classes may hold objects of the same
@@ -468,7 +526,7 @@ func (s *Store) DefineClass(name, elemType string) error {
 	st := s.stripeOf(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, dup := st.classes[name]; dup {
+	if _, dup := st.classMap()[name]; dup {
 		return fmt.Errorf("object: duplicate class %q", name)
 	}
 	if elemType != "" {
@@ -479,8 +537,7 @@ func (s *Store) DefineClass(name, elemType string) error {
 	c := newClass(name, elemType)
 	seq := s.seq.Add(1)
 	c.createdSeq = seq
-	st.classes[name] = c
-	s.snapClasses.Store(name, c)
+	st.putClass(c)
 	s.emit(&oplog.Op{Kind: oplog.KindDefineClass, Name: name, Name2: elemType, Seq: seq})
 	return nil
 }
@@ -490,11 +547,7 @@ func (s *Store) Class(name string) ([]domain.Surrogate, error) {
 	st := s.stripeOf(name)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	c, ok := st.classes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, name)
-	}
-	return c.Members(), nil
+	return s.live().classMembers(name)
 }
 
 // ClassSize returns the member count of a database-level class without
@@ -504,7 +557,7 @@ func (s *Store) ClassSize(name string) int {
 	st := s.stripeOf(name)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	c, ok := st.classes[name]
+	c, ok := s.lookupClass(name)
 	if !ok {
 		return -1
 	}
@@ -512,19 +565,7 @@ func (s *Store) ClassSize(name string) int {
 }
 
 // ClassNames lists database-level classes, sorted.
-func (s *Store) ClassNames() []string {
-	var names []string
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		for n := range st.classes {
-			names = append(names, n)
-		}
-		st.mu.RUnlock()
-	}
-	sort.Strings(names)
-	return names
-}
+func (s *Store) ClassNames() []string { return sortedNames(s.live().classes()) }
 
 // NewObject creates a top-level object of the named type, optionally
 // inserting it into a database-level class. Creation inserts into the
@@ -650,44 +691,23 @@ func (s *Store) newObjectLocked(t *schema.ObjectType) *Object {
 	o := &Object{sur: sur, typeName: t.Name}
 	o.initClasses()
 	o.initAttrs(nil, 0)
-	s.shardOf(sur).objects[sur] = o
+	s.putObj(o, pending)
 	s.markDirty(sur)
 	return o
 }
 
 // Exists reports whether a surrogate denotes a live object.
 func (s *Store) Exists(sur domain.Surrogate) bool {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.objects[sur]
-	return ok
+	_, err := s.Get(sur)
+	return err == nil
 }
 
 // TypeOf returns the type name of an object.
-func (s *Store) TypeOf(sur domain.Surrogate) (string, error) {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return "", noObject(sur)
-	}
-	return o.typeName, nil
-}
+func (s *Store) TypeOf(sur domain.Surrogate) (string, error) { return s.live().typeOf(sur) }
 
 // Get returns the object for a surrogate. The returned *Object must be
 // treated as read-only.
-func (s *Store) Get(sur domain.Surrogate) (*Object, error) {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return nil, noObject(sur)
-	}
-	return o, nil
-}
+func (s *Store) Get(sur domain.Surrogate) (*Object, error) { return s.live().get(sur) }
 
 // Len reports the number of live objects (including relationship objects).
 func (s *Store) Len() int {
@@ -695,7 +715,7 @@ func (s *Store) Len() int {
 	defer s.runlockAll()
 	n := 0
 	for i := range s.shards {
-		n += len(s.shards[i].objects)
+		n += s.shards[i].live
 	}
 	return n
 }
@@ -705,5 +725,5 @@ func (s *Store) Len() int {
 func (s *Store) Surrogates() []domain.Surrogate {
 	s.rlockAll()
 	defer s.runlockAll()
-	return s.surrogatesLocked()
+	return s.live().surrogates()
 }

@@ -91,7 +91,7 @@ func (x snapSource) ClassSize(name string) int {
 	return len(ms)
 }
 
-func (x snapSource) Env(sur domain.Surrogate) expr.Env { return snapEnv{sn: x.sn, sur: sur} }
+func (x snapSource) Env(sur domain.Surrogate) expr.Env { return x.sn.Env(sur) }
 func (x snapSource) Indexes() []object.IndexDef        { return x.sn.Indexes() }
 
 func (x snapSource) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
@@ -100,47 +100,4 @@ func (x snapSource) IndexProbe(className, attrName string, lo, hi domain.Value) 
 
 func (x snapSource) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
 	return x.sn.IndexEstimate(className, attrName, lo, hi)
-}
-
-// snapEnv implements expr.Env over a pinned snapshot, mirroring the
-// store's env: attributes resolve with inheritance as of the pin,
-// collections resolve local subclasses and set/list attributes.
-type snapEnv struct {
-	sn  *object.Snapshot
-	sur domain.Surrogate
-}
-
-func (e snapEnv) Lookup(name string) (domain.Value, bool) {
-	v, err := e.sn.GetAttr(e.sur, name)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
-func (e snapEnv) Collection(name string) ([]domain.Value, bool) {
-	if ms, err := e.sn.Members(e.sur, name); err == nil {
-		out := make([]domain.Value, len(ms))
-		for i, m := range ms {
-			out[i] = domain.Ref(m)
-		}
-		return out, true
-	}
-	if v, err := e.sn.GetAttr(e.sur, name); err == nil {
-		switch x := v.(type) {
-		case *domain.Set:
-			return x.Elems(), true
-		case *domain.List:
-			return x.Elems(), true
-		}
-	}
-	return nil, false
-}
-
-func (e snapEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
-	return snapEnv{sn: e.sn, sur: domain.Surrogate(ref)}.Lookup(attr)
-}
-
-func (e snapEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
-	return snapEnv{sn: e.sn, sur: domain.Surrogate(ref)}.Collection(name)
 }
