@@ -1095,14 +1095,46 @@ func TestQueryIndexSpeedupLarge(t *testing.T) {
 	}
 }
 
-// BenchmarkHeapPerObject reports the live heap per object of the
-// benchmark/ corpus shape on an in-memory database: 5k chains of a
+// buildCorpus fills db with the benchmark/ corpus shape: chains of a
 // GateInterface_I with 3 pins, its GateInterface and 4 bound
-// GateImplementations in class Impls (70k objects including bindings),
-// with an index over the implementations' inherited Width. A report, not
-// a gate; run it with -benchtime=1x.
+// GateImplementations in class Impls (14 objects per chain including
+// bindings), with an index over the implementations' inherited Width.
+func buildCorpus(tb testing.TB, db *cadcam.Database, chains int) {
+	tb.Helper()
+	check := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sur := func(s cadcam.Surrogate, err error) cadcam.Surrogate {
+		check(err)
+		return s
+	}
+	check(db.DefineClass("Impls", paperschema.TypeGateImplementation))
+	for j := 0; j < chains; j++ {
+		root := sur(db.NewObject(paperschema.TypeGateInterfaceI, ""))
+		for p := 1; p <= 3; p++ {
+			pin := sur(db.NewSubobject(root, "Pins"))
+			check(db.SetAttr(pin, "InOut", cadcam.Sym("IN")))
+			check(db.SetAttr(pin, "PinId", cadcam.Int(int64(p))))
+		}
+		iface := sur(db.NewObject(paperschema.TypeGateInterface, ""))
+		sur(db.Bind(paperschema.RelAllOfGateInterfaceI, iface, root))
+		check(db.SetAttr(iface, "Length", cadcam.Int(int64(j%97))))
+		check(db.SetAttr(iface, "Width", cadcam.Int(int64(j%1000))))
+		for k := 0; k < 4; k++ {
+			impl := sur(db.NewObject(paperschema.TypeGateImplementation, "Impls"))
+			sur(db.Bind(paperschema.RelAllOfGateInterface, impl, iface))
+			check(db.SetAttr(impl, "TimeBehavior", cadcam.Int(int64(k))))
+		}
+	}
+	check(db.CreateIndex("impl_width", "Impls", "Width"))
+}
+
+// BenchmarkHeapPerObject reports the live heap per object of the
+// benchmark/ corpus shape (buildCorpus, 5k chains: 70k objects) on an
+// in-memory database. A report, not a gate; run it with -benchtime=1x.
 func BenchmarkHeapPerObject(b *testing.B) {
-	const chains = 5000
 	for i := 0; i < b.N; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -1111,39 +1143,58 @@ func BenchmarkHeapPerObject(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		check := func(err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		sur := func(s cadcam.Surrogate, err error) cadcam.Surrogate {
-			check(err)
-			return s
-		}
-		check(db.DefineClass("Impls", paperschema.TypeGateImplementation))
-		for j := 0; j < chains; j++ {
-			root := sur(db.NewObject(paperschema.TypeGateInterfaceI, ""))
-			for p := 1; p <= 3; p++ {
-				pin := sur(db.NewSubobject(root, "Pins"))
-				check(db.SetAttr(pin, "InOut", cadcam.Sym("IN")))
-				check(db.SetAttr(pin, "PinId", cadcam.Int(int64(p))))
-			}
-			iface := sur(db.NewObject(paperschema.TypeGateInterface, ""))
-			sur(db.Bind(paperschema.RelAllOfGateInterfaceI, iface, root))
-			check(db.SetAttr(iface, "Length", cadcam.Int(int64(j%97))))
-			check(db.SetAttr(iface, "Width", cadcam.Int(int64(j%1000))))
-			for k := 0; k < 4; k++ {
-				impl := sur(db.NewObject(paperschema.TypeGateImplementation, "Impls"))
-				sur(db.Bind(paperschema.RelAllOfGateInterface, impl, iface))
-				check(db.SetAttr(impl, "TimeBehavior", cadcam.Int(int64(k))))
-			}
-		}
-		check(db.CreateIndex("impl_width", "Impls", "Width"))
+		buildCorpus(b, db, 5000)
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		objects := db.Store().Len()
 		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(objects), "heap_B/object")
 		b.ReportMetric(float64(objects), "objects")
-		check(db.Close())
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpenHeap reports what recovering a checkpoint of the corpus
+// shape (buildCorpus, 5k chains: 70k objects, no journal tail) costs in
+// memory: the bytes Open allocates per object and the live heap per
+// object after it. The streamed loader keeps at most RecoveryWorkers
+// segments decoded at once, so the first tracks the import's garbage and
+// the second the store alone. A report, not a gate; run it with
+// -benchtime=1x.
+func BenchmarkOpenHeap(b *testing.B) {
+	dir := b.TempDir()
+	opts := cadcam.Options{Dir: dir, SyncEvery: -1}
+	db, err := cadcam.Open(paperschema.MustGates(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buildCorpus(b, db, 5000)
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var before, opened, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db, err := cadcam.Open(paperschema.MustGates(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&opened)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		objects := float64(db.Store().Len())
+		b.ReportMetric(float64(opened.TotalAlloc-before.TotalAlloc)/objects, "alloc_B/object")
+		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/objects, "heap_B/object")
+		b.ReportMetric(float64(db.Stats().Recovery.PeakRecords), "peak_records")
+		b.ReportMetric(objects, "objects")
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -203,12 +203,16 @@ type RecoveryStats struct {
 	// Segments is the number of checkpoint segment files decoded (0 for
 	// a directory without a checkpoint).
 	Segments int `json:"segments"`
-	// DecodeNs is the wall time spent locating and decoding the
-	// checkpoint state (manifest + segments).
+	// DecodeNs is the wall time spent locating, reading, decoding and
+	// importing the checkpoint state (manifest + segments): one streamed
+	// step, segment by segment.
 	DecodeNs int64 `json:"decode_ns"`
+	// PeakRecords is the most decoded checkpoint records held at once
+	// while importing: at most Workers segments' worth.
+	PeakRecords int `json:"peak_records"`
 	// ReplayOps is the number of journal records replayed on top.
 	ReplayOps int `json:"replay_ops"`
-	// ReplayNs is the wall time of store import plus journal replay.
+	// ReplayNs is the wall time of the journal replay.
 	ReplayNs int64 `json:"replay_ns"`
 	// Workers is the parallelism recovery ran with.
 	Workers int `json:"workers"`
@@ -267,27 +271,13 @@ func Open(cat *schema.Catalog, opts Options) (*Database, error) {
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
-	store, err := object.NewStoreShards(cat, opts.Shards)
-	if err != nil {
-		return nil, err
-	}
-	db := &Database{
-		cat:      cat,
-		store:    store,
-		versions: version.NewManager(store),
-		dir:      opts.Dir,
-		opts:     opts,
-	}
-	// The policy option must be in force *before* replay: journaled Delete
-	// ops were validated under it live, and re-validating them under the
-	// default would reject a journal the database itself wrote. A policy
-	// change journaled mid-run still replays on top, in order, exactly as
-	// it happened live. No journal is attached yet, so the override itself
-	// (an Open-time option, re-supplied on every Open) is not journaled.
-	if opts.DeletePolicy != object.DeleteRestrict {
-		db.store.SetDeletePolicy(opts.DeletePolicy)
-	}
-	if opts.Dir != "" {
+	db := &Database{cat: cat, dir: opts.Dir, opts: opts}
+	if opts.Dir == "" {
+		var err error
+		if db.store, db.versions, err = db.newStore(); err != nil {
+			return nil, err
+		}
+	} else {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("cadcam: %w", err)
 		}
@@ -309,7 +299,7 @@ func Open(cat *schema.Catalog, opts Options) (*Database, error) {
 		}
 		return nil
 	})
-	db.txns = txn.NewManager(store)
+	db.txns = txn.NewManager(db.store)
 	if db.committer != nil {
 		// Transaction statements mutate the store directly; the barrier
 		// gives them the same per-statement group-commit durability (and
@@ -317,6 +307,25 @@ func Open(cat *schema.Catalog, opts Options) (*Database, error) {
 		db.txns.SetDurabilityBarrier(db.waitDurable)
 	}
 	return db, nil
+}
+
+// newStore builds an empty store and version manager as the options
+// configure them. The delete policy must be in force *before* replay:
+// journaled Delete ops were validated under it live, and re-validating
+// them under the default would reject a journal the database itself
+// wrote. A policy change journaled mid-run still replays on top, in
+// order, exactly as it happened live. No journal is attached yet, so the
+// override itself (an Open-time option, re-supplied on every Open) is
+// not journaled.
+func (db *Database) newStore() (*object.Store, *version.Manager, error) {
+	store, err := object.NewStoreShards(db.cat, db.opts.Shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	if db.opts.DeletePolicy != object.DeleteRestrict {
+		store.SetDeletePolicy(db.opts.DeletePolicy)
+	}
+	return store, version.NewManager(store), nil
 }
 
 // OpenMemory opens an in-memory database (no persistence).
@@ -388,40 +397,39 @@ type ScanState struct {
 // against its model oracle. Like recovery, scanning truncates a torn
 // journal tail in place.
 func ScanJournal(dir string) (*ScanState, error) {
-	ds, err := wal.LoadDirState(dir, 0)
+	cp, err := wal.LoadCheckpoint(dir)
 	if err != nil {
 		return nil, err
 	}
-	if cerr := ds.Log.Close(); cerr != nil {
+	st, vs, err := cp.State()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointUnreadable, err)
+	}
+	records, _, log, err := wal.OpenChain(dir, cp.Epoch)
+	if err != nil {
+		return nil, err
+	}
+	if cerr := log.Close(); cerr != nil {
 		return nil, cerr
 	}
-	return &ScanState{Epoch: ds.Epoch, Store: ds.Store, Versions: ds.Versions, Records: ds.Records}, nil
+	return &ScanState{Epoch: cp.Epoch, Store: st, Versions: vs, Records: records}, nil
 }
 
-// recover finds the newest valid checkpoint, imports it (segments
-// decoded and objects constructed in parallel), replays the journal
-// chain on top (shard-parallel where the record mix allows, see
+// recover imports the newest valid checkpoint into a fresh store, one
+// segment at a time on parallel workers (wal.LoadDirState), replays the
+// journal chain on top (shard-parallel where the record mix allows, see
 // wal.ReplayN), and removes stale files from older epochs. It returns
 // the opened live journal, which the caller hands to the group
 // committer. A checkpoint that exists but cannot be read fails with
 // ErrCheckpointUnreadable before any file is created or removed.
 func (db *Database) recover() (*storage.Log, error) {
 	workers := db.opts.workers()
-	ds, err := wal.LoadDirState(db.dir, workers)
+	ds, err := wal.LoadDirState(db.dir, workers, db.newStore)
 	if err != nil {
 		return nil, err
 	}
+	db.store, db.versions = ds.Store, ds.Versions
 	t0 := time.Now()
-	if ds.Store != nil {
-		if err := db.store.ImportParallel(ds.Store, workers); err != nil {
-			ds.Log.Close()
-			return nil, fmt.Errorf("cadcam: checkpoint epoch %d: %w", ds.Epoch, err)
-		}
-		if err := db.versions.Import(ds.Versions); err != nil {
-			ds.Log.Close()
-			return nil, fmt.Errorf("cadcam: checkpoint epoch %d: %w", ds.Epoch, err)
-		}
-	}
 	if err := wal.ReplayN(ds.Records, db.store, db.versions, workers); err != nil {
 		ds.Log.Close()
 		return nil, fmt.Errorf("cadcam: %w", err)
@@ -438,11 +446,12 @@ func (db *Database) recover() (*storage.Log, error) {
 	}
 	db.statMu.Lock()
 	db.recStats = RecoveryStats{
-		Segments:  len(ds.SegEpochs),
-		DecodeNs:  ds.DecodeNs,
-		ReplayOps: len(ds.Records),
-		ReplayNs:  time.Since(t0).Nanoseconds(),
-		Workers:   workers,
+		Segments:    len(ds.SegEpochs),
+		DecodeNs:    ds.LoadNs,
+		PeakRecords: ds.PeakRecords,
+		ReplayOps:   len(ds.Records),
+		ReplayNs:    time.Since(t0).Nanoseconds(),
+		Workers:     workers,
 	}
 	db.statMu.Unlock()
 	db.gcStale(ds)
@@ -459,7 +468,7 @@ func (db *Database) gcStale(ds *wal.DirState) {
 		return
 	}
 	keep := make(map[string]bool)
-	if ds.Store != nil {
+	if ds.Checkpointed {
 		keep[ManifestFilename(ds.Epoch)] = true
 		for p, se := range ds.SegEpochs {
 			keep[SegmentFilename(se, p)] = true

@@ -59,6 +59,12 @@ func (e *Buf) Str(s string) {
 	e.b = append(e.b, s...)
 }
 
+// Blob appends a length-prefixed byte string.
+func (e *Buf) Blob(b []byte) {
+	e.Uvarint(uint64(len(b)))
+	e.b = append(e.b, b...)
+}
+
 // Bool appends a boolean byte.
 func (e *Buf) Bool(b bool) {
 	if b {
@@ -237,6 +243,22 @@ func (r *Reader) Str() string {
 	s := string(r.b[r.pos : r.pos+int(n)])
 	r.pos += int(n)
 	return s
+}
+
+// Blob reads a length-prefixed byte string. The result aliases the
+// input, not a copy.
+func (r *Reader) Blob() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)-r.pos) {
+		r.fail()
+		return nil
+	}
+	b := r.b[r.pos : r.pos+int(n) : r.pos+int(n)]
+	r.pos += int(n)
+	return b
 }
 
 // Bool reads a boolean byte.

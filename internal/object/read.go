@@ -455,19 +455,14 @@ func (r rd) bindingsOfTransmitter(sur domain.Surrogate) []*Binding {
 // ---- whole-store reads ----
 
 // surrogates lists the surrogates visible at the read point, ascending.
-// Slot i of shard k holds surrogate i*len(shards)+k, so walking slots
-// outer and shards inner visits surrogates in order.
 func (r rd) surrogates() []domain.Surrogate {
-	var slots uint64
-	for i := range r.s.shards {
-		slots = max(slots, r.s.shards[i].objs.slots())
-	}
 	var out []domain.Surrogate
-	for sur := domain.Surrogate(1); uint64(sur) < slots*uint64(len(r.s.shards)); sur++ {
-		if _, ok := r.obj(sur); ok {
-			out = append(out, sur)
+	r.s.walk(func(o *Object) error {
+		if o.visibleAt(r.at) {
+			out = append(out, o.sur)
 		}
-	}
+		return nil
+	})
 	return out
 }
 

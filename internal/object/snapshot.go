@@ -1,20 +1,15 @@
 package object
 
 import (
-	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-
 	"cadcam/internal/domain"
 )
 
 // The Export/Import API serializes store state for persistence snapshots.
-// Export walks the live store; Import rebuilds an *empty* store from the
-// records, reconstructing every index. Records are keyed by surrogate and
-// imported in ascending surrogate order. Both forms are shard-agnostic:
-// a snapshot taken from a store with one shard count imports cleanly into
-// a store with another.
+// Export walks the live store; Import and ImportStream (import.go) rebuild
+// an *empty* store from the records, reconstructing every index. Records
+// are keyed by surrogate and linked in ascending surrogate order. Both
+// forms are shard-agnostic: a snapshot taken from a store with one shard
+// count imports cleanly into a store with another.
 
 // ObjectRecord is the portable form of one object (or non-binding
 // relationship object).
@@ -250,247 +245,4 @@ func copyBoxAttrsAt(m map[string]*attrBox, at uint64) map[string]domain.Value {
 		return nil
 	}
 	return out
-}
-
-// Import rebuilds the state into an empty store. It fails if the store
-// already holds objects or if the state is inconsistent with the catalog.
-func (s *Store) Import(st *StoreState) error {
-	return s.ImportParallel(st, 1)
-}
-
-// importObject validates one object record and enters the rebuilt object
-// in its shard's table. Safe to run concurrently for records owned by
-// *different shards* while the coordinating goroutine holds all write
-// locks: each worker touches only its own shards' tables, and the catalog
-// lookups are read-only.
-func (s *Store) importObject(r *ObjectRecord) error {
-	if _, dup := s.obj(r.Sur); dup {
-		return fmt.Errorf("object: duplicate surrogate %s in snapshot", r.Sur)
-	}
-	if r.IsRel {
-		if _, ok := s.cat.RelType(r.TypeName); !ok {
-			return fmt.Errorf("%w: %q", ErrNoSuchType, r.TypeName)
-		}
-	} else if _, ok := s.cat.ObjectType(r.TypeName); !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchType, r.TypeName)
-	}
-	o := &Object{
-		sur:          r.Sur,
-		typeName:     r.TypeName,
-		isRel:        r.IsRel,
-		parent:       r.Parent,
-		parentSub:    r.ParentSub,
-		ownerClass:   r.OwnerClass,
-		participants: copyAttrs(r.Participants),
-	}
-	if r.ModSeq != 0 {
-		o.mod.head.Store(&vnode[struct{}]{at: r.ModSeq})
-	}
-	o.initClasses()
-	o.initAttrs(copyAttrs(r.Attrs), 0)
-	s.putObj(o, 0)
-	return nil
-}
-
-// ImportParallel is Import with the object-construction phase — the deep
-// copies of every attribute map, the bulk of a large import's CPU cost —
-// fanned out over up to `workers` goroutines, one set of shards each
-// (workers <= 0 uses GOMAXPROCS). Linking, bindings and index rebuilding
-// stay serial: they cross shards. The imported state is identical to a
-// serial Import's for any worker count.
-func (s *Store) ImportParallel(st *StoreState, workers int) error {
-	s.lockAll()
-	defer s.unlockAll()
-	for i := range s.shards {
-		if s.shards[i].live != 0 {
-			return fmt.Errorf("object: Import needs an empty store")
-		}
-	}
-	// The object tables are sized by surrogate: a record outside the
-	// allocated range is damage, rejected before anything is built.
-	for _, r := range st.Objects {
-		if err := checkSur(r.Sur, st.NextSur); err != nil {
-			return err
-		}
-	}
-	for _, r := range st.Bindings {
-		if err := checkSur(r.Sur, st.NextSur); err != nil {
-			return err
-		}
-	}
-	for _, c := range st.Classes {
-		stripe := s.stripeOf(c.Name)
-		if _, dup := stripe.classMap()[c.Name]; dup {
-			return fmt.Errorf("object: duplicate class %q in snapshot", c.Name)
-		}
-		stripe.putClass(newClass(c.Name, c.ElemType))
-	}
-	// Objects in ascending surrogate order so parents precede subobjects
-	// is NOT guaranteed in general; link classes in a second pass.
-	recs := append([]ObjectRecord(nil), st.Objects...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Sur < recs[j].Sur })
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	if workers <= 1 || len(recs) < 1024 {
-		for i := range recs {
-			if err := s.importObject(&recs[i]); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Partition records by owning shard; worker w handles shards
-		// w, w+workers, ... so no two goroutines touch one shard table.
-		byShard := make([][]int, len(s.shards))
-		for i := range recs {
-			si := s.shardIndex(recs[i].Sur)
-			byShard[si] = append(byShard[si], i)
-		}
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for si := w; si < len(byShard); si += workers {
-					for _, i := range byShard[si] {
-						if err := s.importObject(&recs[i]); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-	// Second pass: class membership and participant index.
-	for _, r := range recs {
-		o, _ := s.obj(r.Sur)
-		if r.OwnerClass != "" {
-			cls, ok := s.lookupClass(r.OwnerClass)
-			if !ok {
-				return fmt.Errorf("%w: %q", ErrNoSuchClass, r.OwnerClass)
-			}
-			cls.add(r.Sur, 0)
-		}
-		if r.Parent != 0 {
-			po, ok := s.obj(r.Parent)
-			if !ok {
-				return fmt.Errorf("object: snapshot parent %s missing", r.Parent)
-			}
-			if err := s.linkSubobjectLocked(po, o); err != nil {
-				return err
-			}
-		}
-		for _, v := range o.participants {
-			s.indexParticipantLocked(o.sur, v)
-		}
-	}
-	// Bindings. The bookkeeping attributes move from the record's attr map
-	// into the binding book.
-	brecs := append([]BindingRecord(nil), st.Bindings...)
-	sort.Slice(brecs, func(i, j int) bool { return brecs[i].Sur < brecs[j].Sur })
-	for _, r := range brecs {
-		rel, ok := s.cat.InherRelType(r.RelType)
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoSuchType, r.RelType)
-		}
-		if _, ok := s.obj(r.Transmitter); !ok {
-			return fmt.Errorf("object: snapshot transmitter %s missing", r.Transmitter)
-		}
-		if _, ok := s.obj(r.Inheritor); !ok {
-			return fmt.Errorf("object: snapshot inheritor %s missing", r.Inheritor)
-		}
-		attrs := copyAttrs(r.Attrs)
-		if attrs == nil {
-			attrs = make(map[string]domain.Value)
-		}
-		obj := &Object{
-			sur:      r.Sur,
-			typeName: r.RelType,
-			isRel:    true,
-			participants: map[string]domain.Value{
-				"Transmitter": domain.Ref(r.Transmitter),
-				"Inheritor":   domain.Ref(r.Inheritor),
-			},
-		}
-		b := &Binding{Obj: obj, Rel: rel, Transmitter: r.Transmitter, Inheritor: r.Inheritor}
-		b.book.put(0, bookkeeping{
-			upd:  takeInt(attrs, AttrTransmitterUpdates),
-			last: takeInt(attrs, AttrLastUpdateSeq),
-			ack:  takeInt(attrs, AttrAcknowledgedSeq),
-		}, 0)
-		obj.binding = b
-		obj.initClasses()
-		obj.initAttrs(attrs, 0)
-		if _, dup := s.obj(r.Sur); dup {
-			return fmt.Errorf("object: duplicate surrogate %s in snapshot", r.Sur)
-		}
-		if s.bindingLocked(r.Inheritor, r.RelType) != nil {
-			return fmt.Errorf("object: duplicate binding for %s in %s", r.Inheritor, r.RelType)
-		}
-		s.putObj(obj, 0)
-		s.indexBinding(b, 0, with)
-	}
-	s.nextSur.Store(st.NextSur)
-	s.seq.Store(st.Seq)
-	if err := s.seedIndexState(st.Indexes); err != nil {
-		return err
-	}
-	s.bumpAllEpochs()
-	return nil
-}
-
-// checkSur rejects a record surrogate outside the state's allocated range
-// (1..nextSur).
-func checkSur(sur domain.Surrogate, nextSur uint64) error {
-	if sur == 0 || uint64(sur) > nextSur {
-		return fmt.Errorf("object: snapshot surrogate %s outside the allocated range 1..%d", sur, nextSur)
-	}
-	return nil
-}
-
-// takeInt removes an integer bookkeeping attribute from the map and
-// returns its value (0 when absent or non-integer).
-func takeInt(m map[string]domain.Value, key string) int64 {
-	v, ok := m[key]
-	if !ok {
-		return 0
-	}
-	delete(m, key)
-	if n, ok := v.(domain.Int); ok {
-		return int64(n)
-	}
-	return 0
-}
-
-// linkSubobjectLocked re-registers a subobject in its parent's subclass
-// or sub-relationship class during import.
-func (s *Store) linkSubobjectLocked(parent, child *Object) error {
-	name := child.parentSub
-	if child.isRel {
-		cls, ok := parent.relMap()[name]
-		if !ok {
-			cls = newClass(name, child.typeName)
-			parent.putSubrel(name, cls)
-		}
-		cls.add(child.sur, 0)
-		return nil
-	}
-	cls, ok := parent.subMap()[name]
-	if !ok {
-		cls = newClass(name, child.typeName)
-		parent.putSub(name, cls)
-	}
-	cls.add(child.sur, 0)
-	return nil
 }

@@ -183,6 +183,49 @@ func (t *objTable) slots() uint64 {
 	return 0
 }
 
+// walk calls f on every object in the shard tables, visible or not, in
+// ascending surrogate order, stopping at the first error. Slot i of shard
+// k holds surrogate i*len(shards)+k, so chunks go outermost, slots next
+// and shards innermost; a chunk row no shard has allocated is skipped, so
+// the walk costs the allocated slots, not the surrogate range. Lock-free
+// like a lookup.
+func (s *Store) walk(f func(*Object) error) error {
+	dirs := make([][]*objChunk, len(s.shards))
+	rows := 0
+	for k := range s.shards {
+		if p := s.shards[k].objs.dir.Load(); p != nil {
+			dirs[k] = *p
+			rows = max(rows, len(dirs[k]))
+		}
+	}
+	row := make([]*objChunk, len(s.shards))
+	for c := 0; c < rows; c++ {
+		empty := true
+		for k, d := range dirs {
+			row[k] = nil
+			if c < len(d) && d[c] != nil {
+				row[k], empty = d[c], false
+			}
+		}
+		if empty {
+			continue
+		}
+		for j := 0; j < 1<<chunkBits; j++ {
+			for _, ch := range row {
+				if ch == nil {
+					continue
+				}
+				if o := ch[j].Load(); o != nil {
+					if err := f(o); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // classStripe owns a name-hashed partition of the database-level classes.
 // Stripe locks order after all shard locks: multi-shard operations take
 // shards ascending, then stripes ascending; DefineClass and class reads

@@ -311,20 +311,18 @@ func (f *Follower) resync(fr *Frame) error {
 	store.SetDeletePolicy(f.cfg.DeletePolicy)
 	vm := version.NewManager(store)
 	if fr.Kind == KindSnapshot {
-		st, vs, err := wal.DecodeSnapshotState(fr.Blob)
+		cp, err := wal.DecodeCheckpoint(fr.Blob)
+		if err == nil && cp.Epoch != fr.Epoch {
+			err = fmt.Errorf("repl: snapshot frame of epoch %d carries checkpoint epoch %d", fr.Epoch, cp.Epoch)
+		}
 		if err != nil {
 			f.mu.Lock()
 			f.stats.CorruptFrames++
 			f.mu.Unlock()
 			return &Error{Op: "resync", Err: err}
 		}
-		if err := store.ImportParallel(st, f.workers); err != nil {
+		if _, err := wal.ImportCheckpoint(cp, store, vm, f.workers); err != nil {
 			return &Error{Op: "resync", Err: err}
-		}
-		if vs != nil {
-			if err := vm.Import(vs); err != nil {
-				return &Error{Op: "resync", Err: err}
-			}
 		}
 	}
 	f.mu.Lock()

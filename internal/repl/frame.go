@@ -64,8 +64,16 @@ type Frame struct {
 // kind flags uvarint(epoch offset end seq sealed)
 // uvarint(count){uvarint(len) bytes}* uvarint(bloblen) blob.
 func (f *Frame) Encode() []byte {
-	payload := make([]byte, 0, 64+len(f.Blob))
-	payload = append(payload, f.Kind, f.Flags)
+	// One allocation: the payload is built behind room for the header, in
+	// a buffer sized for the longest varints (kind and flags, five
+	// fields, the record count and the blob length), so a large Blob (a
+	// resync checkpoint) is copied once.
+	size := frameHeader + 2 + 7*binary.MaxVarintLen64 + len(f.Blob)
+	for _, r := range f.Records {
+		size += binary.MaxVarintLen64 + len(r)
+	}
+	out := make([]byte, frameHeader, size)
+	payload := append(out[frameHeader:], f.Kind, f.Flags)
 	payload = binary.AppendUvarint(payload, f.Epoch)
 	payload = binary.AppendUvarint(payload, uint64(f.Offset))
 	payload = binary.AppendUvarint(payload, uint64(f.End))
@@ -79,10 +87,10 @@ func (f *Frame) Encode() []byte {
 	payload = binary.AppendUvarint(payload, uint64(len(f.Blob)))
 	payload = append(payload, f.Blob...)
 
-	out := make([]byte, frameHeader, frameHeader+len(payload))
+	out = out[:frameHeader+len(payload)]
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	return out
 }
 
 // DecodeFrame parses and CRC-checks one encoded frame. Any truncation,

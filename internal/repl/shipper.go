@@ -229,24 +229,26 @@ func (s *Shipper) validPos(pos wal.ChainPos) bool {
 	return st.Size() >= pos.Offset
 }
 
-// sendResync ships the newest checkpoint state (or a reset for a
+// sendResync ships the newest checkpoint (or a reset for a
 // never-checkpointed primary) and rebases the session to replay the
-// chain from that checkpoint's epoch with a fresh stream sequence. It
-// reads only the checkpoint; the chain on top streams afterwards. A
+// chain from that checkpoint's epoch with a fresh stream sequence. The
+// checkpoint travels as its manifest and segment payloads as read from
+// disk, undecoded (wal.Checkpoint.Encode); the chain on top streams
+// afterwards. A
 // checkpoint that cannot be read fails the session (typically
 // wal.ErrCheckpointUnreadable) rather than resetting the follower to an
 // empty store.
 func (s *Shipper) sendResync(conn Conn, pos *wal.ChainPos, seq *uint64) error {
-	cp, err := wal.LoadCheckpoint(s.dir, 0)
+	cp, err := wal.LoadCheckpoint(s.dir)
 	if err != nil {
 		return err
 	}
 	var fr Frame
-	if cp.Store == nil {
+	if cp.Manifest == nil {
 		fr = Frame{Kind: KindReset}
 		*pos = wal.ChainPos{}
 	} else {
-		fr = Frame{Kind: KindSnapshot, Epoch: cp.Epoch, Blob: wal.EncodeSnapshot(cp.Store, cp.Versions)}
+		fr = Frame{Kind: KindSnapshot, Epoch: cp.Epoch, Blob: cp.Encode()}
 		*pos = wal.ChainPos{Epoch: cp.Epoch}
 	}
 	*seq = 0

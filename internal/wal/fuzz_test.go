@@ -159,3 +159,23 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckpointImport drives the resync path end to end: a follower
+// decodes whatever payload arrives in a CRC-valid snapshot frame and
+// imports it into an empty store. Arbitrary bytes must fail with an error,
+// never a panic, a hang or an allocation sized by a claimed count. The
+// seed is a real shipped payload: a checkpoint written to a directory and
+// read back as the shipper reads it.
+func FuzzCheckpointImport(f *testing.F) {
+	payload, _ := shippedPayload(f)
+	f.Add(payload)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cp, err := DecodeCheckpoint(b)
+		if err != nil {
+			return
+		}
+		s, vm := freshShards(t, checkpointShards)
+		ImportCheckpoint(cp, s, vm, 2)
+	})
+}

@@ -36,19 +36,6 @@ func EncodeSnapshot(st *object.StoreState, vs *version.ManagerState) []byte {
 	return e.Bytes()
 }
 
-// DecodeSnapshot rebuilds the state into an empty store and version
-// manager.
-func DecodeSnapshot(b []byte, s *object.Store, vm *version.Manager) error {
-	st, vs, err := DecodeSnapshotState(b)
-	if err != nil {
-		return err
-	}
-	if err := s.Import(st); err != nil {
-		return err
-	}
-	return vm.Import(vs)
-}
-
 // DecodeSnapshotState decodes a snapshot blob into its raw state records
 // without importing them anywhere, so verification tooling can feed the
 // same bytes to an independent model of the store.

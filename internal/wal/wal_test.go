@@ -178,7 +178,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	blob := EncodeSnapshot(s.Export(), vm.Export())
 	s2, vm2 := fresh(t)
-	if err := DecodeSnapshot(blob, s2, vm2); err != nil {
+	if err := importSnapshot(blob, s2, vm2); err != nil {
 		t.Fatalf("decode snapshot: %v", err)
 	}
 	// Deep compare via re-export.
@@ -218,15 +218,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// importSnapshot decodes a snapshot blob into an empty store and version
+// manager.
+func importSnapshot(b []byte, s *object.Store, vm *version.Manager) error {
+	st, vs, err := DecodeSnapshotState(b)
+	if err != nil {
+		return err
+	}
+	if err := s.Import(st); err != nil {
+		return err
+	}
+	return vm.Import(vs)
+}
+
 func TestSnapshotDecodeErrors(t *testing.T) {
 	s, vm := fresh(t)
-	if err := DecodeSnapshot([]byte{1, 2, 3}, s, vm); err == nil {
+	if err := importSnapshot([]byte{1, 2, 3}, s, vm); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 	blob := EncodeSnapshot(s.Export(), vm.Export())
 	blob[0] ^= 0xFF
 	s2, vm2 := fresh(t)
-	if err := DecodeSnapshot(blob, s2, vm2); err == nil {
+	if err := importSnapshot(blob, s2, vm2); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
