@@ -397,38 +397,43 @@ type ScanState struct {
 // against its model oracle. Like recovery, scanning truncates a torn
 // journal tail in place.
 func ScanJournal(dir string) (*ScanState, error) {
-	cp, err := wal.LoadCheckpoint(dir)
+	var sc ScanState
+	ds, err := wal.LoadDirState(dir, func(cp *wal.Checkpoint) (err error) {
+		sc.Store, sc.Versions, err = cp.State()
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	st, vs, err := cp.State()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCheckpointUnreadable, err)
-	}
-	records, _, log, err := wal.OpenChain(dir, cp.Epoch)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := log.Close(); cerr != nil {
+	if cerr := ds.Log.Close(); cerr != nil {
 		return nil, cerr
 	}
-	return &ScanState{Epoch: cp.Epoch, Store: st, Versions: vs, Records: records}, nil
+	sc.Epoch, sc.Records = ds.Epoch, ds.Records
+	return &sc, nil
 }
 
 // recover imports the newest valid checkpoint into a fresh store, one
-// segment at a time on parallel workers (wal.LoadDirState), replays the
-// journal chain on top (shard-parallel where the record mix allows, see
-// wal.ReplayN), and removes stale files from older epochs. It returns
-// the opened live journal, which the caller hands to the group
-// committer. A checkpoint that exists but cannot be read fails with
-// ErrCheckpointUnreadable before any file is created or removed.
+// segment at a time on parallel workers (wal.ImportCheckpoint; a
+// checkpoint that fails to import is thrown away with its store and the
+// next older one tried on a fresh store), replays the journal chain on
+// top (shard-parallel where the record mix allows, see wal.ReplayN), and
+// removes stale files from older epochs. It returns the opened live
+// journal, which the caller hands to the group committer. A checkpoint
+// that exists but cannot be read fails with ErrCheckpointUnreadable
+// before any file is created or removed.
 func (db *Database) recover() (*storage.Log, error) {
 	workers := db.opts.workers()
-	ds, err := wal.LoadDirState(db.dir, workers, db.newStore)
+	var peak int
+	ds, err := wal.LoadDirState(db.dir, func(cp *wal.Checkpoint) (err error) {
+		if db.store, db.versions, err = db.newStore(); err != nil || cp.Manifest == nil {
+			return err
+		}
+		peak, err = wal.ImportCheckpoint(cp, db.store, db.versions, workers)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	db.store, db.versions = ds.Store, ds.Versions
 	t0 := time.Now()
 	if err := wal.ReplayN(ds.Records, db.store, db.versions, workers); err != nil {
 		ds.Log.Close()
@@ -448,7 +453,7 @@ func (db *Database) recover() (*storage.Log, error) {
 	db.recStats = RecoveryStats{
 		Segments:    len(ds.SegEpochs),
 		DecodeNs:    ds.LoadNs,
-		PeakRecords: ds.PeakRecords,
+		PeakRecords: peak,
 		ReplayOps:   len(ds.Records),
 		ReplayNs:    time.Since(t0).Nanoseconds(),
 		Workers:     workers,

@@ -137,8 +137,7 @@ func readCheckpoint(dir string, epoch uint64) (*Checkpoint, error) {
 // up to `workers` goroutines (<= 0 means GOMAXPROCS), so the decoded
 // records held at once stay near `workers` segments' worth; peak reports
 // the most (object.Store.ImportStream). It is the only way a checkpoint
-// enters a store: recovery (LoadDirState) and replication resync both
-// call it. On error the caller discards the store and the manager.
+// enters a store: recovery and replication resync both call it. On error the caller discards the store and the manager.
 func ImportCheckpoint(cp *Checkpoint, s *object.Store, vm *version.Manager, workers int) (peak int, err error) {
 	m := cp.Manifest
 	peak, err = s.ImportStream(m.Base, len(cp.Segments), workers, func(p int) ([]object.ObjectRecord, []object.BindingRecord, error) {
@@ -229,23 +228,17 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 }
 
 // DirState is what recovery derives from a database directory: the
-// store built from the newest checkpoint and the journal chain on top of
-// it.
+// checkpoint it loaded and the journal chain on top of it.
 type DirState struct {
-	// Checkpointed reports whether the directory had a checkpoint; Epoch
-	// is its epoch and SegEpochs its segment epochs by partition.
+	// Checkpointed reports whether a checkpoint was loaded; Epoch is its
+	// epoch (the first journal epoch replayed) and SegEpochs its segment
+	// epochs by partition.
 	Checkpointed bool
 	Epoch        uint64
 	SegEpochs    []uint64
-	// Store and Versions hold the imported checkpoint state (empty without
-	// a checkpoint); the journal chain is not replayed yet.
-	Store    *object.Store
-	Versions *version.Manager
-	// LoadNs is the wall time spent locating, reading, decoding and
-	// importing the checkpoint; PeakRecords is the most decoded records
-	// the import held at once.
-	LoadNs      int64
-	PeakRecords int
+	// LoadNs is the wall time spent locating, reading and loading the
+	// checkpoint, the caller's load function included.
+	LoadNs int64
 
 	// Records is the concatenated journal chain: every record of epochs
 	// Epoch..LiveEpoch in append order. A checkpoint rotates the journal
@@ -257,30 +250,24 @@ type DirState struct {
 	Log       *storage.Log
 }
 
-// LoadDirState imports the newest checkpoint that imports completely
-// into a store from fresh (ImportCheckpoint), then opens the journal
-// chain on top of it for appending, truncating torn tails in place
-// exactly as a restart must. A checkpoint that fails to read, decode or
-// import is thrown away with its store, and the next older one is tried
-// on a fresh store; the fallback and error rules are LoadCheckpoint's.
-// Nothing is created or truncated when no checkpoint imports.
-func LoadDirState(dir string, workers int, fresh func() (*object.Store, *version.Manager, error)) (*DirState, error) {
+// LoadDirState hands the directory's checkpoints, newest first, to load
+// until load accepts one, then opens the journal chain on top of it for
+// appending, truncating torn tails in place exactly as a restart must.
+// load builds the caller's state from one checkpoint — recovery imports
+// it into a fresh store with ImportCheckpoint — and a checkpoint that
+// fails to read, or that load rejects, falls back to the next older one;
+// the fallback and error rules are LoadCheckpoint's. A directory without
+// a checkpoint calls load once with an empty Checkpoint (nil Manifest).
+// Nothing is created or truncated when no checkpoint loads.
+func LoadDirState(dir string, load func(*Checkpoint) error) (*DirState, error) {
 	t0 := time.Now()
-	ds := &DirState{}
-	cp, err := loadNewest(dir, func(cp *Checkpoint) error {
-		s, vm, err := fresh()
-		if err != nil {
-			return err
-		}
-		ds.Store, ds.Versions = s, vm
-		ds.PeakRecords, err = ImportCheckpoint(cp, s, vm, workers)
-		return err
-	})
+	cp, err := loadNewest(dir, load)
 	if err != nil {
 		return nil, err
 	}
+	ds := &DirState{}
 	if cp.Manifest == nil {
-		if ds.Store, ds.Versions, err = fresh(); err != nil {
+		if err := load(cp); err != nil {
 			return nil, err
 		}
 	} else {
