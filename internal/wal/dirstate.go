@@ -137,7 +137,8 @@ func readCheckpoint(dir string, epoch uint64) (*Checkpoint, error) {
 // up to `workers` goroutines (<= 0 means GOMAXPROCS), so the decoded
 // records held at once stay near `workers` segments' worth; peak reports
 // the most (object.Store.ImportStream). It is the only way a checkpoint
-// enters a store: recovery and replication resync both call it. On error the caller discards the store and the manager.
+// enters a store: recovery and replication resync both call it. On
+// error the caller discards the store and the manager.
 func ImportCheckpoint(cp *Checkpoint, s *object.Store, vm *version.Manager, workers int) (peak int, err error) {
 	m := cp.Manifest
 	peak, err = s.ImportStream(m.Base, len(cp.Segments), workers, func(p int) ([]object.ObjectRecord, []object.BindingRecord, error) {
