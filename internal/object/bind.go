@@ -42,16 +42,16 @@ func (s *Store) Bind(relType string, inheritor, transmitter domain.Surrogate) (d
 	if !ok {
 		return 0, noObject(transmitter)
 	}
-	if to.typeName != rel.Transmitter {
+	if to.lay.name != rel.Transmitter {
 		return 0, fmt.Errorf("%w: transmitter %s is %q, relationship %s requires %q",
-			ErrTypeMismatch, transmitter, to.typeName, relType, rel.Transmitter)
+			ErrTypeMismatch, transmitter, to.lay.name, relType, rel.Transmitter)
 	}
-	if io.isRel {
+	if io.lay.isRel {
 		return 0, fmt.Errorf("%w: %s is a relationship object", ErrTypeMismatch, inheritor)
 	}
-	it, _ := s.cat.ObjectType(io.typeName)
+	it, _ := s.cat.ObjectType(io.lay.name)
 	if !declaresInheritorIn(it.InheritorIn, relType) {
-		return 0, fmt.Errorf("%w: type %q, relationship %q", ErrNotInheritor, io.typeName, relType)
+		return 0, fmt.Errorf("%w: type %q, relationship %q", ErrNotInheritor, io.lay.name, relType)
 	}
 	if byRel(io.bindingsIn(), relType) != nil {
 		return 0, fmt.Errorf("%w: %s in %s", ErrAlreadyBound, inheritor, relType)
@@ -61,21 +61,11 @@ func (s *Store) Bind(relType string, inheritor, transmitter domain.Surrogate) (d
 	}
 
 	sur := domain.Surrogate(s.nextSur.Add(1))
-	obj := &Object{
-		sur:      sur,
-		typeName: relType,
-		isRel:    true,
-		participants: map[string]domain.Value{
-			"Transmitter": domain.Ref(transmitter),
-			"Inheritor":   domain.Ref(inheritor),
-		},
-	}
-	obj.initClasses()
-	obj.initAttrs(nil, 0)
-	s.putObj(obj, pending)
-	s.markDirty(sur)
+	obj := s.layouts[relType].newObject(sur)
 	b := &Binding{Obj: obj, Rel: rel, Transmitter: transmitter, Inheritor: inheritor}
 	obj.binding = b
+	s.putObj(obj, pending)
+	s.markDirty(sur)
 	seq := s.seq.Add(1)
 	s.publishObj(obj, seq)
 	s.indexBinding(b, seq, with)

@@ -56,16 +56,16 @@ type shardStamp struct {
 	epoch uint64
 }
 
-// route is one memoized resolution. For attribute routes, owner is the
-// object whose own attribute slot holds the value (nil: the chain ended
-// unbound, the read is null). For members routes, cls is the owner's
+// route is one memoized resolution. For attribute routes, slot is the own
+// attribute slot that holds the value (nil: the chain ended unbound, the
+// read is null). For members routes, cls is the owner's
 // materialized subclass (nil: unbound or not yet materialized, the read is
 // empty). chain lists every surrogate visited from the inheritor to the
 // owner, in order — transactions lock it for lock inheritance (§6).
 // stamps holds one entry per distinct shard along the chain.
 type route struct {
 	stamps []shardStamp
-	owner  *Object
+	slot   *vchain[domain.Value]
 	cls    *Class
 	chain  []domain.Surrogate
 }
@@ -116,8 +116,8 @@ func (s *Store) stampChain(chain []domain.Surrogate) []shardStamp {
 
 // memoAttr stores an attribute route resolved under a shard lock (no
 // epoch can move while any shard lock is held, so the stamps are exact).
-func (s *Store) memoAttr(sur domain.Surrogate, name string, owner *Object, chain []domain.Surrogate) *route {
-	r := &route{stamps: s.stampChain(chain), owner: owner, chain: chain}
+func (s *Store) memoAttr(sur domain.Surrogate, name string, slot *vchain[domain.Value], chain []domain.Surrogate) *route {
+	r := &route{stamps: s.stampChain(chain), slot: slot, chain: chain}
 	sh := s.shardOf(sur)
 	sh.routes.attrs.Load().Store(routeKey{sur, name}, r)
 	sh.routes.stored.Add(1)
@@ -259,11 +259,11 @@ func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]doma
 	var err error
 	if eff, effErr := s.effectiveLocked(o); effErr == nil {
 		if a, ok := eff.Attr(member); ok && a.Inherited() {
-			owner, chain, err := r.attrWalk(o, member, []domain.Surrogate{sur})
+			slot, chain, err := r.attrWalk(o, member, []domain.Surrogate{sur})
 			if err != nil {
 				return nil, ChainStamp{}, err
 			}
-			rt := s.memoAttr(sur, member, owner, chain)
+			rt := s.memoAttr(sur, member, slot, chain)
 			return rt.chain, ChainStamp{stamps: rt.stamps}, nil
 		}
 		if sd, ok := eff.SubclassByName(member); ok && sd.Inherited() {

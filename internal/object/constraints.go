@@ -45,17 +45,17 @@ func (s *Store) checkConstraintsLocked(o *Object) []ConstraintViolation {
 		holds, err := expr.EvalBool(e, env)
 		switch {
 		case err != nil:
-			out = append(out, ConstraintViolation{Object: o.sur, Type: o.typeName, Src: src, Reason: err.Error()})
+			out = append(out, ConstraintViolation{Object: o.sur, Type: o.lay.name, Src: src, Reason: err.Error()})
 		case !holds:
-			out = append(out, ConstraintViolation{Object: o.sur, Type: o.typeName, Src: src})
+			out = append(out, ConstraintViolation{Object: o.sur, Type: o.lay.name, Src: src})
 		}
 	}
-	if o.isRel {
-		if rt, ok := s.cat.RelType(o.typeName); ok {
+	if o.lay.isRel {
+		if rt, ok := s.cat.RelType(o.lay.name); ok {
 			for _, c := range rt.Constraints {
 				check(c.Src, c.E)
 			}
-		} else if it, ok := s.cat.InherRelType(o.typeName); ok {
+		} else if it, ok := s.cat.InherRelType(o.lay.name); ok {
 			for _, c := range it.Constraints {
 				check(c.Src, c.E)
 			}
@@ -64,7 +64,7 @@ func (s *Store) checkConstraintsLocked(o *Object) []ConstraintViolation {
 	}
 	eff, err := s.effectiveLocked(o)
 	if err != nil {
-		return []ConstraintViolation{{Object: o.sur, Type: o.typeName, Reason: err.Error()}}
+		return []ConstraintViolation{{Object: o.sur, Type: o.lay.name, Reason: err.Error()}}
 	}
 	for _, c := range eff.Type.Constraints {
 		check(c.Src, c.E)

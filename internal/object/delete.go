@@ -156,14 +156,8 @@ func (s *Store) removeObjectLocked(sur domain.Surrogate, seq uint64) {
 	}
 	// Deleting a binding's own relationship object dissolves the binding
 	// (equivalent to Unbind): drop it from both binding lists.
-	if o.isRel {
-		if _, isInher := s.cat.InherRelType(o.typeName); isInher {
-			if ref, ok := o.participants["Inheritor"].(domain.Ref); ok {
-				if b := s.bindingLocked(domain.Surrogate(ref), o.typeName); b != nil && b.Obj == o {
-					s.removeBindingLocked(b, seq)
-				}
-			}
-		}
+	if b := o.binding; b != nil && s.bindingLocked(b.Inheritor, b.Rel.Name) == b {
+		s.removeBindingLocked(b, seq)
 	}
 	// Dissolve bindings in both roles (published lists are immutable, so
 	// ranging over them while removing is safe).
@@ -176,10 +170,8 @@ func (s *Store) removeObjectLocked(sur domain.Surrogate, seq uint64) {
 	// Forget participant index entries for this object, and the reverse
 	// edges its own participants hold.
 	delete(sh.relsByParticipant, sur)
-	if o.isRel {
-		for _, v := range o.participants {
-			s.unindexParticipantLocked(sur, v)
-		}
+	for _, v := range o.roleValues() {
+		s.unindexParticipantLocked(sur, v)
 	}
 	// Unlink from the owning class or parent.
 	if o.ownerClass != "" {

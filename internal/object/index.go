@@ -288,7 +288,7 @@ func (ix *attrIndex) refresh(s *Store, sur domain.Surrogate, seq uint64) {
 func (s *Store) idxKey(sur domain.Surrogate, name string) (k ikey, ok bool) {
 	r := s.live()
 	o, ok := r.obj(sur)
-	if !ok || o.isRel {
+	if !ok || o.lay.isRel {
 		return ikey{}, false
 	}
 	v, err := r.resolve(o, name)
@@ -385,7 +385,7 @@ func (s *Store) idxCommit(seq uint64) {
 	}
 	for sur := range rec {
 		o, ok := s.obj(sur)
-		if !ok || o.isRel || o.ownerClass == "" {
+		if !ok || o.lay.isRel || o.ownerClass == "" {
 			continue
 		}
 		for _, ix := range reg.byAttrOfClass(o.ownerClass) {
@@ -448,7 +448,7 @@ func (s *Store) idxInherited(inheritor domain.Surrogate, member string, seq uint
 		return
 	}
 	o, ok := s.obj(inheritor)
-	if !ok || o.isRel || o.ownerClass == "" {
+	if !ok || o.lay.isRel || o.ownerClass == "" {
 		return
 	}
 	for _, ix := range list {

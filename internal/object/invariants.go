@@ -106,7 +106,7 @@ func (s *Store) CheckInvariants() []string {
 					report("%s subrel %q holds dead member %s", sur, name, m)
 					continue
 				}
-				if !mo.isRel {
+				if !mo.lay.isRel {
 					report("%s subrel %q member %s is not a relationship", sur, name, m)
 				}
 			}
@@ -153,23 +153,20 @@ func (s *Store) CheckInvariants() []string {
 					report("participant index holds dead relationship %s", rel)
 					continue
 				}
-				if !ro.isRel {
+				if !ro.lay.isRel {
 					report("participant index holds non-relationship %s", rel)
 					continue
 				}
-				if !refersTo(ro.participants, part) {
+				if !refersTo(ro.roleValues(), part) {
 					report("relationship %s indexed for %s but does not reference it", rel, part)
 				}
 			}
 		}
 	}
 	forEachObject(func(sur domain.Surrogate, o *Object) {
-		if !o.isRel || o.participants == nil {
-			return
-		}
 		// Binding objects are reached through the binding lists, not the
 		// participant index.
-		if _, isInher := s.cat.InherRelType(o.typeName); isInher {
+		if o.binding != nil {
 			return
 		}
 		var check func(v domain.Value)
@@ -185,7 +182,7 @@ func (s *Store) CheckInvariants() []string {
 				}
 			}
 		}
-		for _, v := range o.participants {
+		for _, v := range o.roleValues() {
 			check(v)
 		}
 	})
@@ -220,7 +217,7 @@ func (s *Store) CheckInvariants() []string {
 	return bad
 }
 
-func refersTo(parts map[string]domain.Value, target domain.Surrogate) bool {
+func refersTo(parts []domain.Value, target domain.Surrogate) bool {
 	var found bool
 	var walk func(v domain.Value)
 	walk = func(v domain.Value) {

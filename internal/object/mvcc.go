@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"cadcam/internal/domain"
-	"cadcam/internal/schema"
 )
 
 // pending stamps a head published by a running store-exclusive operation
@@ -195,25 +194,6 @@ func copyTo[T any](n, b *vnode[T]) *vnode[T] {
 
 // ---------------------------------------------------------------------------
 // Slot kinds
-
-// attrBox is one attribute slot: a chain of values (nil: tombstone, the
-// attribute was removed at that sequence) plus the memoized schema
-// declaration. A writer holding only its own shard lock publishes in
-// place — no whole-map copy per write.
-type attrBox struct {
-	vchain[domain.Value]
-	// decl memoizes the schema declaration this slot was validated
-	// against, letting repeated writes skip the effective-type lookups.
-	// Accessed only under the owning shard's write lock.
-	decl *schema.EffAttr
-}
-
-// valueAt returns the value visible at sequence point s (absent if the
-// slot did not exist, or held a tombstone, at s).
-func (b *attrBox) valueAt(s uint64) (domain.Value, bool) {
-	v, _ := b.at(s)
-	return v, v != nil
-}
 
 // pushModSeq advances the object's modification sequence to seq.
 func (o *Object) pushModSeq(seq, ceil uint64) bool {
@@ -567,15 +547,14 @@ func (s *Store) SweepVersions() uint64 {
 				}
 				t.dead++
 			}
-			var tombs []string
-			for name, b := range o.attrMap() {
-				if trimChain(&t, &b.vchain, low) && b.head.Load().v == nil && o.deletedSeq.Load() == 0 {
-					tombs = append(tombs, name)
+			for i := range o.attrs {
+				// A tombstone-only slot of a live object reads as absent:
+				// empty it (attribute slots change only under this lock).
+				c := &o.attrs[i]
+				if trimChain(&t, c, low) && c.head.Load().v == nil && o.deletedSeq.Load() == 0 {
+					c.head.Store(nil)
+					t.rec++
 				}
-			}
-			if len(tombs) > 0 {
-				o.removeBoxes(tombs)
-				t.rec += uint64(len(tombs))
 			}
 			trimChain(&t, &o.mod, low)
 			trimChain(&t, &o.bindIn, low)
@@ -609,18 +588,4 @@ func (s *Store) SweepVersions() uint64 {
 	m.gcRuns.Add(1)
 	m.sweepStamp.Store(stamp)
 	return t.rec
-}
-
-// removeBoxes drops attribute slots whose whole history is a tombstone
-// (COW map swap, safe under the owning shard's write lock).
-func (o *Object) removeBoxes(names []string) {
-	old := o.attrMap()
-	m := make(map[string]*attrBox, len(old))
-	for k, b := range old {
-		m[k] = b
-	}
-	for _, n := range names {
-		delete(m, n)
-	}
-	o.attrs.Store(&m)
 }

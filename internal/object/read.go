@@ -76,22 +76,22 @@ func (r rd) transmitter(o *Object, relType string) *Object {
 }
 
 // attrWalk follows attribute name's inheritance bindings from o to the
-// object whose own slot holds the value. owner is nil when the chain ends
-// unbound: the read is null (type-level inheritance only). A non-nil chain
-// gets every transmitter visited appended. This is the only walk of an
-// attribute's bindings.
-func (r rd) attrWalk(o *Object, name string, chain []domain.Surrogate) (owner *Object, _ []domain.Surrogate, err error) {
+// own attribute slot that holds the value: slot is nil when the chain ends
+// unbound, and the read is null (type-level inheritance only). A non-nil
+// chain gets every transmitter visited appended. This is the only walk of
+// an attribute's bindings.
+func (r rd) attrWalk(o *Object, name string, chain []domain.Surrogate) (slot *vchain[domain.Value], _ []domain.Surrogate, err error) {
 	for cur := o; ; {
+		if i, ok := cur.lay.ord[name]; ok {
+			return &cur.attrs[i], chain, nil
+		}
 		eff, err := r.s.effectiveLocked(cur)
 		if err != nil {
 			return nil, nil, err
 		}
 		a, ok := eff.Attr(name)
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cur.typeName, name)
-		}
-		if !a.Inherited() {
-			return cur, chain, nil
+			return nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cur.lay.name, name)
 		}
 		if cur = r.transmitter(cur, a.Via); cur == nil {
 			return nil, chain, nil
@@ -125,7 +125,7 @@ func (r rd) subclassWalk(o *Object, name string, chain []domain.Surrogate) (*Cla
 					return nil, nil, errNoMembersYet
 				}
 			}
-			return nil, nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, cur.typeName, name)
+			return nil, nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, cur.lay.name, name)
 		}
 		if !sd.Inherited() {
 			return cur.subMap()[name], chain, nil
@@ -148,14 +148,12 @@ func (r rd) chainFrom(o *Object) []domain.Surrogate {
 	return nil
 }
 
-// slot reads owner's own attribute slot at the read point: null when
-// owner is nil (unbound) or the slot is absent there.
-func (r rd) slot(owner *Object, name string) domain.Value {
-	if owner != nil {
-		if b, ok := owner.attrMap()[name]; ok {
-			if v, ok := b.valueAt(r.at); ok {
-				return v
-			}
+// slot reads an own attribute slot at the read point: null when slot is
+// nil (unbound) or empty there.
+func (r rd) slot(slot *vchain[domain.Value]) domain.Value {
+	if slot != nil {
+		if v, _ := slot.at(r.at); v != nil {
+			return v
 		}
 	}
 	return domain.NullValue
@@ -165,11 +163,11 @@ func (r rd) slot(owner *Object, name string) domain.Value {
 // without memoizing a route. Index maintenance uses it: it may run for an
 // object on a shard the caller does not hold.
 func (r rd) resolve(o *Object, name string) (domain.Value, error) {
-	owner, _, err := r.attrWalk(o, name, nil)
+	slot, _, err := r.attrWalk(o, name, nil)
 	if err != nil {
 		return nil, err
 	}
-	return r.slot(owner, name), nil
+	return r.slot(slot), nil
 }
 
 // getAttr reads name on o with the paper's resolution rule: own
@@ -181,27 +179,27 @@ func (r rd) getAttr(o *Object, name string) (domain.Value, error) {
 	if name == "Surrogate" {
 		return domain.Ref(o.sur), nil
 	}
-	if o.isRel {
+	if o.lay.isRel {
 		return r.relAttr(o, name)
 	}
-	owner, chain, err := r.attrWalk(o, name, r.chainFrom(o))
+	slot, chain, err := r.attrWalk(o, name, r.chainFrom(o))
 	if err != nil {
 		return nil, err
 	}
 	if chain != nil {
-		r.s.memoAttr(o.sur, name, owner, chain)
+		r.s.memoAttr(o.sur, name, slot, chain)
 	}
-	return r.slot(owner, name), nil
+	return r.slot(slot), nil
 }
 
 // relAttr reads a relationship object's attribute: participant roles
 // (immutable), the binding bookkeeping, then user-declared attributes.
 func (r rd) relAttr(o *Object, name string) (domain.Value, error) {
-	if v, ok := o.participants[name]; ok {
+	if v, ok := o.role(name); ok {
 		return v, nil
 	}
-	if o.binding != nil {
-		k, _ := o.binding.book.at(r.at)
+	if b := o.binding; b != nil {
+		k, _ := b.book.at(r.at)
 		switch name {
 		case AttrTransmitterUpdates:
 			return domain.Int(k.upd), nil
@@ -211,23 +209,10 @@ func (r rd) relAttr(o *Object, name string) (domain.Value, error) {
 			return domain.Int(k.ack), nil
 		}
 	}
-	if b, ok := o.attrMap()[name]; ok {
-		if v, ok := b.valueAt(r.at); ok {
-			return v, nil
-		}
+	if i, ok := o.lay.ord[name]; ok {
+		return r.slot(&o.attrs[i]), nil
 	}
-	// Verify the name is declared before returning null (O(1) via the
-	// catalog's precomputed attribute index).
-	if _, ok := r.s.cat.RelAttr(o.typeName, name); ok {
-		return domain.NullValue, nil
-	}
-	if _, ok := r.s.cat.InherRelType(o.typeName); ok {
-		switch name {
-		case AttrTransmitterUpdates, AttrLastUpdateSeq, AttrAcknowledgedSeq:
-			return domain.Int(0), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, o.typeName, name)
+	return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, o.lay.name, name)
 }
 
 // members lists a local subclass or sub-relationship of o, following
@@ -237,14 +222,14 @@ func (r rd) members(o *Object, name string) ([]domain.Surrogate, error) {
 	if cls, ok := o.relMap()[name]; ok {
 		return copySurs(cls.membersAt(r.at)), nil
 	}
-	if o.isRel {
+	if o.lay.isRel {
 		if cls, ok := o.subMap()[name]; ok {
 			return copySurs(cls.membersAt(r.at)), nil
 		}
-		if r.s.cat.RelMemberName(o.typeName, name) {
+		if r.s.cat.RelMemberName(o.lay.name, name) {
 			return nil, nil // declared but empty
 		}
-		return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, o.typeName, name)
+		return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, o.lay.name, name)
 	}
 	cls, chain, err := r.subclassWalk(o, name, r.chainFrom(o))
 	if err == errNoMembersYet {
@@ -264,8 +249,8 @@ func (r rd) members(o *Object, name string) ([]domain.Surrogate, error) {
 // or sub-relationship (following inheritance), or a set/list-valued
 // attribute.
 func (r rd) collection(o *Object, name string) ([]domain.Value, bool) {
-	if o.isRel {
-		if v, ok := o.participants[name]; ok {
+	if o.lay.isRel {
+		if v, ok := o.role(name); ok {
 			if set, isSet := v.(*domain.Set); isSet {
 				return set.Elems(), true
 			}
@@ -332,7 +317,7 @@ func (r rd) leave(sh *shard) {
 func (r rd) attrOf(sur domain.Surrogate, name string) (domain.Value, error) {
 	sh := r.s.shardOf(sur)
 	if rt := r.route(sh, &sh.routes.attrs, sur, name); rt != nil {
-		return r.slot(rt.owner, name), nil
+		return r.slot(rt.slot), nil
 	}
 	return r.attrMiss(sh, sur, name)
 }
@@ -375,7 +360,7 @@ func (r rd) collectionOf(sur domain.Surrogate, name string) ([]domain.Value, boo
 		return refs(rt.cls.membersAt(r.at)), true
 	}
 	if rt := r.route(sh, &sh.routes.attrs, sur, name); rt != nil {
-		return elems(r.slot(rt.owner, name))
+		return elems(r.slot(rt.slot))
 	}
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
@@ -421,7 +406,7 @@ func (r rd) typeOf(sur domain.Surrogate) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return o.typeName, nil
+	return o.lay.name, nil
 }
 
 func (r rd) modSeq(sur domain.Surrogate) (uint64, error) {

@@ -90,15 +90,15 @@ func (s *Store) RelateIn(owner domain.Surrogate, subrel string, parts Participan
 }
 
 func (s *Store) subRelDefLocked(o *Object, name string) (*schema.SubRel, error) {
-	if o.isRel {
-		if rt, ok := s.cat.RelType(o.typeName); ok {
+	if o.lay.isRel {
+		if rt, ok := s.cat.RelType(o.lay.name); ok {
 			for i := range rt.SubRels {
 				if rt.SubRels[i].Name == name {
 					return &rt.SubRels[i], nil
 				}
 			}
 		}
-		return nil, fmt.Errorf("%w: %s has no sub-relationship %q", ErrNoSuchClass, o.typeName, name)
+		return nil, fmt.Errorf("%w: %s has no sub-relationship %q", ErrNoSuchClass, o.lay.name, name)
 	}
 	eff, err := s.effectiveLocked(o)
 	if err != nil {
@@ -110,7 +110,7 @@ func (s *Store) subRelDefLocked(o *Object, name string) (*schema.SubRel, error) 
 			return &sr[i], nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %s has no sub-relationship %q", ErrNoSuchClass, o.typeName, name)
+	return nil, fmt.Errorf("%w: %s has no sub-relationship %q", ErrNoSuchClass, o.lay.name, name)
 }
 
 // relateLocked creates the relationship object and its index entries.
@@ -138,14 +138,8 @@ func (s *Store) relateLocked(relType string, parts Participants, owner domain.Su
 		}
 	}
 	sur := domain.Surrogate(s.nextSur.Add(1))
-	o := &Object{
-		sur:          sur,
-		typeName:     relType,
-		isRel:        true,
-		participants: assigned,
-	}
-	o.initClasses()
-	o.initAttrs(nil, 0)
+	o := s.layouts[relType].newObject(sur)
+	o.participants = assigned
 	s.putObj(o, pending)
 	s.markDirty(sur)
 	for _, v := range assigned {
@@ -176,9 +170,9 @@ func (s *Store) checkParticipantLocked(relType string, p schema.Participant, v d
 		if !ok {
 			return fmt.Errorf("%w: role %q references %s", ErrNoSuchObject, p.Name, ref)
 		}
-		if p.Type != "" && ro.typeName != p.Type {
+		if p.Type != "" && ro.lay.name != p.Type {
 			return fmt.Errorf("%w: role %q of %s needs %q, got %q",
-				ErrTypeMismatch, p.Name, relType, p.Type, ro.typeName)
+				ErrTypeMismatch, p.Name, relType, p.Type, ro.lay.name)
 		}
 		return nil
 	}
@@ -225,12 +219,12 @@ func (s *Store) Participant(rel domain.Surrogate, role string) (domain.Value, er
 	if err != nil {
 		return nil, err
 	}
-	if !o.isRel {
+	if !o.lay.isRel {
 		return nil, fmt.Errorf("%w: %s is not a relationship object", ErrTypeMismatch, rel)
 	}
-	v, ok := o.participants[role]
+	v, ok := o.role(role)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s has no role %q", ErrNoSuchAttribute, o.typeName, role)
+		return nil, fmt.Errorf("%w: %s has no role %q", ErrNoSuchAttribute, o.lay.name, role)
 	}
 	return v, nil
 }
@@ -254,7 +248,7 @@ func (s *Store) RelationshipsOf(sur domain.Surrogate) []domain.Surrogate {
 // relates (flattening set-of roles), sorted by surrogate.
 func (s *Store) ParticipantsOf(rel domain.Surrogate) []domain.Surrogate {
 	o, err := s.Get(rel)
-	if err != nil || !o.isRel {
+	if err != nil || !o.lay.isRel {
 		return nil
 	}
 	var out []domain.Surrogate
@@ -269,7 +263,7 @@ func (s *Store) ParticipantsOf(rel domain.Surrogate) []domain.Surrogate {
 			}
 		}
 	}
-	for _, v := range o.participants {
+	for _, v := range o.roleValues() {
 		collect(v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -290,12 +284,12 @@ func (s *Store) NewRelSubobject(rel domain.Surrogate, subclass string) (domain.S
 	if err := s.guardLocked(rel); err != nil {
 		return 0, err
 	}
-	if !ro.isRel {
+	if !ro.lay.isRel {
 		return 0, fmt.Errorf("%w: %s is not a relationship object", ErrTypeMismatch, rel)
 	}
-	rt, ok := s.cat.RelType(ro.typeName)
+	rt, ok := s.cat.RelType(ro.lay.name)
 	if !ok {
-		return 0, fmt.Errorf("%w: %q has no subclasses", ErrNoSuchType, ro.typeName)
+		return 0, fmt.Errorf("%w: %q has no subclasses", ErrNoSuchType, ro.lay.name)
 	}
 	for _, sc := range rt.Subclasses {
 		if sc.Name != subclass {
@@ -320,7 +314,7 @@ func (s *Store) NewRelSubobject(rel domain.Surrogate, subclass string) (domain.S
 		s.emit(&oplog.Op{Kind: oplog.KindNewRelSubobject, Sur: rel, Name: subclass, Out: o.sur, Seq: seq})
 		return o.sur, nil
 	}
-	return 0, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, ro.typeName, subclass)
+	return 0, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, ro.lay.name, subclass)
 }
 
 // whereEnvLocked builds the evaluation scope for a subrel where

@@ -136,7 +136,7 @@ func (r rd) exportShards(nextSur, seq uint64, marks []uint64, dirty []bool) *Sto
 
 // bindingRecord captures one binding as visible at sequence point at.
 func bindingRecord(sur domain.Surrogate, b *Binding, at uint64) BindingRecord {
-	attrs := copyBoxAttrsAt(b.Obj.attrMap(), at)
+	attrs := copyAttrsAt(b.Obj, at)
 	if attrs == nil {
 		attrs = make(map[string]domain.Value, 3)
 	}
@@ -157,13 +157,13 @@ func bindingRecord(sur domain.Surrogate, b *Binding, at uint64) BindingRecord {
 func objectRecord(o *Object, at uint64) ObjectRecord {
 	return ObjectRecord{
 		Sur:          o.sur,
-		TypeName:     o.typeName,
-		IsRel:        o.isRel,
+		TypeName:     o.lay.name,
+		IsRel:        o.lay.isRel,
 		Parent:       o.parent,
 		ParentSub:    o.parentSub,
 		OwnerClass:   o.ownerClass,
 		ModSeq:       o.modAt(at),
-		Attrs:        copyBoxAttrsAt(o.attrMap(), at),
+		Attrs:        copyAttrsAt(o, at),
 		Participants: copyAttrs(o.participants),
 	}
 }
@@ -229,20 +229,17 @@ func copyAttrs(m map[string]domain.Value) map[string]domain.Value {
 	return out
 }
 
-// copyBoxAttrsAt deep-copies the attribute values visible at sequence
-// point at, skipping slots that are absent (tombstoned) there.
-func copyBoxAttrsAt(m map[string]*attrBox, at uint64) map[string]domain.Value {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]domain.Value, len(m))
-	for k, b := range m {
-		if v, ok := b.valueAt(at); ok {
-			out[k] = v.Copy()
+// copyAttrsAt deep-copies o's own attribute values visible at sequence
+// point at, by name, skipping slots that are empty (or tombstoned) there.
+func copyAttrsAt(o *Object, at uint64) map[string]domain.Value {
+	var out map[string]domain.Value
+	for i := range o.attrs {
+		if v, ok := o.attrAt(i, at); ok {
+			if out == nil {
+				out = make(map[string]domain.Value, len(o.attrs)-i)
+			}
+			out[o.lay.attrs[i].Name] = v.Copy()
 		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

@@ -276,6 +276,8 @@ type hookQueue struct {
 // surrogate-hashed shards; see the shard type for the locking protocol.
 type Store struct {
 	cat *schema.Catalog
+	// layouts maps every type name of the catalog to its object layout.
+	layouts map[string]*layout
 
 	shards  []shard
 	stripes [classStripes]classStripe
@@ -345,7 +347,7 @@ func NewStoreShards(cat *schema.Catalog, shards int) (*Store, error) {
 	if shards < 1 {
 		shards = DefaultShards
 	}
-	s := &Store{cat: cat, shards: make([]shard, shards), seed: maphash.MakeSeed()}
+	s := &Store{cat: cat, layouts: newLayouts(cat), shards: make([]shard, shards), seed: maphash.MakeSeed()}
 	s.mvcc.lowA.Store(^uint64(0)) // no pins: low-water mark at infinity
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -701,7 +703,7 @@ func (s *Store) subclassOf(o *Object, name string) (*schema.EffSubclass, *Class,
 	}
 	sd, ok := eff.SubclassByName(name)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q has no subclass %q", ErrNoSuchClass, o.typeName, name)
+		return nil, nil, fmt.Errorf("%w: %q has no subclass %q", ErrNoSuchClass, o.lay.name, name)
 	}
 	if sd.Inherited() {
 		return sd, nil, nil
@@ -719,21 +721,15 @@ func (s *Store) subclassOf(o *Object, name string) (*schema.EffSubclass, *Class,
 }
 
 func (s *Store) effectiveLocked(o *Object) (*schema.EffectiveType, error) {
-	if o.isRel {
-		return nil, fmt.Errorf("%w: %q is a relationship type", ErrNoSuchType, o.typeName)
+	if o.lay.isRel {
+		return nil, fmt.Errorf("%w: %q is a relationship type", ErrNoSuchType, o.lay.name)
 	}
-	eff, ok := s.cat.Effective(o.typeName)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchType, o.typeName)
-	}
-	return eff, nil
+	return o.lay.eff, nil
 }
 
 func (s *Store) newObjectLocked(t *schema.ObjectType) *Object {
 	sur := domain.Surrogate(s.nextSur.Add(1))
-	o := &Object{sur: sur, typeName: t.Name}
-	o.initClasses()
-	o.initAttrs(nil, 0)
+	o := s.layouts[t.Name].newObject(sur)
 	s.putObj(o, pending)
 	s.markDirty(sur)
 	return o

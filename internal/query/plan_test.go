@@ -99,13 +99,13 @@ func TestPlanModeSelection(t *testing.T) {
 		where string
 		mode  Mode
 	}{
-		{"", FullScan},                          // whole extent
-		{"Width = 2", IndexScan},                // sargable, indexed
-		{"2 = Width", IndexScan},                // literal on the left
+		{"", FullScan},                               // whole extent
+		{"Width = 2", IndexScan},                     // sargable, indexed
+		{"2 = Width", IndexScan},                     // literal on the left
 		{"Width >= 3 and Function = AND", IndexScan}, // conjunct picks the index
-		{"Length = 2", RouteProbe},              // single root, unindexed
-		{"Width = Length", FullScan},            // path ⋈ path: two roots, not sargable
-		{"Function = AND", FullScan},            // enum symbol is a path, not a literal
+		{"Length = 2", RouteProbe},                   // single root, unindexed
+		{"Width = Length", FullScan},                 // path ⋈ path: two roots, not sargable
+		{"Function = AND", FullScan},                 // enum symbol is a path, not a literal
 	}
 	for _, c := range cases {
 		_, plan := runBoth(t, src, "gates", c.where)

@@ -140,3 +140,38 @@ func TestServeMeterWedgedQueue(t *testing.T) {
 	wedged.Store(false)
 	waitBusy(t, s, false)
 }
+
+// TestServeMeterSlowFsyncNotBusy: a slow fsync with almost nothing queued
+// is latency, not overload. The feed commits records at 50 ms of
+// durability wait each while at most two are queued — two sessions with
+// one request in flight each — and the server must keep admitting writes.
+func TestServeMeterSlowFsyncNotBusy(t *testing.T) {
+	var tick atomic.Uint64
+	feed := func() cadcam.WALStats {
+		n := tick.Add(1)
+		records := 2 * n
+		return cadcam.WALStats{
+			Records: records,
+			Queued:  int(n % 3),
+			StallNs: records * uint64(50*time.Millisecond),
+		}
+	}
+	s := testServer(t, Config{DB: testDB(t), WALStats: feed, StallWindow: 5 * time.Millisecond})
+	c := testClient(t, s, DialOptions{User: "slow"})
+	iface, err := c.NewObject(paperschema.TypeGateInterface, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := tick.Load(); tick.Load() < start+20; {
+		if s.Busy() {
+			t.Fatalf("slow fsync with Queued <= 2 made the server busy: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.SetAttr(iface, "Width", domain.Int(7)); err != nil {
+		t.Fatalf("write under slow fsync: %v", err)
+	}
+	if st := s.Stats(); st.BusyTicks != 0 || st.BusyRejected != 0 {
+		t.Fatalf("busy accounting under slow fsync: %+v", st)
+	}
+}

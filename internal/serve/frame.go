@@ -102,12 +102,12 @@ type Request struct {
 	ID    uint64
 	Kind  byte
 	Flags byte
-	Snap  uint64            // snapshot handle (ReqSnapGet/ReqSnapClose)
-	Sur   domain.Surrogate  // primary object argument
-	Sur2  domain.Surrogate  // secondary object argument (Bind transmitter)
-	Name  string            // attr / class / relType / type / token
-	Name2 string            // second name (class of ReqNew, where of ReqQuery)
-	Value domain.Value      // ReqSet argument
+	Snap  uint64           // snapshot handle (ReqSnapGet/ReqSnapClose)
+	Sur   domain.Surrogate // primary object argument
+	Sur2  domain.Surrogate // secondary object argument (Bind transmitter)
+	Name  string           // attr / class / relType / type / token
+	Name2 string           // second name (class of ReqNew, where of ReqQuery)
+	Value domain.Value     // ReqSet argument
 }
 
 // Encode serializes the request with the CRC frame header.
@@ -159,13 +159,13 @@ func DecodeRequest(raw []byte) (*Request, error) {
 // request order; ID echoes the request's correlation id so a pipelined
 // client can double-check the pairing.
 type Response struct {
-	ID   uint64
-	Kind byte // echoes the request kind
-	Code byte
-	Msg  string             // error message when Code != CodeOK
-	Sur  domain.Surrogate   // created surrogate (New/Bind)
-	Seq  uint64             // txn id / snapshot handle / pin seq / echo
-	Value domain.Value      // Get/SnapGet result
+	ID    uint64
+	Kind  byte // echoes the request kind
+	Code  byte
+	Msg   string             // error message when Code != CodeOK
+	Sur   domain.Surrogate   // created surrogate (New/Bind)
+	Seq   uint64             // txn id / snapshot handle / pin seq / echo
+	Value domain.Value       // Get/SnapGet result
 	Surs  []domain.Surrogate // Query result
 	Blob  []byte             // Stats JSON / Explain text
 }

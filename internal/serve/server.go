@@ -56,14 +56,13 @@ type Config struct {
 
 	// Admission control. The meter samples the WAL group-commit
 	// counters every StallWindow and declares the server busy when the
-	// journal queue exceeds MaxQueuedWAL records or the mean durability
-	// stall per committed record exceeds MaxStallPerRecord. While busy,
-	// new write-path requests (New/Set/Bind/Unbind/Delete/Begin) are
-	// rejected with CodeBusy; requests already admitted to a session
-	// pipeline, and all read-path requests, still execute.
-	StallWindow       time.Duration // 0: 100ms
-	MaxQueuedWAL      int           // 0: 4096 records
-	MaxStallPerRecord time.Duration // 0: 25ms
+	// journal queue exceeds MaxQueuedWAL records, or when records are
+	// queued but none committed for two windows running. While busy, new
+	// write-path requests (New/Set/Bind/Unbind/Delete/Begin) are rejected
+	// with CodeBusy; requests already admitted to a session pipeline, and
+	// all read-path requests, still execute.
+	StallWindow  time.Duration // 0: 100ms
+	MaxQueuedWAL int           // 0: 4096 records
 
 	// WALStats overrides where the admission meter reads the WAL
 	// counters (default: DB.Stats().WAL). Tests inject synthetic stalls
@@ -108,13 +107,6 @@ func (c *Config) maxQueuedWAL() int {
 		return 4096
 	}
 	return c.MaxQueuedWAL
-}
-
-func (c *Config) maxStallPerRecord() time.Duration {
-	if c.MaxStallPerRecord <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.MaxStallPerRecord
 }
 
 // ServerStats counts the server's lifetime activity. All fields are
@@ -203,11 +195,11 @@ func (s *Server) walStats() cadcam.WALStats {
 
 // meter is the admission-control sampling loop: it watches the WAL
 // group-commit counters and flips the busy bit when the journal is
-// stalling. The two signals cover the two stall shapes: a queue that
-// outgrows its bound (fsync blocked — records pile up faster than they
-// drain) and a per-record durability wait that exceeds the budget
-// (fsync pathologically slow — the queue drains, but each commit costs
-// tens of milliseconds).
+// overloaded. The two signals cover the two overload shapes: a queue that
+// outgrows its bound (records pile up faster than they drain) and a queue
+// that stops draining (records wait, none commits). A slow fsync with
+// little queued is latency, not overload: the few sessions waiting on it
+// cannot push more work in, so it sheds nothing.
 func (s *Server) meter() {
 	defer close(s.meterDone)
 	window := s.cfg.stallWindow()
@@ -222,11 +214,7 @@ func (s *Server) meter() {
 		case <-t.C:
 			w := s.walStats()
 			dRecords := w.Records - last.Records
-			dStall := w.StallNs - last.StallNs
 			busy := w.Queued > s.cfg.maxQueuedWAL()
-			if dRecords > 0 && time.Duration(dStall/dRecords) > s.cfg.maxStallPerRecord() {
-				busy = true
-			}
 			// Queue present but nothing committed for two consecutive
 			// windows: the pipeline is wedged even if the queue is small.
 			if dRecords == 0 && w.Queued > 0 {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -108,6 +109,45 @@ func shippedPayload(t testing.TB) (payload, want []byte) {
 		t.Fatal(err)
 	}
 	return read.Encode(), EncodeSnapshot(s.Export(), vm.Export())
+}
+
+// undeclaredAttrPayload is the scene's resync payload with one object
+// record storing an attribute its type does not declare, re-framed so
+// that every length and CRC is valid.
+func undeclaredAttrPayload(t testing.TB) []byte {
+	t.Helper()
+	s, vm := checkpointScene(t)
+	cp := exportCheckpoint(t, s, vm, 1)
+	for p, b := range cp.Segments {
+		objs, binds, err := DecodeSegment(b, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(objs) == 0 {
+			continue
+		}
+		objs[0].Attrs = map[string]domain.Value{"NoSuchAttribute": domain.Int(1)}
+		cp.Segments[p] = EncodeSegment(p, objs, binds)
+		return cp.Encode()
+	}
+	t.Fatal("no segment holds an object record")
+	return nil
+}
+
+// TestCheckpointImportRejectsUndeclaredAttribute: a record that stores an
+// attribute outside its type's layout fails the import.
+func TestCheckpointImportRejectsUndeclaredAttribute(t *testing.T) {
+	cp, err := DecodeCheckpoint(undeclaredAttrPayload(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, vm := freshShards(t, checkpointShards)
+	if _, err := ImportCheckpoint(cp, s, vm, 2); !errors.Is(err, object.ErrNoSuchAttribute) {
+		t.Fatalf("import error = %v, want ErrNoSuchAttribute", err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("failed import left %d objects", s.Len())
+	}
 }
 
 // TestCheckpointPayloadRoundTrip: a shipped payload imports into a store

@@ -169,6 +169,7 @@ func FuzzSegmentDecode(f *testing.F) {
 func FuzzCheckpointImport(f *testing.F) {
 	payload, _ := shippedPayload(f)
 	f.Add(payload)
+	f.Add(undeclaredAttrPayload(f))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cp, err := DecodeCheckpoint(b)
