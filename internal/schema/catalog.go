@@ -20,9 +20,7 @@ type Catalog struct {
 
 	// Computed by Validate: O(1) lookup tables over the relationship-type
 	// declarations, so the store's hot read paths never scan declaration
-	// slices. relAttrs covers both relationship and inheritance
-	// relationship types; relRoles and relMembers cover relationship types.
-	relAttrs   map[string]map[string]*Attribute
+	// slices.
 	relRoles   map[string]map[string]bool
 	relMembers map[string]map[string]bool
 }
@@ -214,18 +212,9 @@ func (c *Catalog) Validated() bool { return c.validated }
 // buildRelIndexes precomputes the per-relationship-type name tables; called
 // at the end of Validate, after which the catalog is immutable.
 func (c *Catalog) buildRelIndexes() {
-	c.relAttrs = make(map[string]map[string]*Attribute, len(c.relTypes)+len(c.inherRels))
 	c.relRoles = make(map[string]map[string]bool, len(c.relTypes))
 	c.relMembers = make(map[string]map[string]bool, len(c.relTypes))
-	index := func(name string, attrs []Attribute) {
-		m := make(map[string]*Attribute, len(attrs))
-		for i := range attrs {
-			m[attrs[i].Name] = &attrs[i]
-		}
-		c.relAttrs[name] = m
-	}
 	for name, t := range c.relTypes {
-		index(name, t.Attributes)
 		roles := make(map[string]bool, len(t.Participants))
 		for _, p := range t.Participants {
 			roles[p.Name] = true
@@ -240,16 +229,6 @@ func (c *Catalog) buildRelIndexes() {
 		}
 		c.relMembers[name] = members
 	}
-	for name, t := range c.inherRels {
-		index(name, t.Attributes)
-	}
-}
-
-// RelAttr resolves a declared attribute of a relationship or inheritance
-// relationship type in O(1). The catalog must be validated.
-func (c *Catalog) RelAttr(typeName, attr string) (*Attribute, bool) {
-	a, ok := c.relAttrs[typeName][attr]
-	return a, ok
 }
 
 // RelRole reports whether a relationship type declares the participant
