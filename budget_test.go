@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cadcam"
+	"cadcam/internal/oplog"
 	"cadcam/internal/paperschema"
 )
 
@@ -27,10 +28,19 @@ const (
 	// for the modification sequence, whether the attribute was set before
 	// or not.
 	setAttrAllocs = 2
+
+	// journalBytesPerOp is the journal payload per op record of the
+	// JournalBytes script, format and name records included and batch
+	// framing excluded: a pure function of the record encoding, the same
+	// on every run, so the budget is the measured value itself (384 ops
+	// in 3,276 bytes, 8.53 B/op). Writing every name inline instead
+	// costs 25.86 B/op; the previous encoding, every Op field and every
+	// name in full, cost 30.33.
+	journalBytesPerOp = 3276.0 / 384
 )
 
-// TestWorkBudgets gates the heap per object and the allocations of the
-// hot store paths. It must not run in parallel with other tests: their
+// TestWorkBudgets gates the heap per object, the allocations of the hot
+// store paths and the journal bytes and fsyncs per record. It must not run in parallel with other tests: their
 // garbage and goroutines would show up in the heap delta.
 func TestWorkBudgets(t *testing.T) {
 	t.Run("HeapPerObject", func(t *testing.T) {
@@ -117,6 +127,83 @@ func TestWorkBudgets(t *testing.T) {
 			if got := testing.AllocsPerRun(runs, c.op); got != c.budget {
 				t.Errorf("%s: %v allocations, budget %v", c.name, got, c.budget)
 			}
+		}
+	})
+
+	t.Run("JournalBytes", func(t *testing.T) {
+		dir := t.TempDir()
+		// The corpus goes in without fsyncs; the script runs on a reopen
+		// with the default SyncEvery 0 (an fsync per commit batch), after
+		// a checkpoint, so the journal chain holds the script alone.
+		db, err := cadcam.Open(paperschema.MustGates(), cadcam.Options{Dir: dir, SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildCorpus(t, db, 16)
+		ifaces := make([]cadcam.Surrogate, 8)
+		for i := range ifaces {
+			if ifaces[i], err = db.NewObject(paperschema.TypeGateInterface, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = cadcam.Open(paperschema.MustGates(), cadcam.Options{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := db.Stats().WAL
+		// The bulk workload's write (create, bind, set), an interface
+		// write and a rebind, serially.
+		const rounds = 64
+		for i := 0; i < rounds; i++ {
+			iface := ifaces[i%len(ifaces)]
+			impl, err := db.NewObject(paperschema.TypeGateImplementation, "Impls")
+			must(err)
+			_, err = db.Bind(paperschema.RelAllOfGateInterface, impl, iface)
+			must(err)
+			must(db.SetAttr(impl, "TimeBehavior", cadcam.Int(int64(i))))
+			must(db.SetAttr(iface, "Width", cadcam.Int(int64(1000+i))))
+			must(db.Unbind(paperschema.RelAllOfGateInterface, impl))
+			_, err = db.Bind(paperschema.RelAllOfGateInterface, impl, iface)
+			must(err)
+		}
+		after := db.Stats().WAL
+		must(db.Close())
+
+		sc, err := cadcam.ScanJournal(dir)
+		must(err)
+		var names oplog.Decoder
+		var bytes, ops int
+		for _, rec := range sc.Records {
+			op, err := names.Decode(rec)
+			must(err)
+			bytes += len(rec)
+			if op != nil {
+				ops++
+			}
+		}
+		records := after.Records - before.Records
+		syncs := after.Syncs - before.Syncs
+		perOp := float64(bytes) / float64(ops)
+		t.Logf("%d ops in %d journal records, %d payload bytes: %.2f B/op; %d fsyncs for %d records",
+			ops, len(sc.Records), bytes, perOp, syncs, records)
+		if ops != 6*rounds || records != uint64(ops) {
+			t.Fatalf("script journaled %d ops (%d committed records), want %d", ops, records, 6*rounds)
+		}
+		if perOp > journalBytesPerOp {
+			t.Errorf("journal payload %.2f B/op, budget %.2f", perOp, journalBytesPerOp)
+		}
+		if syncs != records {
+			t.Errorf("%d fsyncs for %d records, want one per record", syncs, records)
 		}
 	})
 }

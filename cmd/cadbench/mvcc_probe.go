@@ -295,13 +295,16 @@ func mvccExportProbe(rep *mvccReport) error {
 	if err != nil {
 		return err
 	}
+	// Keep the ops at or below the pin, and every format and name record:
+	// the kept ops refer to their names.
 	var kept [][]byte
+	var names oplog.Decoder
 	for _, rec := range sc.Records {
-		op, err := oplog.Decode(rec)
+		op, err := names.Decode(rec)
 		if err != nil {
 			return err
 		}
-		if op.Seq > 0 && op.Seq <= seq {
+		if op == nil || op.Seq > 0 && op.Seq <= seq {
 			kept = append(kept, rec)
 		}
 	}

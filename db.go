@@ -91,6 +91,12 @@ var ErrFrozenVersion = errors.New("cadcam: version is frozen")
 // file, so the directory can be repaired or restored.
 var ErrCheckpointUnreadable = wal.ErrCheckpointUnreadable
 
+// ErrJournalFormat reports an Open of a directory whose journal is not in
+// this release's record format (see oplog.FormatVersion), such as one
+// written before journal records indexed their names. Open then modifies
+// no file.
+var ErrJournalFormat = oplog.ErrFormat
+
 // Durability selects when a mutation is acknowledged relative to journal
 // I/O.
 type Durability int
@@ -210,7 +216,8 @@ type RecoveryStats struct {
 	// PeakRecords is the most decoded checkpoint records held at once
 	// while importing: at most Workers segments' worth.
 	PeakRecords int `json:"peak_records"`
-	// ReplayOps is the number of journal records replayed on top.
+	// ReplayOps is the number of journal ops replayed on top (format and
+	// name records are not ops).
 	ReplayOps int `json:"replay_ops"`
 	// ReplayNs is the wall time of the journal replay.
 	ReplayNs int64 `json:"replay_ns"`
@@ -255,7 +262,7 @@ type Database struct {
 	// committer is the group-commit journal pipeline (nil in-memory).
 	// Mutations enqueue their op under the store mutex — fixing the
 	// deterministic replay order — and wait for durability outside it.
-	committer *storage.Group
+	committer *storage.Group[*oplog.Op]
 
 	// shipper lazily serves read replicas off the journal chain
 	// (replica.go); nil until the first Shipper/AttachFollower call.
@@ -285,7 +292,7 @@ func Open(cat *schema.Catalog, opts Options) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		db.committer = storage.NewGroup(log, storage.GroupConfig{
+		db.committer = storage.NewGroup[*oplog.Op](log, new(oplog.Encoder), storage.GroupConfig{
 			SyncCadence: opts.syncCadence(),
 			WaitSync:    opts.durable(),
 		})
@@ -388,7 +395,8 @@ type ScanState struct {
 	Store    *object.StoreState
 	Versions *version.ManagerState
 	// Records is the journal chain in append order, batch frames
-	// expanded; decode each with oplog.Decode.
+	// expanded. Decode them in order with one oplog.Decoder: name records
+	// define the names later records refer to.
 	Records [][]byte
 }
 
@@ -435,7 +443,8 @@ func (db *Database) recover() (*storage.Log, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	if err := wal.ReplayN(ds.Records, db.store, db.versions, workers); err != nil {
+	ops, err := wal.ReplayN(ds.Records, new(oplog.Decoder), db.store, db.versions, workers)
+	if err != nil {
 		ds.Log.Close()
 		return nil, fmt.Errorf("cadcam: %w", err)
 	}
@@ -454,7 +463,7 @@ func (db *Database) recover() (*storage.Log, error) {
 		Segments:    len(ds.SegEpochs),
 		DecodeNs:    ds.LoadNs,
 		PeakRecords: peak,
-		ReplayOps:   len(ds.Records),
+		ReplayOps:   ops,
 		ReplayNs:    time.Since(t0).Nanoseconds(),
 		Workers:     workers,
 	}

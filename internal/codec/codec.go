@@ -416,6 +416,23 @@ func (r *Reader) Pick(tab []string) string {
 	return tab[i]
 }
 
+// Ref reads a name reference: 0 followed by an inline string, or k for
+// entry k-1 of tab, which is shared, not copied. An index outside tab
+// fails the reader and reads as "".
+func (r *Reader) Ref(tab []string) string {
+	k := r.Uvarint()
+	switch {
+	case r.err != nil:
+		return ""
+	case k == 0:
+		return r.Str()
+	case k > uint64(len(tab)):
+		r.fail()
+		return ""
+	}
+	return tab[k-1]
+}
+
 // Surs reads a slice of surrogates; empty decodes as nil.
 func (r *Reader) Surs() []domain.Surrogate {
 	n := r.Uvarint()

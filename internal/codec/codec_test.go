@@ -221,3 +221,26 @@ func TestQuickNoiseNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRef: 0 reads an inline string, k reads entry k-1 of the table, and
+// an index past the table fails the reader.
+func TestRef(t *testing.T) {
+	tab := []string{"Length", "Width"}
+	var e Buf
+	e.Uvarint(0)
+	e.Str("TimeBehavior")
+	e.Uvarint(2)
+	e.Uvarint(1)
+	r := NewReader(e.Bytes())
+	if a, b, c := r.Ref(tab), r.Ref(tab), r.Ref(tab); a != "TimeBehavior" || b != "Width" || c != "Length" || r.Err() != nil || r.Rest() != 0 {
+		t.Fatalf("Ref = %q %q %q, err %v, rest %d", a, b, c, r.Err(), r.Rest())
+	}
+	for _, b := range [][]byte{{3}, {0, 5, 'a'}, {}} {
+		if r := NewReader(b); r.Ref(tab) != "" || r.Err() == nil {
+			t.Errorf("Ref(% x) accepted", b)
+		}
+	}
+	if r := NewReader([]byte{1}); r.Ref(nil) != "" || r.Err() == nil {
+		t.Error("index into an empty table accepted")
+	}
+}

@@ -66,10 +66,14 @@ func Verify(dir, ackDir string, opts VerifyOptions) error {
 	}
 
 	journaled := make(map[string]int)
+	var names oplog.Decoder
 	for i, rec := range records {
-		op, err := oplog.Decode(rec)
+		op, err := names.Decode(rec)
 		if err != nil {
 			return fmt.Errorf("crash: journal record %d/%d: decode: %w", i, len(records), err)
+		}
+		if op == nil {
+			continue // a format or name record
 		}
 		journaled[AckKey(op)]++
 		if err := m.Apply(op); err != nil {

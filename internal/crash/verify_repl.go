@@ -53,10 +53,14 @@ func VerifyReplication(dir string, opts VerifyOptions) error {
 		if opts.Unbind {
 			m.SetPolicy(cadcam.DeleteUnbind)
 		}
+		var names oplog.Decoder
 		for i := uint64(0); i < n; i++ {
-			op, err := oplog.Decode(records[i])
+			op, err := names.Decode(records[i])
 			if err != nil {
 				return nil, fmt.Errorf("crash: repl verify: record %d decode: %w", i, err)
+			}
+			if op == nil {
+				continue // a format or name record
 			}
 			if err := m.Apply(op); err != nil {
 				return nil, fmt.Errorf("crash: repl verify: record %d: model replay: %w", i, err)

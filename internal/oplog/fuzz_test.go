@@ -1,0 +1,94 @@
+package oplog
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"slices"
+	"testing"
+
+	"cadcam/internal/domain"
+)
+
+// packRecords frames records the way a batch frame packs them:
+// ([uvarint len][bytes])*.
+func packRecords(recs [][]byte) []byte {
+	var b []byte
+	for _, r := range recs {
+		b = binary.AppendUvarint(b, uint64(len(r)))
+		b = append(b, r...)
+	}
+	return b
+}
+
+// FuzzJournalDecode drives a Decoder with a sequence of records, packed
+// as a batch frame packs them (a malformed length ends the sequence):
+// format and name records and ops, what replay and a follower read. It
+// must never panic. A record it rejects fails with ErrCorrupt or
+// ErrFormat and leaves the name table as it was; a record it accepts is
+// rejected with a trailing byte added; an accepted op re-encodes
+// canonically. The seeds are journals an Encoder wrote (every op kind,
+// several batches, a second log handle) and hand-made defects: an
+// undefined index, a sparse name record, records before the format
+// record.
+func FuzzJournalDecode(f *testing.F) {
+	var enc Encoder
+	var journal [][]byte
+	for k := KindDefineClass; k <= KindDropIndex; k++ {
+		journal = append(journal, enc.EncodeBatch([]*Op{onlyFields(fullOp(k))})...)
+	}
+	journal = append(journal, enc.EncodeBatch([]*Op{
+		{Kind: KindSetAttr, Sur: 70001, Name: "TimeBehavior", Value: domain.Int(5), Seq: 9},
+		{Kind: KindSetAttr, Sur: 70002, Name: "Wires", Value: domain.NullValue, Seq: 10},
+	})...)
+	f.Add(packRecords(journal))
+	enc.Reset()
+	second := enc.EncodeBatch([]*Op{{Kind: KindSetAttr, Sur: 3, Name: "Length", Value: domain.Int(4), Seq: 11}})
+	f.Add(packRecords(append(journal, second...)))
+
+	format := []byte{byte(KindFormat), FormatVersion}
+	f.Add(packRecords([][]byte{format, {byte(KindDropIndex), 0, 1}}))              // undefined index
+	f.Add(packRecords([][]byte{format, {byte(KindName), 3, 1, 'A'}}))              // sparse name record
+	f.Add(packRecords([][]byte{{byte(KindName), 0, 1, 'A'}, format}))              // name before format
+	f.Add(packRecords([][]byte{(&Op{Kind: KindDelete, Sur: 1}).Encode(), format})) // op before format
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var d Decoder
+		for len(b) > 0 {
+			n, k := binary.Uvarint(b)
+			if k <= 0 || n > uint64(len(b)-k) {
+				return
+			}
+			rec := b[k : k+int(n)]
+			b = b[k+int(n):]
+
+			before := Decoder{names: slices.Clone(d.names), started: d.started}
+			op, err := d.Decode(rec)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFormat) {
+					t.Fatalf("untyped error %v for % x", err, rec)
+				}
+				if d.started != before.started || !slices.Equal(d.names, before.names) {
+					t.Fatalf("rejected record % x changed the table", rec)
+				}
+				continue
+			}
+			long := append(slices.Clone(rec), 0)
+			if _, err := before.Decode(long); err == nil {
+				t.Fatalf("record with a trailing byte accepted: % x", long)
+			}
+			if op == nil {
+				continue
+			}
+			inline := op.Encode()
+			again, err := Decode(inline)
+			if err != nil {
+				t.Fatalf("inline re-encoding of an accepted op does not decode: %v\n% x", err, inline)
+			}
+			if b2 := again.Encode(); !bytes.Equal(inline, b2) {
+				t.Fatalf("inline encoding not canonical:\n% x\n% x", inline, b2)
+			}
+		}
+	})
+}

@@ -1,0 +1,139 @@
+package oplog
+
+import (
+	"errors"
+	"fmt"
+
+	"cadcam/internal/codec"
+)
+
+// FormatVersion is the journal record format a format record announces.
+// Version 1, which wrote every Op field and spelled every name in every
+// record, had no format record; its journals are refused.
+const FormatVersion = 2
+
+// ErrFormat reports a journal that does not open with a format record of
+// FormatVersion, such as one written before the name-indexed format.
+var ErrFormat = errors.New("oplog: journal not in a supported record format")
+
+// Encoder writes ops for one journal log handle. Each name an op carries
+// is written as an index into a per-handle name table; the first time
+// the handle uses a name, the Encoder puts a name record defining it
+// ahead of the op, in the same batch, and the handle's first batch opens
+// with a format record. Every log file therefore decodes from its start
+// alone. Reset starts a new handle. An Encoder is not safe for
+// concurrent use; the group-commit leader owns it.
+type Encoder struct {
+	index   map[string]uint64 // name → table index + 1
+	started bool              // the format record has been emitted
+}
+
+// Reset forgets every emitted name and the format record: the next batch
+// starts a new log handle.
+func (enc *Encoder) Reset() {
+	enc.index = nil
+	enc.started = false
+}
+
+// EncodeBatch returns the journal payloads of a commit batch: the
+// handle's format record if none was emitted yet, then each op preceded
+// by name records for the names it is the first to use. The payloads
+// share one buffer.
+func (enc *Encoder) EncodeBatch(ops []*Op) [][]byte {
+	var e codec.Buf
+	ends := make([]int, 0, len(ops)+1)
+	if !enc.started {
+		enc.started = true
+		e.Byte(byte(KindFormat))
+		e.Uvarint(FormatVersion)
+		ends = append(ends, e.Len())
+	}
+	for _, op := range ops {
+		op.eachName(func(s string) {
+			if _, ok := enc.index[s]; ok {
+				return
+			}
+			if enc.index == nil {
+				enc.index = make(map[string]uint64)
+			}
+			idx := uint64(len(enc.index))
+			enc.index[s] = idx + 1
+			e.Byte(byte(KindName))
+			e.Uvarint(idx)
+			e.Str(s)
+			ends = append(ends, e.Len())
+		})
+		op.encode(&e, enc)
+		ends = append(ends, e.Len())
+	}
+	b := e.Bytes()
+	out := make([][]byte, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i] = b[start:end:end]
+		start = end
+	}
+	return out
+}
+
+// ref writes a name reference: the table index + 1 when the name is in
+// the table, else 0 and the string inline. A nil Encoder writes inline.
+func (enc *Encoder) ref(e *codec.Buf, s string) {
+	if enc != nil {
+		if k, ok := enc.index[s]; ok {
+			e.Uvarint(k)
+			return
+		}
+	}
+	e.Uvarint(0)
+	e.Str(s)
+}
+
+// Decoder reads a journal's records in order, keeping the name table its
+// name records build. Records must be fed in journal order, from the
+// start of a log file (or of a stream of whole log files): the first
+// must be a format record. A format record empties the table, as each
+// log handle numbers its names afresh. A Decoder is not safe for
+// concurrent use.
+type Decoder struct {
+	names   []string
+	started bool
+}
+
+// Decode decodes the next record. Format and name records update the
+// decoder and return a nil op. A failed record leaves the table as it
+// was. Errors wrap ErrCorrupt, or ErrFormat when the journal does not
+// open with a supported format record.
+func (d *Decoder) Decode(b []byte) (*Op, error) {
+	if len(b) > 0 && Kind(b[0]) == KindFormat {
+		r := codec.NewReader(b[1:])
+		v := r.Uvarint()
+		if err := r.Err(); err != nil || r.Rest() != 0 {
+			return nil, fmt.Errorf("%w: format record % x", ErrCorrupt, b)
+		}
+		if v != FormatVersion {
+			return nil, fmt.Errorf("%w: format version %d, want %d", ErrFormat, v, FormatVersion)
+		}
+		d.names, d.started = d.names[:0], true
+		return nil, nil
+	}
+	if !d.started {
+		return nil, fmt.Errorf("%w: journal does not open with a format record", ErrFormat)
+	}
+	if len(b) > 0 && Kind(b[0]) == KindName {
+		r := codec.NewReader(b[1:])
+		idx, s := r.Uvarint(), r.Str()
+		switch {
+		case r.Err() != nil || r.Rest() != 0:
+			return nil, fmt.Errorf("%w: name record % x", ErrCorrupt, b)
+		case idx < uint64(len(d.names)):
+			d.names[idx] = s
+		case idx == uint64(len(d.names)):
+			d.names = append(d.names, s)
+		default:
+			return nil, fmt.Errorf("%w: name record sets index %d of a %d-name table", ErrCorrupt, idx, len(d.names))
+		}
+		return nil, nil
+	}
+	return decodeOp(b, d.names)
+}

@@ -1,0 +1,130 @@
+package oplog
+
+import (
+	"errors"
+	"testing"
+
+	"cadcam/internal/domain"
+)
+
+func decodeAll(t *testing.T, d *Decoder, recs [][]byte) []*Op {
+	t.Helper()
+	var ops []*Op
+	for i, rec := range recs {
+		op, err := d.Decode(rec)
+		if err != nil {
+			t.Fatalf("record %d (% x): %v", i, rec, err)
+		}
+		if op != nil {
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
+// TestEncoderNamesOnce: a handle's first batch opens with a format
+// record, a name record precedes the first op using that name, and later
+// batches refer to the name by index only. Reset starts a new handle.
+func TestEncoderNamesOnce(t *testing.T) {
+	var enc Encoder
+	ops := []*Op{
+		{Kind: KindNewObject, Name: "GateImplementation", Out: 70001, Seq: 9},
+		{Kind: KindSetAttr, Sur: 70001, Name: "TimeBehavior", Value: domain.Int(3), Seq: 10},
+	}
+	first := enc.EncodeBatch(ops)
+	kinds := func(recs [][]byte) (ks []Kind) {
+		for _, r := range recs {
+			ks = append(ks, Kind(r[0]))
+		}
+		return ks
+	}
+	want := []Kind{KindFormat, KindName, KindName, KindNewObject, KindName, KindSetAttr}
+	if got := kinds(first); len(got) != len(want) {
+		t.Fatalf("first batch kinds %v, want %v", got, want)
+	}
+	for i, k := range kinds(first) {
+		if k != want[i] {
+			t.Fatalf("first batch kinds %v, want %v", kinds(first), want)
+		}
+	}
+	second := enc.EncodeBatch(ops)
+	if got := kinds(second); len(got) != 2 {
+		t.Fatalf("second batch kinds %v, want the two ops only", got)
+	}
+	// NewObject: kind, Seq, Out (3 bytes), type and class index; SetAttr:
+	// kind, Seq, Sur (3 bytes), attribute index, value tag and varint.
+	if n := len(second[0]); n != 1+1+3+1+1 {
+		t.Errorf("indexed NewObject is %d bytes", n)
+	}
+	if n := len(second[1]); n != 1+1+3+1+2 {
+		t.Errorf("indexed SetAttr is %d bytes", n)
+	}
+
+	var dec Decoder
+	got := decodeAll(t, &dec, append(first, second...))
+	if len(got) != 4 {
+		t.Fatalf("decoded %d ops, want 4", len(got))
+	}
+	for i, op := range got {
+		if !sameOp(op, ops[i%2]) {
+			t.Errorf("op %d: got %+v, want %+v", i, op, ops[i%2])
+		}
+	}
+
+	enc.Reset()
+	third := enc.EncodeBatch(ops[1:])
+	if got := kinds(third); len(got) != 3 || got[0] != KindFormat || got[1] != KindName {
+		t.Fatalf("batch after Reset kinds %v, want format, name, op", got)
+	}
+	// The new handle numbers its names afresh: index 0 is now the
+	// attribute, which the format record lets the decoder see.
+	if got := decodeAll(t, &dec, third); len(got) != 1 || !sameOp(got[0], ops[1]) {
+		t.Fatalf("after reset: %+v", got)
+	}
+}
+
+// TestDecoderRejects: every malformed or out-of-order record fails with
+// a typed error and leaves the table as it was.
+func TestDecoderRejects(t *testing.T) {
+	format := []byte{byte(KindFormat), FormatVersion}
+	name0 := []byte{byte(KindName), 0, 1, 'A'}
+	for _, c := range []struct {
+		name string
+		recs [][]byte
+		want error
+	}{
+		{"op before format", [][]byte{(&Op{Kind: KindDelete, Sur: 1}).Encode()}, ErrFormat},
+		{"name before format", [][]byte{name0}, ErrFormat},
+		{"old format version", [][]byte{{byte(KindFormat), 1}}, ErrFormat},
+		{"format trailing byte", [][]byte{append(format, 0)}, ErrCorrupt},
+		{"undefined index", [][]byte{format, name0, {byte(KindDropIndex), 0, 2}}, ErrCorrupt},
+		{"index after reset", [][]byte{format, name0, format, {byte(KindDropIndex), 0, 1}}, ErrCorrupt},
+		{"sparse name record", [][]byte{format, {byte(KindName), 1, 1, 'B'}}, ErrCorrupt},
+		{"name trailing byte", [][]byte{format, append(name0, 0)}, ErrCorrupt},
+		{"op trailing byte", [][]byte{format, append((&Op{Kind: KindDelete, Sur: 1}).Encode(), 0)}, ErrCorrupt},
+		{"empty record", [][]byte{format, {}}, ErrCorrupt},
+	} {
+		var d Decoder
+		var err error
+		for _, rec := range c.recs {
+			if _, err = d.Decode(rec); err != nil {
+				break
+			}
+		}
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	// A rejected name record does not touch the table; assigning an
+	// entry again is harmless.
+	var d Decoder
+	decodeAll(t, &d, [][]byte{format, name0, name0})
+	if _, err := d.Decode([]byte{byte(KindName), 0, 1, 'Z', 0}); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	op, err := d.Decode([]byte{byte(KindDropIndex), 0, 1})
+	if err != nil || op.Name != "A" {
+		t.Fatalf("after rejected record: %+v, %v", op, err)
+	}
+}

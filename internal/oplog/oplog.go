@@ -5,6 +5,10 @@
 package oplog
 
 import (
+	"errors"
+	"fmt"
+	"sort"
+
 	"cadcam/internal/codec"
 	"cadcam/internal/domain"
 )
@@ -36,11 +40,24 @@ const (
 	// index contents are rebuilt by replay, never logged.
 	KindCreateIndex
 	KindDropIndex
+
+	// KindName and KindFormat head journal records that are not ops; a
+	// Decoder consumes them (see journal.go). A name record
+	// [KindName][idx][string] sets entry idx of the name table; a format
+	// record [KindFormat][version] opens each log handle and empties the
+	// table.
+	KindName
+	KindFormat
 )
 
-// Op is one journaled operation. Field use depends on Kind; unused fields
-// stay zero. Out records the surrogate a creation op produced, so replay
-// can verify determinism.
+// ErrCorrupt reports a record that does not decode: truncated, followed
+// by trailing bytes, of an unknown kind, or naming an index its name
+// table does not hold.
+var ErrCorrupt = errors.New("oplog: corrupt record")
+
+// Op is one journaled operation. Field use depends on Kind (kindFields);
+// unused fields stay zero and are not encoded. Out records the surrogate
+// a creation op produced, so replay can verify determinism.
 type Op struct {
 	Kind  Kind
 	Sur   domain.Surrogate // primary object
@@ -59,6 +76,55 @@ type Op struct {
 	// store's counter from Seq before re-executing each op so every
 	// re-execution reproduces its original sequence assignment.
 	Seq uint64
+}
+
+// fields is the set of Op fields a kind carries on the wire. Every op
+// record also carries Kind and Seq.
+type fields uint16
+
+const (
+	fSur fields = 1 << iota
+	fSur2
+	fOut
+	fName
+	fName2
+	fValue
+	fParts
+	fSurs
+	fNum
+)
+
+// kindFields lists the fields each op kind encodes, in this wire order:
+// Sur, Sur2, Out, Name, Name2, Value, Parts, Surs, Num. A kind missing
+// here (KindInvalid, the table records, unknown bytes) is not an op.
+var kindFields = [...]fields{
+	KindDefineClass:     fName | fName2,
+	KindNewObject:       fOut | fName | fName2,
+	KindNewSubobject:    fSur | fOut | fName,
+	KindNewRelSubobject: fSur | fOut | fName,
+	KindSetAttr:         fSur | fName | fValue,
+	KindRelate:          fOut | fName | fParts,
+	KindRelateIn:        fSur | fOut | fName | fParts,
+	KindBind:            fSur | fSur2 | fOut | fName,
+	KindUnbind:          fSur | fName,
+	KindAcknowledge:     fSur | fName | fNum,
+	KindDelete:          fSur,
+	KindDeletePolicy:    fNum,
+	KindDefineDesign:    fSur | fName,
+	KindAddVersion:      fSur | fName | fName2 | fSurs,
+	KindSetStatus:       fSur | fName,
+	KindSetDefault:      fSur | fName,
+	KindCreateIndex:     fName | fName2 | fValue,
+	KindDropIndex:       fName,
+}
+
+// fields returns the fields an op of kind k encodes; 0 when k is not an
+// op kind (every op kind carries at least one field besides Seq).
+func (k Kind) fields() fields {
+	if int(k) < len(kindFields) {
+		return kindFields[k]
+	}
+	return 0
 }
 
 // Clone returns a copy of the op that shares no mutable containers with
@@ -80,45 +146,132 @@ func (op *Op) Clone() *Op {
 	return &c
 }
 
-// Encode serializes the op.
+// Encode serializes the op on its own, every name written inline, so the
+// bytes need no name table to decode (Decode). Ack logs and record keys
+// use it; the journal writes through an Encoder instead.
 func (op *Op) Encode() []byte {
 	var e codec.Buf
-	e.Byte(byte(op.Kind))
-	e.Sur(op.Sur)
-	e.Sur(op.Sur2)
-	e.Sur(op.Out)
-	e.Str(op.Name)
-	e.Str(op.Name2)
-	e.Value(op.Value)
-	e.ValueMap(op.Parts)
-	e.Surs(op.Surs)
-	e.Varint(op.Num)
-	e.Uvarint(op.Seq)
+	op.encode(&e, nil)
 	return e.Bytes()
 }
 
-// Decode deserializes an op.
-func Decode(b []byte) (*Op, error) {
-	r := codec.NewReader(b)
-	op := &Op{
-		Kind:  Kind(r.Byte()),
-		Sur:   r.Sur(),
-		Sur2:  r.Sur(),
-		Out:   r.Sur(),
-		Name:  r.Str(),
-		Name2: r.Str(),
-		Value: r.Value(),
-		Parts: r.ValueMap(),
-		Surs:  r.Surs(),
-		Num:   r.Varint(),
+// encode appends the op record: [kind][uvarint Seq] and then the kind's
+// fields. Names go through enc's table, or inline when enc is nil.
+func (op *Op) encode(e *codec.Buf, enc *Encoder) {
+	f := op.Kind.fields()
+	e.Byte(byte(op.Kind))
+	e.Uvarint(op.Seq)
+	if f&fSur != 0 {
+		e.Sur(op.Sur)
 	}
-	// Seq is a trailing field added later; logs written before it simply
-	// end here, and replay falls back to append-order sequencing.
-	if r.Rest() > 0 {
-		op.Seq = r.Uvarint()
+	if f&fSur2 != 0 {
+		e.Sur(op.Sur2)
+	}
+	if f&fOut != 0 {
+		e.Sur(op.Out)
+	}
+	if f&fName != 0 {
+		enc.ref(e, op.Name)
+	}
+	if f&fName2 != 0 {
+		enc.ref(e, op.Name2)
+	}
+	if f&fValue != 0 {
+		e.Value(op.Value)
+	}
+	if f&fParts != 0 {
+		keys := sortedKeys(op.Parts)
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			enc.ref(e, k)
+			e.Value(op.Parts[k])
+		}
+	}
+	if f&fSurs != 0 {
+		e.Surs(op.Surs)
+	}
+	if f&fNum != 0 {
+		e.Varint(op.Num)
+	}
+}
+
+// eachName calls fn with every name the op's kind encodes, in wire order.
+func (op *Op) eachName(fn func(string)) {
+	f := op.Kind.fields()
+	if f&fName != 0 {
+		fn(op.Name)
+	}
+	if f&fName2 != 0 {
+		fn(op.Name2)
+	}
+	if f&fParts != 0 {
+		for _, k := range sortedKeys(op.Parts) {
+			fn(k)
+		}
+	}
+}
+
+func sortedKeys(m map[string]domain.Value) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Decode deserializes an op written by Op.Encode: names must be inline.
+// Journal records go through a Decoder, which holds the name table.
+func Decode(b []byte) (*Op, error) { return decodeOp(b, nil) }
+
+// decodeOp decodes one op record, resolving name indices in names.
+func decodeOp(b []byte, names []string) (*Op, error) {
+	r := codec.NewReader(b)
+	op := &Op{Kind: Kind(r.Byte())}
+	f := op.Kind.fields()
+	if r.Err() == nil && f == 0 {
+		return nil, fmt.Errorf("%w: kind %d is not an op", ErrCorrupt, op.Kind)
+	}
+	op.Seq = r.Uvarint()
+	if f&fSur != 0 {
+		op.Sur = r.Sur()
+	}
+	if f&fSur2 != 0 {
+		op.Sur2 = r.Sur()
+	}
+	if f&fOut != 0 {
+		op.Out = r.Sur()
+	}
+	if f&fName != 0 {
+		op.Name = r.Ref(names)
+	}
+	if f&fName2 != 0 {
+		op.Name2 = r.Ref(names)
+	}
+	if f&fValue != 0 {
+		op.Value = r.Value()
+	}
+	if f&fParts != 0 {
+		// Each entry is at least a name reference and a value tag.
+		if n := r.Count(2); n > 0 {
+			op.Parts = make(map[string]domain.Value, n)
+			for i := 0; i < n && r.Err() == nil; i++ {
+				k := r.Ref(names)
+				op.Parts[k] = r.Value()
+			}
+		}
+	}
+	if f&fSurs != 0 {
+		op.Surs = r.Surs()
+	}
+	if f&fNum != 0 {
+		op.Num = r.Varint()
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: kind %d: %v", ErrCorrupt, op.Kind, err)
+	}
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("%w: kind %d: %d trailing bytes", ErrCorrupt, op.Kind, r.Rest())
 	}
 	return op, nil
 }

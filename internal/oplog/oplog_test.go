@@ -9,9 +9,10 @@ import (
 	"cadcam/internal/domain"
 )
 
-func TestRoundTripAllFields(t *testing.T) {
-	op := &Op{
-		Kind:  KindRelateIn,
+// fullOp returns an op of kind k with every field set.
+func fullOp(k Kind) *Op {
+	return &Op{
+		Kind:  k,
 		Sur:   7,
 		Sur2:  8,
 		Out:   9,
@@ -24,23 +25,85 @@ func TestRoundTripAllFields(t *testing.T) {
 		},
 		Surs: []domain.Surrogate{3, 4, 5},
 		Num:  -12,
+		Seq:  41,
 	}
-	got, err := Decode(op.Encode())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// onlyFields zeroes the fields kind k does not encode.
+func onlyFields(op *Op) *Op {
+	f := op.Kind.fields()
+	c := &Op{Kind: op.Kind, Seq: op.Seq}
+	if f&fSur != 0 {
+		c.Sur = op.Sur
 	}
-	if got.Kind != op.Kind || got.Sur != op.Sur || got.Sur2 != op.Sur2 || got.Out != op.Out ||
-		got.Name != op.Name || got.Name2 != op.Name2 || got.Num != op.Num {
-		t.Errorf("scalar fields: %+v vs %+v", got, op)
+	if f&fSur2 != 0 {
+		c.Sur2 = op.Sur2
 	}
-	if !got.Value.Equal(op.Value) {
-		t.Errorf("value: %s vs %s", got.Value, op.Value)
+	if f&fOut != 0 {
+		c.Out = op.Out
 	}
-	if len(got.Parts) != 2 || !got.Parts["Pin1"].Equal(domain.Ref(1)) {
-		t.Errorf("parts: %v", got.Parts)
+	if f&fName != 0 {
+		c.Name = op.Name
 	}
-	if len(got.Surs) != 3 || got.Surs[2] != 5 {
-		t.Errorf("surs: %v", got.Surs)
+	if f&fName2 != 0 {
+		c.Name2 = op.Name2
+	}
+	if f&fValue != 0 {
+		c.Value = op.Value
+	}
+	if f&fParts != 0 && len(op.Parts) > 0 {
+		c.Parts = op.Parts
+	}
+	if f&fSurs != 0 && len(op.Surs) > 0 {
+		c.Surs = op.Surs
+	}
+	if f&fNum != 0 {
+		c.Num = op.Num
+	}
+	return c
+}
+
+// sameOp compares two ops field by field.
+func sameOp(a, b *Op) bool {
+	if a.Kind != b.Kind || a.Sur != b.Sur || a.Sur2 != b.Sur2 || a.Out != b.Out ||
+		a.Name != b.Name || a.Name2 != b.Name2 || a.Num != b.Num || a.Seq != b.Seq ||
+		len(a.Parts) != len(b.Parts) || len(a.Surs) != len(b.Surs) {
+		return false
+	}
+	for k, v := range a.Parts {
+		if w, ok := b.Parts[k]; !ok || !w.Equal(v) {
+			return false
+		}
+	}
+	for i, s := range a.Surs {
+		if b.Surs[i] != s {
+			return false
+		}
+	}
+	if a.Value == nil || b.Value == nil {
+		return a.Value == nil && b.Value == nil
+	}
+	return a.Value.Equal(b.Value)
+}
+
+// TestRoundTripAllFields: every kind round-trips the fields it uses and
+// Seq; the fields it does not use are not written.
+func TestRoundTripAllFields(t *testing.T) {
+	for k := KindDefineClass; k <= KindDropIndex; k++ {
+		op := fullOp(k)
+		got, err := Decode(op.Encode())
+		if err != nil {
+			t.Fatalf("kind %d: %v", k, err)
+		}
+		if want := onlyFields(op); !sameOp(got, want) {
+			t.Errorf("kind %d: got %+v, want %+v", k, got, want)
+		}
+	}
+	// A set attribute carries no Parts, Surs or second surrogate, so its
+	// record is the kind, Seq, Sur, an inline name and the value.
+	op := &Op{Kind: KindSetAttr, Sur: 3, Name: "Length", Value: domain.Int(4), Seq: 5}
+	if got := len(op.Encode()); got != 1+1+1+1+1+len("Length")+2 {
+		t.Errorf("SetAttr record is %d bytes", got)
 	}
 }
 
@@ -60,6 +123,12 @@ func TestDecodeErrors(t *testing.T) {
 		{},
 		{byte(KindSetAttr)},          // truncated after kind
 		{byte(KindSetAttr), 1, 2, 3}, // truncated mid-fields
+		{byte(KindDelete), 1, 2, 0},  // trailing byte
+		{byte(KindInvalid), 0},       // not an op
+		{byte(KindName), 0, 0},       // a name record is not an op
+		{byte(KindFormat), 2},        // nor is a format record
+		{99, 0},                      // unknown kind
+		{byte(KindDropIndex), 0, 1},  // a name index without a table
 	}
 	for _, b := range bad {
 		if _, err := Decode(b); err == nil {
@@ -72,7 +141,7 @@ type randomOp struct{ Op *Op }
 
 func (randomOp) Generate(r *rand.Rand, _ int) reflect.Value {
 	op := &Op{
-		Kind:  Kind(r.Intn(int(KindSetDefault) + 1)),
+		Kind:  Kind(1 + r.Intn(int(KindDropIndex))),
 		Sur:   domain.Surrogate(r.Uint64() >> 1),
 		Sur2:  domain.Surrogate(r.Uint64() >> 1),
 		Out:   domain.Surrogate(r.Uint64() >> 1),
@@ -94,7 +163,8 @@ func (randomOp) Generate(r *rand.Rand, _ int) reflect.Value {
 	for i := 0; i < r.Intn(3); i++ {
 		op.Surs = append(op.Surs, domain.Surrogate(r.Uint64()))
 	}
-	return reflect.ValueOf(randomOp{Op: op})
+	op.Seq = uint64(r.Int63())
+	return reflect.ValueOf(randomOp{Op: onlyFields(op)})
 }
 
 func randName(r *rand.Rand) string {
@@ -105,29 +175,22 @@ func randName(r *rand.Rand) string {
 	return string(b)
 }
 
-// Property: ops round-trip exactly.
+// Property: ops round-trip exactly, alone and through a journal.
 func TestQuickOpRoundTrip(t *testing.T) {
+	var enc Encoder
+	var dec Decoder
 	f := func(a randomOp) bool {
 		got, err := Decode(a.Op.Encode())
-		if err != nil {
+		if err != nil || !sameOp(got, a.Op) {
 			return false
 		}
-		if got.Kind != a.Op.Kind || got.Sur != a.Op.Sur || got.Sur2 != a.Op.Sur2 ||
-			got.Out != a.Op.Out || got.Name != a.Op.Name || got.Name2 != a.Op.Name2 ||
-			got.Num != a.Op.Num || len(got.Parts) != len(a.Op.Parts) || len(got.Surs) != len(a.Op.Surs) {
-			return false
-		}
-		for k, v := range a.Op.Parts {
-			if !got.Parts[k].Equal(v) {
+		var last *Op
+		for _, rec := range enc.EncodeBatch([]*Op{a.Op}) {
+			if last, err = dec.Decode(rec); err != nil {
 				return false
 			}
 		}
-		for i, s := range a.Op.Surs {
-			if got.Surs[i] != s {
-				return false
-			}
-		}
-		return got.Value.Equal(a.Op.Value) || (domain.IsNull(got.Value) && domain.IsNull(a.Op.Value))
+		return last != nil && sameOp(last, a.Op)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

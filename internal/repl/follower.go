@@ -9,6 +9,7 @@ import (
 
 	"cadcam/internal/fault"
 	"cadcam/internal/object"
+	"cadcam/internal/oplog"
 	"cadcam/internal/schema"
 	"cadcam/internal/version"
 	"cadcam/internal/wal"
@@ -65,6 +66,7 @@ type Follower struct {
 	mu         sync.Mutex
 	store      *object.Store
 	vm         *version.Manager
+	names      *oplog.Decoder // the stream's name table, kept across batches
 	pos        wal.ChainPos
 	applied    uint64 // stream seq of the last applied record
 	sealed     uint64 // newest stream seq the shipper reported
@@ -107,6 +109,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		workers: workers,
 		store:   store,
 		vm:      version.NewManager(store),
+		names:   new(oplog.Decoder),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -236,7 +239,10 @@ func (f *Follower) handle(fr *Frame) error {
 // or below the applied seq is a duplicate (skipped); one overlapping it
 // replays only the unseen suffix; one starting past applied+1 is a gap
 // — records were lost, so the follower flags itself for resync rather
-// than apply a diverged suffix.
+// than apply a diverged suffix. Records decode through the follower's
+// one name table; skipped records were decoded when first applied. A
+// record that does not decode (an undefined name index, say) makes the
+// frame corrupt, and the follower resyncs.
 func (f *Follower) applyBatch(fr *Frame) error {
 	f.mu.Lock()
 	applied, err := f.applyBatchLocked(fr)
@@ -274,7 +280,7 @@ func (f *Follower) applyBatchLocked(fr *Frame) (uint64, error) {
 			// Apply half the batch, then die: the restarted (or
 			// recovered) follower must resync and converge anyway.
 			half := recs[:len(recs)/2]
-			if err := wal.ReplayN(half, f.store, f.vm, 1); err == nil {
+			if _, err := wal.ReplayN(half, f.names, f.store, f.vm, 1); err == nil {
 				f.applied += uint64(len(half))
 			}
 			if a.Kind == fault.KindExit {
@@ -284,8 +290,14 @@ func (f *Follower) applyBatchLocked(fr *Frame) (uint64, error) {
 			f.err = &Error{Op: "apply", Err: a.Err}
 			return 0, f.err
 		}
-		if err := wal.ReplayN(recs, f.store, f.vm, f.workers); err != nil {
-			f.err = &Error{Op: "apply", Err: err}
+		if _, err := wal.ReplayN(recs, f.names, f.store, f.vm, f.workers); err != nil {
+			stage := "apply"
+			if errors.Is(err, oplog.ErrCorrupt) || errors.Is(err, oplog.ErrFormat) {
+				stage = "decode"
+				f.stats.CorruptFrames++
+				f.needResync = true
+			}
+			f.err = &Error{Op: stage, Err: err}
 			return 0, f.err
 		}
 		f.applied = fr.Seq + n - 1
@@ -328,6 +340,7 @@ func (f *Follower) resync(fr *Frame) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.store, f.vm = store, vm
+	f.names = new(oplog.Decoder) // the stream restarts at a log's head
 	f.pos = wal.ChainPos{Epoch: fr.Epoch}
 	f.applied, f.sealed = 0, 0
 	f.needResync = false

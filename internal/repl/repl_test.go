@@ -12,6 +12,7 @@ import (
 
 	cadcam "cadcam"
 	"cadcam/internal/fault"
+	"cadcam/internal/oplog"
 	"cadcam/internal/paperschema"
 	"cadcam/internal/repl"
 	"cadcam/internal/wal"
@@ -487,5 +488,56 @@ func TestWaitCaughtUpNeedsFreshScan(t *testing.T) {
 	heartbeat(probe.Epoch)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUndefinedNameIndexResyncs: a batch whose record names an index the
+// stream's name table does not hold is a corrupt frame. The follower
+// applies none of it, counts it, and reconnects asking for a resync.
+func TestUndefinedNameIndexResyncs(t *testing.T) {
+	servers := make(chan repl.Conn, 4)
+	f := follow(t, nil, repl.FollowerConfig{
+		Dial: func() (repl.Conn, error) {
+			client, server := repl.Pipe()
+			servers <- server
+			return client, nil
+		},
+		Backoff: repl.BackoffConfig{Base: time.Millisecond, Cap: time.Millisecond},
+	})
+	hello := func(conn repl.Conn) *repl.Frame {
+		t.Helper()
+		b, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := repl.DecodeFrame(b)
+		if err != nil || fr.Kind != repl.KindHello {
+			t.Fatalf("got frame %+v (%v), want a hello", fr, err)
+		}
+		return fr
+	}
+	conn := <-servers
+	if h := hello(conn); h.Flags&repl.FlagResync != 0 {
+		t.Fatalf("first hello asks for a resync: %+v", h)
+	}
+	// A format record defines an empty table; the op then refers to
+	// entry 0 (reference 1) of it.
+	batch := repl.Frame{Kind: repl.KindBatch, Seq: 1, Sealed: 2, Records: [][]byte{
+		{byte(oplog.KindFormat), oplog.FormatVersion},
+		{byte(oplog.KindNewObject), 1, 1, 1, 1},
+	}}
+	if err := conn.Send(batch.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	h := hello(<-servers)
+	if h.Flags&repl.FlagResync == 0 {
+		t.Fatalf("hello after the corrupt batch does not ask for a resync: %+v", h)
+	}
+	st := f.Stats()
+	if st.CorruptFrames != 1 || st.Applied != 0 {
+		t.Fatalf("stats after the corrupt batch: %+v", st)
+	}
+	if err := f.Err(); err == nil || !errors.Is(err, oplog.ErrCorrupt) {
+		t.Fatalf("follower error %v, want a decode error", err)
 	}
 }

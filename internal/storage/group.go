@@ -24,11 +24,17 @@ var (
 // ErrCommitterClosed reports an operation on a closed Group.
 var ErrCommitterClosed = errors.New("storage: committer closed")
 
-// Record is one journal payload source. Encoding is deferred to the
-// committing goroutine, so mutations spend no CPU on serialization while
-// holding database-level locks; implementations must be immutable once
-// enqueued.
-type Record interface{ Encode() []byte }
+// Encoder turns the records of a commit batch into journal payloads.
+// Encoding is deferred to the committing goroutine, so mutations spend no
+// CPU on serialization while holding database-level locks; records must
+// be immutable once enqueued. An Encoder may carry state from batch to
+// batch (the journal's name table), but only within one log: the Group
+// resets it whenever it installs a log, so each log file decodes from
+// its own start. Only the batch leader calls it, one batch at a time.
+type Encoder[R any] interface {
+	EncodeBatch(batch []R) [][]byte
+	Reset()
+}
 
 // GroupConfig configures a Group committer.
 type GroupConfig struct {
@@ -79,9 +85,10 @@ func batchBucket(n int) int {
 	return b
 }
 
-// Group is the group-commit pipeline over one Log. Mutations enqueue
-// encoded-later records (cheap, called under the store mutex to preserve
-// the deterministic replay order) and then — in WaitSync mode — block in
+// Group is the group-commit pipeline over one Log, committing records of
+// type R through an Encoder. Mutations enqueue encoded-later records
+// (cheap, called under the store mutex to preserve the deterministic
+// replay order) and then — in WaitSync mode — block in
 // CommitTail until their records are on disk. Commit uses leader/follower
 // batching: the first waiter becomes the leader, takes the whole queue,
 // encodes it outside every lock, writes it as one frame and fsyncs once;
@@ -92,14 +99,15 @@ func batchBucket(n int) int {
 // A janitor goroutine drains records nobody waits for (async mode, and
 // store-level mutations that bypass the facade's durability wait), so
 // every record reaches the OS promptly even without waiters.
-type Group struct {
+type Group[R any] struct {
 	mu   sync.Mutex
 	work *sync.Cond // janitor wakeup: queue grew, error, close
 	done *sync.Cond // batch completion broadcast
 
 	log   *Log
+	enc   Encoder[R] // state belongs to log; reset with every new log
 	cfg   GroupConfig
-	queue []Record
+	queue []R
 
 	enqueued  uint64 // last sequence assigned
 	written   uint64 // last sequence written to the OS
@@ -122,10 +130,13 @@ type Group struct {
 	stallNs  uint64
 }
 
-// NewGroup starts a committer over log. The Group owns the log until
-// Close (or until SwapLog hands ownership of a replacement).
-func NewGroup(log *Log, cfg GroupConfig) *Group {
-	g := &Group{log: log, cfg: cfg, stopped: make(chan struct{})}
+// NewGroup starts a committer over log, encoding batches with enc (reset
+// first: the log is a new handle even when the file has content). The
+// Group owns the log until Close (or until SwapLog hands ownership of a
+// replacement).
+func NewGroup[R any](log *Log, enc Encoder[R], cfg GroupConfig) *Group[R] {
+	enc.Reset()
+	g := &Group[R]{log: log, enc: enc, cfg: cfg, stopped: make(chan struct{})}
 	g.work = sync.NewCond(&g.mu)
 	g.done = sync.NewCond(&g.mu)
 	go g.janitor()
@@ -138,7 +149,7 @@ func NewGroup(log *Log, cfg GroupConfig) *Group {
 // itself does no encoding and no I/O. Records enqueued after a sticky
 // error or Close are dropped (sequence 0): the store state no longer
 // converges with the journal and mutations must observe Err.
-func (g *Group) Enqueue(rec Record) uint64 {
+func (g *Group[R]) Enqueue(rec R) uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed || g.err != nil {
@@ -154,7 +165,7 @@ func (g *Group) Enqueue(rec Record) uint64 {
 // in WaitSync mode by joining (or leading) a commit batch; in async mode
 // it only surfaces the sticky error. This is the facade's per-mutation
 // durability barrier.
-func (g *Group) CommitTail() error {
+func (g *Group[R]) CommitTail() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.cfg.WaitSync || g.synced >= g.enqueued {
@@ -169,7 +180,7 @@ func (g *Group) CommitTail() error {
 // Flush writes and fsyncs everything enqueued so far, in any mode. The
 // checkpoint path uses it to drain the pipeline into the outgoing epoch's
 // log before swapping.
-func (g *Group) Flush() error {
+func (g *Group[R]) Flush() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.waitLocked(g.enqueued)
@@ -178,7 +189,7 @@ func (g *Group) Flush() error {
 // waitLocked drives the pipeline until target is fsynced: while a batch
 // is in flight it waits for the broadcast, otherwise the calling
 // goroutine becomes the leader and commits the queue itself.
-func (g *Group) waitLocked(target uint64) error {
+func (g *Group[R]) waitLocked(target uint64) error {
 	g.waiters++
 	for g.err == nil && g.synced < target {
 		if g.leading {
@@ -195,7 +206,7 @@ func (g *Group) waitLocked(target uint64) error {
 // and writes the batch as one frame (fsyncing per sync), then reacquires
 // the mutex, publishes the new high-water marks and wakes everyone.
 // Callers must hold g.mu and ensure !g.leading.
-func (g *Group) commitBatchLocked(sync bool) {
+func (g *Group[R]) commitBatchLocked(sync bool) {
 	if len(g.queue) == 0 && (!sync || g.synced >= g.written) {
 		return
 	}
@@ -235,10 +246,7 @@ func (g *Group) commitBatchLocked(sync bool) {
 		if len(batch) == 0 {
 			err = log.Sync() // records already written, only the fsync owed
 		} else {
-			payloads := make([][]byte, len(batch))
-			for i, rec := range batch {
-				payloads[i] = rec.Encode()
-			}
+			payloads := g.enc.EncodeBatch(batch)
 			if err = fpLeaderEncoded.Hit(); err == nil {
 				err = log.AppendBatch(payloads, sync)
 			}
@@ -284,7 +292,7 @@ const janitorGrace = 500 * time.Microsecond
 // records whose writers do not block (store-level mutations outside the
 // facade). When waiters are present they lead their own batches and the
 // janitor stands down.
-func (g *Group) janitor() {
+func (g *Group[R]) janitor() {
 	g.mu.Lock()
 	var graced uint64 // enqueued mark already granted a grace period
 	for {
@@ -317,10 +325,10 @@ func (g *Group) janitor() {
 }
 
 // SwapLog flushes the pipeline into the current log and installs next in
-// its place, returning the drained previous log (still open; the caller
-// closes or removes it). The caller must exclude concurrent Enqueue —
-// the checkpoint path holds the store exclusively.
-func (g *Group) SwapLog(next *Log) (*Log, error) {
+// its place with a reset encoder, returning the drained previous log
+// (still open; the caller closes or removes it). The caller must exclude
+// concurrent Enqueue — the checkpoint path holds the store exclusively.
+func (g *Group[R]) SwapLog(next *Log) (*Log, error) {
 	if err := g.Flush(); err != nil {
 		return nil, err
 	}
@@ -329,15 +337,19 @@ func (g *Group) SwapLog(next *Log) (*Log, error) {
 	if g.closed {
 		return nil, ErrCommitterClosed
 	}
+	for g.leading {
+		g.done.Wait() // the encoder is the leader's until its batch lands
+	}
 	old := g.log
 	g.log = next
+	g.enc.Reset()
 	return old, nil
 }
 
 // Err returns the sticky pipeline error, if any. A non-nil result means
 // records have been lost: durability is compromised and the database
 // should be closed.
-func (g *Group) Err() error {
+func (g *Group[R]) Err() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
@@ -347,7 +359,7 @@ func (g *Group) Err() error {
 // are dropped, waiters wake with the error, later Enqueues are rejected.
 // Used by fault-injection tests; I/O errors arrive the same way
 // internally.
-func (g *Group) Fail(err error) {
+func (g *Group[R]) Fail(err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.err == nil {
@@ -359,7 +371,7 @@ func (g *Group) Fail(err error) {
 }
 
 // Stats snapshots the pipeline counters.
-func (g *Group) Stats() GroupStats {
+func (g *Group[R]) Stats() GroupStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return GroupStats{
@@ -378,7 +390,7 @@ func (g *Group) Stats() GroupStats {
 
 // Close drains and fsyncs the queue, stops the janitor and closes the
 // log. The Group must not be used afterwards.
-func (g *Group) Close() error {
+func (g *Group[R]) Close() error {
 	g.mu.Lock()
 	if g.closed {
 		err := g.err

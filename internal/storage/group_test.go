@@ -9,15 +9,75 @@ import (
 	"testing"
 )
 
-// byteRec is a trivial Record for pipeline tests.
+// byteRec is a trivial record for pipeline tests; byteEnc writes each
+// as its own payload.
 type byteRec []byte
 
-func (r byteRec) Encode() []byte { return []byte(r) }
+type byteEnc struct{}
 
-func newGroup(t *testing.T, cfg GroupConfig) (*Group, string) {
+func (byteEnc) EncodeBatch(batch []byteRec) [][]byte {
+	out := make([][]byte, len(batch))
+	for i, r := range batch {
+		out[i] = r
+	}
+	return out
+}
+
+func (byteEnc) Reset() {}
+
+func newGroup(t *testing.T, cfg GroupConfig) (*Group[byteRec], string) {
 	t.Helper()
 	l, path := openFresh(t)
-	return NewGroup(l, cfg), path
+	return NewGroup[byteRec](l, byteEnc{}, cfg), path
+}
+
+// headEnc opens every log with a "head" payload ahead of its first
+// batch, the way the journal encoder opens each log with a format
+// record.
+type headEnc struct{ started bool }
+
+func (e *headEnc) EncodeBatch(batch []byteRec) [][]byte {
+	out := byteEnc{}.EncodeBatch(batch)
+	if !e.started {
+		e.started = true
+		out = append([][]byte{[]byte("head")}, out...)
+	}
+	return out
+}
+
+func (e *headEnc) Reset() { e.started = false }
+
+// TestGroupEncoderPerLog: the encoder's state belongs to one log. A
+// Group resets it when it starts and on every SwapLog, so each log file
+// opens with its own head, even across batches.
+func TestGroupEncoderPerLog(t *testing.T) {
+	l, path := openFresh(t)
+	enc := &headEnc{started: true} // stale state from an earlier log
+	g := NewGroup[byteRec](l, enc, GroupConfig{SyncCadence: 1, WaitSync: true})
+	for _, r := range []string{"a", "b"} {
+		g.Enqueue(byteRec(r))
+		if err := g.CommitTail(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, _ := openFresh(t)
+	old, err := g.SwapLog(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g.Enqueue(byteRec("c"))
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := reopenRecords(t, path); fmt.Sprintf("%s", recs) != "[head a b]" {
+		t.Errorf("first log = %s, want [head a b]", recs)
+	}
+	if recs := reopenRecords(t, next.path); fmt.Sprintf("%s", recs) != "[head c]" {
+		t.Errorf("second log = %s, want [head c]", recs)
+	}
 }
 
 func reopenRecords(t *testing.T, path string) [][]byte {

@@ -162,6 +162,36 @@ func ReadFrames(path string, from int64) ([]Frame, int64, error) {
 	return ScanFrames(f, from, info.Size())
 }
 
+// ReadFirst returns the first logical record of the log at path without
+// writing, reading only its first frame; nil when the log holds no
+// intact frame. Recovery checks a journal's format with it before
+// OpenLog may truncate anything. A first frame whose CRC fails reads as
+// nil here; OpenLog decides whether that is a torn tail or corruption.
+func ReadFirst(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if info.Size() < headerSize {
+		return nil, nil
+	}
+	header := make([]byte, headerSize)
+	if _, err := f.ReadAt(header, 0); err != nil {
+		return nil, err
+	}
+	end := min(info.Size(), headerSize+int64(binary.LittleEndian.Uint32(header[0:4])))
+	frames, _, err := ScanFrames(f, 0, end)
+	if err != nil || len(frames) == 0 || len(frames[0].Records) == 0 {
+		return nil, err
+	}
+	return frames[0].Records[0], nil
+}
+
 // scan reads records until EOF or a torn/corrupt tail. It distinguishes a
 // torn tail (incomplete final record: tolerated) from interior corruption
 // (checksum mismatch followed by more data: fatal).

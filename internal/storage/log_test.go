@@ -240,3 +240,39 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("length mismatch: %v", err)
 	}
 }
+
+// TestReadFirst: the first record of the first frame (a batch frame
+// expanded), nil for an empty log or a torn first frame, and the file is
+// left as it was.
+func TestReadFirst(t *testing.T) {
+	l, path := openFresh(t)
+	if rec, err := ReadFirst(path); err != nil || rec != nil {
+		t.Fatalf("empty log: %q, %v", rec, err)
+	}
+	if err := l.AppendBatch([][]byte{[]byte("head"), []byte("op")}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := ReadFirst(path); err != nil || string(rec) != "head" {
+		t.Fatalf("ReadFirst = %q, %v; want head", rec, err)
+	}
+	size := l.Size()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := int64(headerSize + len(frameBatch([][]byte{[]byte("head"), []byte("op")})))
+	if err := os.Truncate(path, first-2); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := ReadFirst(path); err != nil || rec != nil {
+		t.Fatalf("torn first frame: %q, %v", rec, err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != first-2 || size <= first {
+		t.Fatalf("ReadFirst changed the log: %v, %v", info.Size(), err)
+	}
+	if _, err := ReadFirst(filepath.Join(t.TempDir(), "missing.log")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing log: %v", err)
+	}
+}

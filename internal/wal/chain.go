@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"cadcam/internal/oplog"
 	"cadcam/internal/storage"
 )
 
@@ -115,7 +116,15 @@ func chainAhead(dir string, epoch uint64) bool {
 // writing twin of TailFrames: both derive their batch boundaries from
 // storage.ScanFrames, so recovery and the replication shipper always
 // agree on what the chain contains.
+//
+// Before anything is truncated, every log of the chain must open with a
+// format record (oplog.FormatVersion); a journal in another record
+// format fails with an error wrapping oplog.ErrFormat and leaves every
+// file as it was.
 func OpenChain(dir string, start uint64) ([][]byte, uint64, *storage.Log, error) {
+	if err := checkFormat(dir, start); err != nil {
+		return nil, 0, nil, err
+	}
 	log, records, err := storage.OpenLog(filepath.Join(dir, WALFilename(start)))
 	if err != nil {
 		return nil, 0, nil, err
@@ -140,4 +149,29 @@ func OpenChain(dir string, start uint64) ([][]byte, uint64, *storage.Log, error)
 		records = append(records, nrecs...)
 	}
 	return records, live, log, nil
+}
+
+// checkFormat reads the first record of each log of the chain rooted at
+// start, without writing, and fails unless each opens with a format
+// record of this version. A log without an intact frame passes: it holds
+// nothing to misread.
+func checkFormat(dir string, start uint64) error {
+	for e := start; ; e++ {
+		first, err := storage.ReadFirst(filepath.Join(dir, WALFilename(e)))
+		if errors.Is(err, os.ErrNotExist) {
+			if e > start {
+				return nil
+			}
+			continue // OpenChain creates the first log
+		}
+		if err != nil {
+			return err
+		}
+		if first == nil {
+			continue
+		}
+		if _, err := new(oplog.Decoder).Decode(first); err != nil {
+			return fmt.Errorf("wal: %s: %w", WALFilename(e), err)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cadcam/internal/oplog"
 	"cadcam/internal/storage"
 )
 
@@ -37,6 +38,11 @@ func buildChain(t *testing.T, dir string) [][][]byte {
 			}
 			if n == 1 && b == 2 {
 				batch = [][]byte{append([]byte{storage.BatchMarker}, rec(epoch, b, 0)...)}
+			}
+			if b == 0 {
+				// Every log opens with a format record, or OpenChain
+				// refuses it.
+				batch[0] = []byte{byte(oplog.KindFormat), oplog.FormatVersion}
 			}
 			if err := log.AppendBatch(batch, true); err != nil {
 				t.Fatal(err)

@@ -242,7 +242,8 @@ type DirState struct {
 	LoadNs int64
 
 	// Records is the concatenated journal chain: every record of epochs
-	// Epoch..LiveEpoch in append order. A checkpoint rotates the journal
+	// Epoch..LiveEpoch in append order, name and format records included,
+	// to be decoded in order by one oplog.Decoder. A checkpoint rotates the journal
 	// *before* committing its manifest, so a crashed or failed checkpoint
 	// leaves several consecutive live logs; all of them replay. Log is the
 	// opened newest journal, which the caller owns.

@@ -10,11 +10,37 @@ import (
 	"cadcam/internal/version"
 )
 
+// fuzzNames is the name table FuzzWALDecode decodes against; seeds in
+// indexed form refer to it.
+var fuzzNames = []string{"GateInterface", "GateImplementation", "Impls", "Length", "TimeBehavior",
+	"AllOf_GateInterface", "SomeOf_Gate", "Pins", "WireType", "Pin1", "Pin2", "NAND", "alt", "Width"}
+
+// primedJournal returns an encoder and a decoder that share the table
+// fuzzNames: the encoder has emitted a batch using each name in order,
+// and the decoder has read that batch.
+func primedJournal(tb testing.TB) (*oplog.Encoder, *oplog.Decoder) {
+	tb.Helper()
+	enc, dec := new(oplog.Encoder), new(oplog.Decoder)
+	var prime []*oplog.Op
+	for _, n := range fuzzNames {
+		prime = append(prime, &oplog.Op{Kind: oplog.KindDropIndex, Name: n})
+	}
+	for _, rec := range enc.EncodeBatch(prime) {
+		if _, err := dec.Decode(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return enc, dec
+}
+
 // FuzzWALDecode drives the operation decoder with arbitrary bytes —
 // exactly what replay faces if a journal frame survives its CRC but
-// carries a damaged payload. Decoding must error or succeed, never
-// panic; and an accepted record must re-encode canonically (decode ∘
-// encode is idempotent after the first round trip).
+// carries a damaged payload. Input is one record, decoded against the
+// name table fuzzNames. Decoding must error or succeed, never panic;
+// and an accepted op must re-encode canonically, both inline (decode ∘
+// encode is idempotent after the first round trip) and through a
+// journal encoder sharing the table. The seeds cover every kind, in the
+// inline form Op.Encode writes and the indexed form the journal writes.
 func FuzzWALDecode(f *testing.F) {
 	seedOps := []*oplog.Op{
 		{Kind: oplog.KindNewObject, Name: "GateInterface", Out: 7},
@@ -35,9 +61,39 @@ func FuzzWALDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
+	every := []*oplog.Op{
+		{Kind: oplog.KindDefineClass, Name: "Impls", Name2: "GateImplementation", Seq: 1},
+		{Kind: oplog.KindNewObject, Name: "GateImplementation", Name2: "Impls", Out: 70001, Seq: 2},
+		{Kind: oplog.KindNewSubobject, Sur: 70001, Name: "Pins", Out: 70002, Seq: 3},
+		{Kind: oplog.KindNewRelSubobject, Sur: 70003, Name: "Pins", Out: 70004, Seq: 4},
+		{Kind: oplog.KindSetAttr, Sur: 70001, Name: "TimeBehavior", Value: domain.Int(5), Seq: 5},
+		{Kind: oplog.KindRelate, Name: "WireType", Parts: map[string]domain.Value{"Pin1": domain.Ref(4), "Pin2": domain.Ref(5)}, Out: 70005, Seq: 6},
+		{Kind: oplog.KindRelateIn, Sur: 70001, Name: "WireType", Parts: map[string]domain.Value{"Pin1": domain.Ref(4)}, Out: 70006, Seq: 7},
+		{Kind: oplog.KindBind, Name: "AllOf_GateInterface", Sur: 70001, Sur2: 6, Out: 70007, Seq: 8},
+		{Kind: oplog.KindUnbind, Name: "AllOf_GateInterface", Sur: 70001, Seq: 9},
+		{Kind: oplog.KindAcknowledge, Name: "SomeOf_Gate", Sur: 2, Num: 77, Seq: 10},
+		{Kind: oplog.KindDelete, Sur: 70001, Seq: 11},
+		{Kind: oplog.KindDeletePolicy, Num: 1},
+		{Kind: oplog.KindDefineDesign, Name: "NAND", Sur: 6},
+		{Kind: oplog.KindAddVersion, Name: "NAND", Sur: 7, Surs: []domain.Surrogate{6}, Name2: "alt"},
+		{Kind: oplog.KindSetStatus, Sur: 7, Name: "released"},
+		{Kind: oplog.KindSetDefault, Name: "NAND", Sur: 7},
+		{Kind: oplog.KindCreateIndex, Name: "w", Name2: "Impls", Value: domain.Str("Width"), Seq: 12},
+		{Kind: oplog.KindDropIndex, Name: "w", Seq: 13},
+	}
+	if len(every) != int(oplog.KindDropIndex) {
+		f.Fatalf("seeds cover %d kinds, want %d", len(every), oplog.KindDropIndex)
+	}
+	enc, _ := primedJournal(f)
+	for _, op := range every {
+		f.Add(op.Encode())
+		recs := enc.EncodeBatch([]*oplog.Op{op})
+		f.Add(recs[len(recs)-1])
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		op, err := oplog.Decode(b)
-		if err != nil {
+		_, dec := primedJournal(t)
+		op, err := dec.Decode(b)
+		if err != nil || op == nil {
 			return
 		}
 		b2 := op.Encode()
@@ -47,6 +103,16 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if b3 := op2.Encode(); !bytes.Equal(b2, b3) {
 			t.Fatalf("encoding not canonical after one round trip:\nfirst:  %x\nsecond: %x", b2, b3)
+		}
+		enc, dec := primedJournal(t)
+		var got *oplog.Op
+		for _, rec := range enc.EncodeBatch([]*oplog.Op{op2}) {
+			if got, err = dec.Decode(rec); err != nil {
+				t.Fatalf("journal round trip of an accepted op failed: %v\ninput: %x", err, b)
+			}
+		}
+		if b4 := got.Encode(); !bytes.Equal(b2, b4) {
+			t.Fatalf("journal round trip changed the op:\ninline:  %x\njournal: %x", b2, b4)
 		}
 	})
 }

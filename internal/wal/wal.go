@@ -18,9 +18,9 @@ import (
 	"cadcam/internal/version"
 )
 
-// Replay decodes and applies journal records in order (recover mode).
-// The storage layer has already expanded batch frames, so each record is
-// one encoded op.
+// Replay decodes and applies journal records in order (recover mode)
+// with a fresh name table, so records must start at the head of a log
+// file. The storage layer has already expanded batch frames.
 //
 // Concurrent writers on the sharded store may append ops to the journal
 // out of sequence-counter order (each op's sequence is assigned inside
@@ -30,7 +30,8 @@ import (
 // reproduces the original assignment, and finally restores the counters
 // to the maxima seen.
 func Replay(records [][]byte, s *object.Store, vm *version.Manager) error {
-	return ReplayN(records, s, vm, 1)
+	_, err := ReplayN(records, new(oplog.Decoder), s, vm, 1)
+	return err
 }
 
 // minParallelRun is the smallest run of shard-local ops worth fanning
@@ -40,7 +41,7 @@ const minParallelRun = 64
 // shardLocal reports whether an op can replay inside its owning shard
 // alone, with its journaled outcome applied verbatim: attribute writes
 // carrying their sequence and acknowledgements carrying their resolved
-// value. Everything else — creation, topology, legacy records without a
+// value. Everything else — creation, topology, records without a
 // recorded Seq — is a barrier that replays serially.
 func shardLocal(op *oplog.Op) bool {
 	switch op.Kind {
@@ -64,9 +65,16 @@ func applyShardLocal(op *oplog.Op, s *object.Store) error {
 	return fmt.Errorf("wal: op kind %d is not shard-local", op.Kind)
 }
 
-// ReplayN is Replay with up to `workers` goroutines (<= 0: GOMAXPROCS).
+// ReplayN is Replay with up to `workers` goroutines (<= 0: GOMAXPROCS),
+// decoding through names, the journal's name table, and returns the
+// number of ops the records held (format and name records are not ops).
+// A caller that feeds one journal in several calls (a follower, batch by
+// batch) passes the same Decoder each time. Records decode serially, in
+// order, since a name record defines what later records refer to; a
+// decode error wraps oplog.ErrCorrupt or oplog.ErrFormat and applies
+// nothing.
 //
-// The journal is split into maximal runs of *shard-local* ops — attribute
+// The ops are split into maximal runs of *shard-local* ops — attribute
 // writes and acknowledgements, which in a long-running store are almost
 // the entire tail — separated by structural barriers (creation, bind,
 // delete, version ops), which replay serially as before. Within a run,
@@ -78,22 +86,18 @@ func applyShardLocal(op *oplog.Op, s *object.Store) error {
 // (binding bookkeeping) are commuting atomics whose outcome the ops carry
 // explicitly. The merged result is therefore byte-identical to a serial
 // replay ordered by the global Op.Seq, for any worker count.
-func ReplayN(records [][]byte, s *object.Store, vm *version.Manager, workers int) error {
+func ReplayN(records [][]byte, names *oplog.Decoder, s *object.Store, vm *version.Manager, workers int) (int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ops := make([]*oplog.Op, len(records))
-	if workers > 1 && len(records) >= minParallelRun {
-		if err := decodeAll(records, ops, workers); err != nil {
-			return err
+	ops := make([]*oplog.Op, 0, len(records))
+	for i, rec := range records {
+		op, err := names.Decode(rec)
+		if err != nil {
+			return 0, fmt.Errorf("wal: record %d: %w", i, err)
 		}
-	} else {
-		for i, rec := range records {
-			op, err := oplog.Decode(rec)
-			if err != nil {
-				return fmt.Errorf("wal: record %d: %w", i, err)
-			}
-			ops[i] = op
+		if op != nil {
+			ops = append(ops, op)
 		}
 	}
 
@@ -113,7 +117,7 @@ func ReplayN(records [][]byte, s *object.Store, vm *version.Manager, workers int
 			}
 			if j-i >= minParallelRun {
 				if err := replayRun(ops[i:j], s, i, workers); err != nil {
-					return err
+					return 0, err
 				}
 				i = j
 				continue
@@ -122,7 +126,7 @@ func ReplayN(records [][]byte, s *object.Store, vm *version.Manager, workers int
 		}
 		s.PrimeReplay(op.Seq, op.Out)
 		if err := Apply(op, s, vm, true); err != nil {
-			return fmt.Errorf("wal: record %d: %w", i, err)
+			return 0, fmt.Errorf("wal: op %d: %w", i, err)
 		}
 		if op.Seq > maxSeq {
 			maxSeq = op.Seq
@@ -131,53 +135,17 @@ func ReplayN(records [][]byte, s *object.Store, vm *version.Manager, workers int
 			maxSur = op.Out
 		}
 		if cur := s.Seq(); cur > maxSeq {
-			maxSeq = cur // pre-Seq logs replay in append order
+			maxSeq = cur // ops without a recorded Seq replay in append order
 		}
 		i++
 	}
 	s.FinishReplay(maxSeq, maxSur)
-	return nil
-}
-
-// decodeAll decodes records into ops on `workers` goroutines (records
-// are independent; only application has ordering constraints).
-func decodeAll(records [][]byte, ops []*oplog.Op, workers int) error {
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (len(records) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(records) {
-			hi = len(records)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				op, err := oplog.Decode(records[i])
-				if err != nil {
-					errs[w] = fmt.Errorf("wal: record %d: %w", i, err)
-					return
-				}
-				ops[i] = op
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return len(ops), nil
 }
 
 // replayRun applies one run of shard-local ops, partitioned by owning
 // shard, one goroutine per non-empty partition (bounded by workers via
-// partition interleaving). base is the run's first global record index,
+// partition interleaving). base is the run's first global op index,
 // for error reporting. On concurrent failures the error of the earliest
 // record wins, matching what a serial replay would have reported first.
 func replayRun(run []*oplog.Op, s *object.Store, base, workers int) error {
@@ -220,7 +188,7 @@ func replayRun(run []*oplog.Op, s *object.Store, base, workers int) error {
 		}
 	}
 	if first != nil {
-		return fmt.Errorf("wal: record %d: %w", base+first.idx, first.err)
+		return fmt.Errorf("wal: op %d: %w", base+first.idx, first.err)
 	}
 	return nil
 }

@@ -65,6 +65,7 @@ func TestSnapshotExportMatchesTruncatedReplay(t *testing.T) {
 	// Truncate the journal at S: keep exactly the sequenced ops at or
 	// below the pin (cross-shard appends may be out of order in the log;
 	// the per-op sequence is the truncation criterion, not file order).
+	// Format and name records stay: the kept ops refer to their names.
 	sc, err := ScanJournal(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +74,13 @@ func TestSnapshotExportMatchesTruncatedReplay(t *testing.T) {
 		t.Fatal("unexpected checkpoint in fresh directory")
 	}
 	var kept [][]byte
+	var names oplog.Decoder
 	for _, rec := range sc.Records {
-		op, err := oplog.Decode(rec)
+		op, err := names.Decode(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op.Seq > 0 && op.Seq <= S {
+		if op == nil || op.Seq > 0 && op.Seq <= S {
 			kept = append(kept, rec)
 		}
 	}
