@@ -1,8 +1,6 @@
 package cadcam
 
 import (
-	"strings"
-
 	"cadcam/internal/domain"
 	"cadcam/internal/expr"
 	"cadcam/internal/inherit"
@@ -191,16 +189,6 @@ func (db *Database) SetAttr(sur Surrogate, name string, v Value) error {
 	return db.afterWrite(db.store.SetAttr(sur, name, v))
 }
 
-// GetAttr reads an attribute with view-semantics inheritance resolution.
-func (db *Database) GetAttr(sur Surrogate, name string) (Value, error) {
-	return db.store.GetAttr(sur, name)
-}
-
-// Members lists a local subclass (following inheritance).
-func (db *Database) Members(sur Surrogate, name string) ([]Surrogate, error) {
-	return db.store.Members(sur, name)
-}
-
 // Relate creates a top-level relationship object.
 func (db *Database) Relate(relType string, parts Participants) (Surrogate, error) {
 	if err := db.Err(); err != nil {
@@ -259,15 +247,6 @@ func (db *Database) Delete(sur Surrogate) error {
 	}
 	return db.afterWrite(db.store.Delete(sur))
 }
-
-// Exists reports whether a surrogate is live.
-func (db *Database) Exists(sur Surrogate) bool { return db.store.Exists(sur) }
-
-// TypeOf returns an object's type name.
-func (db *Database) TypeOf(sur Surrogate) (string, error) { return db.store.TypeOf(sur) }
-
-// Class lists a database-level class extent.
-func (db *Database) Class(name string) ([]Surrogate, error) { return db.store.Class(name) }
 
 // CheckConstraints evaluates one object's local integrity constraints.
 func (db *Database) CheckConstraints(sur Surrogate) ([]ConstraintViolation, error) {
@@ -346,33 +325,75 @@ func (db *Database) Stats() DBStats {
 	return st
 }
 
-// ---- inheritance utilities ----
+// ---- reads ----
+
+// reader is the read surface Database and SnapshotView share. Every
+// method reads through one object.View: the live store's for a Database,
+// the pinned snapshot's for a SnapshotView, which sees the exact state at
+// its pin while mutations proceed.
+type reader struct{ v object.View }
+
+// GetAttr reads an attribute with view-semantics inheritance resolution.
+func (r reader) GetAttr(sur Surrogate, name string) (Value, error) { return r.v.GetAttr(sur, name) }
+
+// Members lists a local subclass (following inheritance).
+func (r reader) Members(sur Surrogate, name string) ([]Surrogate, error) {
+	return r.v.Members(sur, name)
+}
+
+// Exists reports whether a surrogate denotes a visible object.
+func (r reader) Exists(sur Surrogate) bool { return r.v.Exists(sur) }
+
+// TypeOf returns an object's type name.
+func (r reader) TypeOf(sur Surrogate) (string, error) { return r.v.TypeOf(sur) }
+
+// Class lists a database-level class extent.
+func (r reader) Class(name string) ([]Surrogate, error) { return r.v.Class(name) }
+
+// Indexes lists the usable secondary-index definitions, sorted by name: at
+// a pin, those maintained across it.
+func (r reader) Indexes() []IndexDef { return r.v.Indexes() }
 
 // Ancestors lists the abstraction hierarchy above an object.
-func (db *Database) Ancestors(sur Surrogate) []Surrogate {
-	return inherit.Ancestors(db.store, sur)
-}
+func (r reader) Ancestors(sur Surrogate) []Surrogate { return inherit.Ancestors(r.v, sur) }
 
 // Descendants lists every object inheriting (transitively) from sur.
-func (db *Database) Descendants(sur Surrogate) []Surrogate {
-	return inherit.Descendants(db.store, sur)
-}
+func (r reader) Descendants(sur Surrogate) []Surrogate { return inherit.Descendants(r.v, sur) }
 
 // PendingAdaptations reports bindings whose inheritors have not adapted
 // to transmitter changes.
-func (db *Database) PendingAdaptations() []Adaptation {
-	return inherit.PendingAdaptations(db.store)
-}
+func (r reader) PendingAdaptations() []Adaptation { return inherit.PendingAdaptations(r.v) }
 
 // Expand materializes the component tree of a composite object.
-func (db *Database) Expand(root Surrogate) (*Expansion, error) {
-	return inherit.Expand(db.store, root)
-}
+func (r reader) Expand(root Surrogate) (*Expansion, error) { return inherit.Expand(r.v, root) }
 
 // VisibleComponents computes the component closure (the portions lock
 // inheritance protects).
-func (db *Database) VisibleComponents(root Surrogate) ([]Portion, error) {
-	return inherit.VisibleComponents(db.store, root)
+func (r reader) VisibleComponents(root Surrogate) ([]Portion, error) {
+	return inherit.VisibleComponents(r.v, root)
+}
+
+// Query returns the members of a database-level class satisfying a
+// constraint-language predicate, e.g. db.Query("plates", "Width > 4 and
+// Material = \"steel\""). The planner uses a secondary index when one
+// matches a sargable conjunct; results are sorted by surrogate. An empty
+// predicate lists the whole extent. Rows on which the predicate cannot
+// be evaluated do not match. On a SnapshotView the whole query —
+// extents, attribute values and index probes — runs at the pin, so the
+// result is what Database.Query returned there.
+func (r reader) Query(className, where string) ([]Surrogate, error) {
+	out, _, err := query.Run(r.v, className, where)
+	return out, err
+}
+
+// Explain renders the access plan Query would choose, with estimates and
+// rejected alternatives.
+func (r reader) Explain(className, where string) (string, error) {
+	p, err := query.Prepare(r.v, className, where)
+	if err != nil {
+		return "", err
+	}
+	return p.Explain(), nil
 }
 
 // ---- snapshot reads ----
@@ -384,14 +405,17 @@ func (db *Database) VisibleComponents(root Surrogate) ([]Portion, error) {
 // speed. Views are refcount-pinned — call Release when done so the
 // version sweeper can reclaim the chain nodes retained for the pin.
 type SnapshotView struct {
+	reader
 	snap *object.Snapshot
 }
 
 // SnapshotView pins the current sequence point and returns a consistent
 // view of it. The pin itself briefly takes the store's shard read locks
 // (the same order writers use), so it lands between operations.
-func (db *Database) SnapshotView() *SnapshotView {
-	return &SnapshotView{snap: db.store.Snapshot()}
+func (db *Database) SnapshotView() *SnapshotView { return viewOf(db.store.Snapshot()) }
+
+func viewOf(snap *object.Snapshot) *SnapshotView {
+	return &SnapshotView{reader: reader{snap.View}, snap: snap}
 }
 
 // Seq returns the pinned sequence point.
@@ -403,56 +427,11 @@ func (v *SnapshotView) Release() { v.snap.Release() }
 // Snapshot exposes the underlying store snapshot (for store-level APIs).
 func (v *SnapshotView) Snapshot() *object.Snapshot { return v.snap }
 
-// Exists reports whether the surrogate was live at the pin.
-func (v *SnapshotView) Exists(sur Surrogate) bool { return v.snap.Exists(sur) }
-
-// TypeOf returns the type name of an object visible at the pin.
-func (v *SnapshotView) TypeOf(sur Surrogate) (string, error) { return v.snap.TypeOf(sur) }
-
-// GetAttr reads an attribute at the pin with full view-semantics
-// inheritance resolution.
-func (v *SnapshotView) GetAttr(sur Surrogate, name string) (Value, error) {
-	return v.snap.GetAttr(sur, name)
-}
-
-// Members lists a local subclass at the pin (following inheritance).
-func (v *SnapshotView) Members(sur Surrogate, name string) ([]Surrogate, error) {
-	return v.snap.Members(sur, name)
-}
-
-// Class lists a database-level class extent at the pin.
-func (v *SnapshotView) Class(name string) ([]Surrogate, error) { return v.snap.Class(name) }
-
 // ClassNames lists the database-level classes that existed at the pin.
 func (v *SnapshotView) ClassNames() []string { return v.snap.ClassNames() }
 
 // Surrogates lists every object visible at the pin, ascending.
 func (v *SnapshotView) Surrogates() []Surrogate { return v.snap.Surrogates() }
-
-// Ancestors lists the abstraction hierarchy above an object at the pin.
-func (v *SnapshotView) Ancestors(sur Surrogate) []Surrogate {
-	return inherit.Ancestors(v.snap, sur)
-}
-
-// Descendants lists every object inheriting from sur at the pin.
-func (v *SnapshotView) Descendants(sur Surrogate) []Surrogate {
-	return inherit.Descendants(v.snap, sur)
-}
-
-// PendingAdaptations reports the adaptations pending at the pin.
-func (v *SnapshotView) PendingAdaptations() []Adaptation {
-	return inherit.PendingAdaptations(v.snap)
-}
-
-// Expand materializes the component tree of a composite at the pin.
-func (v *SnapshotView) Expand(root Surrogate) (*Expansion, error) {
-	return inherit.Expand(v.snap, root)
-}
-
-// VisibleComponents computes the component closure at the pin.
-func (v *SnapshotView) VisibleComponents(root Surrogate) ([]Portion, error) {
-	return inherit.VisibleComponents(v.snap, root)
-}
 
 // ---- queries ----
 
@@ -498,71 +477,10 @@ func (db *Database) DropIndex(name string) error {
 	return db.afterWrite(db.store.DropIndex(name))
 }
 
-// Indexes lists the live secondary-index definitions, sorted by name.
-func (db *Database) Indexes() []IndexDef { return db.store.Indexes() }
-
-// Query returns the members of a database-level class satisfying a
-// constraint-language predicate, e.g. db.Query("plates", "Width > 4 and
-// Material = \"steel\""). The planner uses a secondary index when one
-// matches a sargable conjunct; results are sorted by surrogate. An empty
-// predicate lists the whole extent. Rows on which the predicate cannot
-// be evaluated do not match.
-func (db *Database) Query(className, where string) ([]Surrogate, error) {
-	out, _, err := query.Run(query.ForStore(db.store), className, where)
-	return out, err
-}
-
 // Plan builds (without running) the access plan Query would use.
 func (db *Database) Plan(className, where string) (*QueryPlan, error) {
-	_, p, err := planOnly(query.ForStore(db.store), className, where)
-	return p, err
+	return query.Prepare(db.store.View, className, where)
 }
-
-// Explain renders the access plan Query would choose, with estimates and
-// rejected alternatives.
-func (db *Database) Explain(className, where string) (string, error) {
-	p, err := db.Plan(className, where)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
-}
-
-// planOnly parses and plans without executing.
-func planOnly(src query.Source, className, where string) ([]Surrogate, *QueryPlan, error) {
-	var e expr.Expr
-	if strings.TrimSpace(where) != "" {
-		parsed, err := expr.Parse(where)
-		if err != nil {
-			return nil, nil, err
-		}
-		e = parsed
-	}
-	p, err := query.Build(src, className, e)
-	return nil, p, err
-}
-
-// Query is the snapshot form: it runs entirely against the pin's
-// sequence point — extents, attribute values and index probes — so the
-// result is consistent no matter what writers do concurrently, and
-// identical to what Database.Query returned at the pin.
-func (v *SnapshotView) Query(className, where string) ([]Surrogate, error) {
-	out, _, err := query.Run(query.ForSnapshot(v.snap), className, where)
-	return out, err
-}
-
-// Explain renders the plan a snapshot query would use (only indexes
-// maintained across the pin's sequence point are eligible).
-func (v *SnapshotView) Explain(className, where string) (string, error) {
-	_, p, err := planOnly(query.ForSnapshot(v.snap), className, where)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
-}
-
-// Indexes lists the index definitions usable at the pin.
-func (v *SnapshotView) Indexes() []IndexDef { return v.snap.Indexes() }
 
 // ---- version operations (journaled under db.mu) ----
 //

@@ -986,7 +986,7 @@ func BenchmarkE17_QueryFullScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := query.ForStore(db.Store())
+	src := db.Store().View
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := query.Naive(src, "gates", where); err != nil {
@@ -1047,7 +1047,7 @@ func TestQueryIndexSpeedupLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := query.ForStore(db.Store())
+	src := db.Store().View
 
 	timeOne := func(rounds int, op func() error) float64 {
 		best := 0.0

@@ -86,7 +86,7 @@ func queryProbes(report *jsonReport) error {
 
 	// Best-of-rounds, alternating sides, so transient load cannot fake a
 	// speedup (same discipline as the shards probe).
-	src := query.ForStore(db.Store())
+	src := db.Store().View
 	where, err := expr.Parse(headline)
 	if err != nil {
 		return err

@@ -227,6 +227,9 @@ type RecoveryStats struct {
 
 // Database is one open CAD/CAM database.
 type Database struct {
+	// reader serves the read methods through the live store's View.
+	reader
+
 	cat      *schema.Catalog
 	store    *object.Store
 	versions *version.Manager
@@ -297,6 +300,7 @@ func Open(cat *schema.Catalog, opts Options) (*Database, error) {
 			WaitSync:    opts.durable(),
 		})
 	}
+	db.reader = reader{db.store.View}
 	if db.committer != nil {
 		db.store.SetJournal(db.appendOp)
 	}

@@ -3,6 +3,10 @@
 // adaptation bookkeeping reports (§2), the component-closure ("expansion")
 // of composite objects (§6), and a materialized copy-import mode that
 // reproduces the copy-vs-view comparison of §2 for the benchmark harness.
+//
+// Every traversal reads through an object.View: the live store's
+// (Store.View) reports the moving present, a pinned snapshot's
+// (Snapshot.View) a consistent sequence point while writers proceed.
 package inherit
 
 import (
@@ -11,33 +15,13 @@ import (
 
 	"cadcam/internal/domain"
 	"cadcam/internal/object"
-	"cadcam/internal/schema"
-)
-
-// Source is the read surface the traversals run against. Both the live
-// *object.Store and a pinned *object.Snapshot satisfy it, so every
-// report in this package can be computed either against the moving
-// present or against a consistent sequence point while writers proceed.
-type Source interface {
-	Get(sur domain.Surrogate) (*object.Object, error)
-	GetAttr(sur domain.Surrogate, name string) (domain.Value, error)
-	Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error)
-	Surrogates() []domain.Surrogate
-	Catalog() *schema.Catalog
-	BindingsOfInheritor(inheritor domain.Surrogate) map[string]*object.Binding
-	BindingsOfTransmitter(transmitter domain.Surrogate) []*object.Binding
-}
-
-var (
-	_ Source = (*object.Store)(nil)
-	_ Source = (*object.Snapshot)(nil)
 )
 
 // Ancestors returns the abstraction hierarchy above an object: every
 // transmitter reachable by walking bindings upward, in breadth-first
 // order starting with the direct transmitters. For a gate implementation
 // this is [its interface, the interface's super-interface, ...].
-func Ancestors(s Source, sur domain.Surrogate) []domain.Surrogate {
+func Ancestors(s object.View, sur domain.Surrogate) []domain.Surrogate {
 	var out []domain.Surrogate
 	seen := map[domain.Surrogate]bool{sur: true}
 	frontier := []domain.Surrogate{sur}
@@ -62,7 +46,7 @@ func Ancestors(s Source, sur domain.Surrogate) []domain.Surrogate {
 // Descendants returns every inheritor reachable by walking bindings
 // downward: all implementations and composites whose data depends on this
 // object, in breadth-first order.
-func Descendants(s Source, sur domain.Surrogate) []domain.Surrogate {
+func Descendants(s object.View, sur domain.Surrogate) []domain.Surrogate {
 	var out []domain.Surrogate
 	seen := map[domain.Surrogate]bool{sur: true}
 	frontier := []domain.Surrogate{sur}
@@ -97,7 +81,7 @@ type Adaptation struct {
 // read through GetAttr rather than the binding's live bookkeeping, so a
 // snapshot source reports the adaptations that were pending at its
 // sequence point, not at scan time.
-func PendingAdaptations(s Source) []Adaptation {
+func PendingAdaptations(s object.View) []Adaptation {
 	var out []Adaptation
 	for _, sur := range s.Surrogates() {
 		bs := s.BindingsOfInheritor(sur)
@@ -132,7 +116,7 @@ func PendingAdaptations(s Source) []Adaptation {
 // AcknowledgeAll clears every pending adaptation and reports how many
 // bindings it acknowledged.
 func AcknowledgeAll(s *object.Store) (int, error) {
-	pending := PendingAdaptations(s)
+	pending := PendingAdaptations(s.View)
 	for _, a := range pending {
 		if err := s.Acknowledge(a.Rel, a.Inheritor); err != nil {
 			return 0, err
@@ -157,12 +141,10 @@ type Portion struct {
 // expanded recursively (an interface whose data flows from a
 // super-interface contributes that portion too). The result is
 // deterministic: ordered by (object, rel).
-func VisibleComponents(s Source, root domain.Surrogate) ([]Portion, error) {
-	o, err := s.Get(root)
-	if err != nil {
+func VisibleComponents(s object.View, root domain.Surrogate) ([]Portion, error) {
+	if _, err := s.Get(root); err != nil {
 		return nil, err
 	}
-	_ = o
 	var out []Portion
 	seenBinding := make(map[domain.Surrogate]bool)
 	var visitObject func(sur domain.Surrogate) error
@@ -210,7 +192,7 @@ func VisibleComponents(s Source, root domain.Surrogate) ([]Portion, error) {
 
 // subobjectsOf lists the members of every own (non-inherited) subclass and
 // sub-relationship of an object.
-func subobjectsOf(s Source, sur domain.Surrogate) ([]domain.Surrogate, error) {
+func subobjectsOf(s object.View, sur domain.Surrogate) ([]domain.Surrogate, error) {
 	o, err := s.Get(sur)
 	if err != nil {
 		return nil, err
@@ -288,7 +270,7 @@ func (e *Expansion) Leaves() []domain.Surrogate {
 // "sub:<class>" children and bound transmitters as inher-rel children.
 // Shared components appear once per usage path but cycles are impossible
 // (bindings are acyclic).
-func Expand(s Source, root domain.Surrogate) (*Expansion, error) {
+func Expand(s object.View, root domain.Surrogate) (*Expansion, error) {
 	o, err := s.Get(root)
 	if err != nil {
 		return nil, err

@@ -95,7 +95,7 @@ func contains(list []domain.Surrogate, sur domain.Surrogate) bool {
 
 func TestAncestors(t *testing.T) {
 	r := buildRig(t)
-	anc := Ancestors(r.s, r.user)
+	anc := Ancestors(r.s.View, r.user)
 	// user -> impl -> iface -> rootI (and nothing else: the component
 	// interfaces are reached via subobjects, not via user's bindings).
 	want := []domain.Surrogate{r.impl, r.iface, r.rootI}
@@ -107,14 +107,14 @@ func TestAncestors(t *testing.T) {
 			t.Errorf("ancestors[%d] = %v, want %v", i, anc[i], want[i])
 		}
 	}
-	if got := Ancestors(r.s, r.rootI); len(got) != 0 {
+	if got := Ancestors(r.s.View, r.rootI); len(got) != 0 {
 		t.Errorf("hierarchy root should have no ancestors: %v", got)
 	}
 }
 
 func TestDescendants(t *testing.T) {
 	r := buildRig(t)
-	desc := Descendants(r.s, r.rootI)
+	desc := Descendants(r.s.View, r.rootI)
 	// rootI transmits to iface, iface to impl, impl to user.
 	for _, want := range []domain.Surrogate{r.iface, r.impl, r.user} {
 		if !contains(desc, want) {
@@ -124,7 +124,7 @@ func TestDescendants(t *testing.T) {
 	if contains(desc, r.sub0) {
 		t.Error("sub0 inherits from compIface, not rootI")
 	}
-	cdesc := Descendants(r.s, r.compI)
+	cdesc := Descendants(r.s.View, r.compI)
 	for _, want := range []domain.Surrogate{r.compIface, r.sub0, r.sub1} {
 		if !contains(cdesc, want) {
 			t.Errorf("component descendants should include %v: %v", want, cdesc)
@@ -134,7 +134,7 @@ func TestDescendants(t *testing.T) {
 
 func TestPendingAdaptationsAndAcknowledgeAll(t *testing.T) {
 	r := buildRig(t)
-	if p := PendingAdaptations(r.s); len(p) != 0 {
+	if p := PendingAdaptations(r.s.View); len(p) != 0 {
 		t.Fatalf("fresh rig should be clean: %v", p)
 	}
 	// One interface update flags the impl binding and, via the chain, the
@@ -142,7 +142,7 @@ func TestPendingAdaptationsAndAcknowledgeAll(t *testing.T) {
 	if err := r.s.SetAttr(r.iface, "Length", domain.Int(5)); err != nil {
 		t.Fatal(err)
 	}
-	p := PendingAdaptations(r.s)
+	p := PendingAdaptations(r.s.View)
 	if len(p) != 2 {
 		t.Fatalf("pending = %+v, want 2", p)
 	}
@@ -160,7 +160,7 @@ func TestPendingAdaptationsAndAcknowledgeAll(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("AcknowledgeAll = %d, %v", n, err)
 	}
-	if p := PendingAdaptations(r.s); len(p) != 0 {
+	if p := PendingAdaptations(r.s.View); len(p) != 0 {
 		t.Errorf("still pending after acknowledge: %v", p)
 	}
 }
@@ -168,7 +168,7 @@ func TestPendingAdaptationsAndAcknowledgeAll(t *testing.T) {
 func TestVisibleComponents(t *testing.T) {
 	// Experiment E4 (Figure 3/4): the component closure of the composite.
 	r := buildRig(t)
-	portions, err := VisibleComponents(r.s, r.impl)
+	portions, err := VisibleComponents(r.s.View, r.impl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +194,14 @@ func TestVisibleComponents(t *testing.T) {
 			t.Errorf("iface portion members = %v", p.Members)
 		}
 	}
-	if _, err := VisibleComponents(r.s, 9999); err == nil {
+	if _, err := VisibleComponents(r.s.View, 9999); err == nil {
 		t.Error("missing object should error")
 	}
 }
 
 func TestExpand(t *testing.T) {
 	r := buildRig(t)
-	exp, err := Expand(r.s, r.user)
+	exp, err := Expand(r.s.View, r.user)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestExpand(t *testing.T) {
 	if exp.Children[0].Rel != paperschema.RelSomeOfGate {
 		t.Errorf("first child rel = %q", exp.Children[0].Rel)
 	}
-	if _, err := Expand(r.s, 9999); err == nil {
+	if _, err := Expand(r.s.View, 9999); err == nil {
 		t.Error("missing object should error")
 	}
 }

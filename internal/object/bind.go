@@ -218,18 +218,6 @@ func (s *Store) BindingOf(inheritor domain.Surrogate, relType string) (*Binding,
 	return b, true
 }
 
-// BindingsOfTransmitter returns all bindings in which the object is the
-// transmitter (its inheritors).
-func (s *Store) BindingsOfTransmitter(transmitter domain.Surrogate) []*Binding {
-	return s.live().bindingsOfTransmitter(transmitter)
-}
-
-// BindingsOfInheritor returns all bindings in which the object is the
-// inheritor, keyed by relationship type name.
-func (s *Store) BindingsOfInheritor(inheritor domain.Surrogate) map[string]*Binding {
-	return s.live().bindingsOfInheritor(inheritor)
-}
-
 // bindingLocked finds the inheritor's binding; callers hold at least one
 // shard lock.
 func (s *Store) bindingLocked(inheritor domain.Surrogate, relType string) *Binding {

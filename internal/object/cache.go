@@ -27,14 +27,14 @@ import (
 // resolution runs under a shard lock, which freezes topology store-wide
 // (see the shard type), so the recorded stamps are exact.
 //
-// Entry: every read that can be served from a route enters through the
-// read context's entry points (rd.attrOf, membersOf, collectionOf in
-// read.go): Store.GetAttr/Members, the exported expression environment
-// (Store.Env, ClassEnv member reads — so query residuals hit the cache
-// too), ResolveChainStamped, and their Snapshot forms, which check the
-// stamps against the pin's epochs instead of the current ones. Only live
-// resolutions memoize; snapshot and index-maintenance resolutions do not,
-// and environments inside store operations bypass the hit path.
+// Entry: every read that can be served from a route enters through a
+// View's entry points (GetAttr, Members, collectionOf in read.go): the
+// exported expression environment (View.Env, ClassEnv member reads — so
+// query residuals hit the cache too), ResolveChainStamped and ChainOwner.
+// A pinned View checks the stamps against the pin's epochs instead of the
+// current ones. Only live resolutions memoize; snapshot and
+// index-maintenance resolutions do not, and environments inside store
+// operations bypass the hit path.
 //
 // Concurrency: routes live in sync.Maps and attribute slots publish
 // atomically, so the GetAttr/Members hit path takes no lock. Structural
@@ -95,8 +95,13 @@ func (rc *routeCache) reset() {
 }
 
 // stampChain collects the current epochs of the distinct shards along a
-// chain. Callers hold at least one shard lock, so the epochs cannot move.
-func (s *Store) stampChain(chain []domain.Surrogate) []shardStamp {
+// chain; a pinned chain has none. Live callers hold at least one shard
+// lock, so the epochs cannot move.
+func (r View) stampChain(chain []domain.Surrogate) []shardStamp {
+	if !r.isLive() {
+		return nil
+	}
+	s := r.s
 	stamps := make([]shardStamp, 0, 2)
 	for _, sur := range chain {
 		idx := s.shardIndex(sur)
@@ -114,25 +119,24 @@ func (s *Store) stampChain(chain []domain.Surrogate) []shardStamp {
 	return stamps
 }
 
-// memoAttr stores an attribute route resolved under a shard lock (no
-// epoch can move while any shard lock is held, so the stamps are exact).
-func (s *Store) memoAttr(sur domain.Surrogate, name string, slot *vchain[domain.Value], chain []domain.Surrogate) *route {
-	r := &route{stamps: s.stampChain(chain), slot: slot, chain: chain}
-	sh := s.shardOf(sur)
-	sh.routes.attrs.Load().Store(routeKey{sur, name}, r)
+// memo stamps a route resolved under a shard lock (no epoch can move
+// while any shard lock is held, so the stamps are exact) and stores it
+// under (sur, name) in the attribute or members map of sur's shard. A
+// pinned resolution describes the past: it is neither stamped nor stored.
+func (r View) memo(attr bool, sur domain.Surrogate, name string, rt *route) *route {
+	if !r.isLive() {
+		return rt
+	}
+	rt.stamps = r.stampChain(rt.chain)
+	sh := r.s.shardOf(sur)
+	m := &sh.routes.members
+	if attr {
+		m = &sh.routes.attrs
+	}
+	m.Load().Store(routeKey{sur, name}, rt)
 	sh.routes.stored.Add(1)
 	sh.misses.Add(1)
-	return r
-}
-
-// memoMembers stores a members route resolved under a shard lock.
-func (s *Store) memoMembers(sur domain.Surrogate, name string, cls *Class, chain []domain.Surrogate) *route {
-	r := &route{stamps: s.stampChain(chain), cls: cls, chain: chain}
-	sh := s.shardOf(sur)
-	sh.routes.members.Load().Store(routeKey{sur, name}, r)
-	sh.routes.stored.Add(1)
-	sh.misses.Add(1)
-	return r
+	return rt
 }
 
 // bumpEpoch invalidates every memoized route that crosses the shard.
@@ -227,57 +231,70 @@ func (s *Store) StampValid(st ChainStamp) bool {
 	return true
 }
 
-// ResolveChain returns the surrogates visited when resolving member on
-// sur: the object itself followed by each transmitter along the
+// ResolveChainStamped returns the surrogates visited when resolving
+// member on sur: the object itself followed by each transmitter along the
 // inheritance chain, ending at the member's owner. Transactions lock the
 // chain (lock inheritance runs in the reverse direction of data
 // inheritance, §6). Names that are not inherited — own members, unknown
-// names, relationship objects — resolve to just the object itself.
-func (s *Store) ResolveChain(sur domain.Surrogate, member string) ([]domain.Surrogate, error) {
-	chain, _, err := s.ResolveChainStamped(sur, member)
-	return chain, err
+// names, relationship objects — resolve to just the object itself. The
+// ChainStamp records the structure epochs of every shard the chain
+// crosses, so the caller can cheaply re-check (StampValid) that the chain
+// is still current after acquiring locks on it.
+func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]domain.Surrogate, ChainStamp, error) {
+	chain, stamps, err := s.resolveChain(sur, member)
+	return chain, ChainStamp{stamps: stamps}, err
 }
 
-// ResolveChainStamped is ResolveChain plus a ChainStamp recording the
-// structure epochs of every shard the chain crosses, so the caller can
-// cheaply re-check (StampValid) that the chain is still current after
-// acquiring locks on it.
-func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]domain.Surrogate, ChainStamp, error) {
-	r := s.live()
-	sh := s.shardOf(sur)
+// ChainOwner returns the object owning what member resolves to on sur at
+// the read point: the end of its inheritance chain, sur itself for a
+// member that is not inherited. Members sharing an owner share the value,
+// which the query planner's route probe exploits.
+func (r View) ChainOwner(sur domain.Surrogate, member string) (domain.Surrogate, bool) {
+	chain, _, err := r.resolveChain(sur, member)
+	if err != nil || len(chain) == 0 {
+		return 0, false
+	}
+	return chain[len(chain)-1], true
+}
+
+// resolveChain lists the surrogates visited resolving member on sur at
+// the read point, from a valid route or by walking, with the chain's
+// stamps (none at a pin, see memo).
+func (r View) resolveChain(sur domain.Surrogate, member string) ([]domain.Surrogate, []shardStamp, error) {
+	sh := r.s.shardOf(sur)
 	if rt := r.route(sh, &sh.routes.attrs, sur, member); rt != nil {
-		return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+		return rt.chain, rt.stamps, nil
 	}
 	if rt := r.route(sh, &sh.routes.members, sur, member); rt != nil {
-		return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+		return rt.chain, rt.stamps, nil
 	}
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
 	if !ok {
-		return nil, ChainStamp{}, noObject(sur)
+		return nil, nil, noObject(sur)
 	}
+	self := []domain.Surrogate{sur}
 	var err error
-	if eff, effErr := s.effectiveLocked(o); effErr == nil {
+	if eff, effErr := r.s.effectiveLocked(o); effErr == nil {
 		if a, ok := eff.Attr(member); ok && a.Inherited() {
-			slot, chain, err := r.attrWalk(o, member, []domain.Surrogate{sur})
+			slot, chain, err := r.attrWalk(o, member, self)
 			if err != nil {
-				return nil, ChainStamp{}, err
+				return nil, nil, err
 			}
-			rt := s.memoAttr(sur, member, slot, chain)
-			return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+			rt := r.memo(true, sur, member, &route{slot: slot, chain: chain})
+			return rt.chain, rt.stamps, nil
 		}
 		if sd, ok := eff.SubclassByName(member); ok && sd.Inherited() {
 			var cls *Class
 			var chain []domain.Surrogate
-			if cls, chain, err = r.subclassWalk(o, member, []domain.Surrogate{sur}); err == nil {
-				rt := s.memoMembers(sur, member, cls, chain)
-				return rt.chain, ChainStamp{stamps: rt.stamps}, nil
+			if cls, chain, err = r.subclassWalk(o, member, self); err == nil {
+				rt := r.memo(false, sur, member, &route{cls: cls, chain: chain})
+				return rt.chain, rt.stamps, nil
 			}
 			if err == errNoMembersYet {
 				err = nil
 			}
 		}
 	}
-	self := []domain.Surrogate{sur}
-	return self, ChainStamp{stamps: s.stampChain(self)}, err
+	return self, r.stampChain(self), err
 }

@@ -99,7 +99,7 @@ func (s *Store) CheckAll() []ConstraintViolation {
 	s.rlockAll()
 	defer s.runlockAll()
 	var out []ConstraintViolation
-	for _, sur := range s.live().surrogates() {
+	for _, sur := range s.surrogates() {
 		o, _ := s.obj(sur)
 		out = append(out, s.checkConstraintsLocked(o)...)
 	}

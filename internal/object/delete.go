@@ -175,7 +175,7 @@ func (s *Store) removeObjectLocked(sur domain.Surrogate, seq uint64) {
 	}
 	// Unlink from the owning class or parent.
 	if o.ownerClass != "" {
-		if cls, ok := s.lookupClass(o.ownerClass); ok {
+		if cls, ok := s.class(o.ownerClass); ok {
 			s.classRemove(cls, sur)
 		}
 	}

@@ -219,7 +219,7 @@ func (s *Store) finishImport(base *StoreState) error {
 			return nil
 		}
 		if o.ownerClass != "" {
-			cls, ok := s.lookupClass(o.ownerClass)
+			cls, ok := s.class(o.ownerClass)
 			if !ok {
 				return fmt.Errorf("%w: %q", ErrNoSuchClass, o.ownerClass)
 			}

@@ -286,12 +286,11 @@ func (ix *attrIndex) refresh(s *Store, sur domain.Surrogate, seq uint64) {
 // own walk at liveSeq, without memoizing a route: the notifier reaches
 // inheritors on shards the writer does not hold.
 func (s *Store) idxKey(sur domain.Surrogate, name string) (k ikey, ok bool) {
-	r := s.live()
-	o, ok := r.obj(sur)
+	o, ok := s.obj(sur)
 	if !ok || o.lay.isRel {
 		return ikey{}, false
 	}
-	v, err := r.resolve(o, name)
+	v, err := s.resolve(o, name)
 	if err != nil || domain.IsNull(v) {
 		return ikey{}, false
 	}
@@ -506,7 +505,7 @@ func (s *Store) indexClass(name, className string) (*Class, error) {
 			return nil, fmt.Errorf("%w: %q", ErrIndexExists, name)
 		}
 	}
-	cls, ok := s.lookupClass(className)
+	cls, ok := s.class(className)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, className)
 	}
@@ -603,19 +602,12 @@ func removeIdx(list []*attrIndex, ix *attrIndex) []*attrIndex {
 	return out
 }
 
-// Indexes lists the live index definitions, sorted by name.
-func (s *Store) Indexes() []IndexDef { return s.live().indexes() }
-
-// Indexes is the snapshot form: definitions that were live across the
-// pin's sequence point, sorted by name. A dropped index stays planable
-// for pins taken before the drop (it was maintained for their whole
-// window).
-func (sn *Snapshot) Indexes() []IndexDef { return sn.rd().indexes() }
-
-// indexes lists the index definitions maintained at the read point.
-// Lock-free: the registry is an atomic pointer and definitions are
-// immutable but for the atomic droppedSeq.
-func (r rd) indexes() []IndexDef {
+// Indexes lists the index definitions maintained at the read point, sorted
+// by name: live, the live set; at a pin, those maintained across it, so a
+// dropped index stays planable for pins taken before the drop. Lock-free:
+// the registry is an atomic pointer and definitions are immutable but for
+// the atomic droppedSeq.
+func (r View) Indexes() []IndexDef {
 	var out []IndexDef
 	for _, ix := range r.s.indexRecords(r.at) {
 		out = append(out, IndexDef(ix))
@@ -658,7 +650,7 @@ func (s *Store) indexRecords(at uint64) []IndexRecord {
 
 // index finds the index over (className, attrName) maintained at the read
 // point: at liveSeq the live one, at a pin one maintained across it.
-func (r rd) index(className, attrName string) *attrIndex {
+func (r View) index(className, attrName string) *attrIndex {
 	if reg := r.s.indexes.Load(); reg != nil {
 		for _, ix := range reg.list {
 			if ix.className == className && ix.attrName == attrName && ix.covers(r.at) {
@@ -667,33 +659,6 @@ func (r rd) index(className, attrName string) *attrIndex {
 		}
 	}
 	return nil
-}
-
-// IndexProbe returns the candidate members whose indexed attribute value
-// lies within [lo, hi] (nil = unbounded; bounds inclusive — see inRange)
-// according to a live index over (className, attrName). The second result
-// is false when no such index exists or a bound is not an indexable
-// scalar. Candidates are a superset of the true matches (bounds are
-// widened); callers re-apply the full predicate.
-func (s *Store) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	return s.live().indexProbe(className, attrName, lo, hi)
-}
-
-// IndexProbe is the snapshot form: it serves candidates as of the pin's
-// sequence point, and only from an index that was maintained across it.
-func (sn *Snapshot) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	return sn.rd().indexProbe(className, attrName, lo, hi)
-}
-
-// IndexEstimate counts candidates in range without materializing them;
-// the planner's costing probe. Returns -1 when no usable index.
-func (s *Store) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return s.live().indexEstimate(className, attrName, lo, hi)
-}
-
-// IndexEstimate is the snapshot form of costing.
-func (sn *Snapshot) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return sn.rd().indexEstimate(className, attrName, lo, hi)
 }
 
 // bounds normalizes a probe's range bounds into index keys (nil: open);
@@ -712,10 +677,15 @@ func boundKey(v domain.Value) (*ikey, bool) {
 	return &k, ok
 }
 
-// indexProbe scans the partitions of the index maintained at the read
-// point for keys in [lo, hi] and returns the members whose interval
-// covers the point, ascending.
-func (r rd) indexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
+// IndexProbe returns the candidate members whose indexed attribute value
+// lies within [lo, hi] (nil = unbounded; bounds inclusive — see inRange)
+// according to the index over (className, attrName) maintained at the read
+// point, ascending: it scans the index's partitions for keys in range and
+// keeps the members whose interval covers the point. The second result is
+// false when no such index exists or a bound is not an indexable scalar.
+// Candidates are a superset of the true matches (bounds are widened);
+// callers re-apply the full predicate.
+func (r View) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
 	ix := r.index(className, attrName)
 	if ix == nil {
 		return nil, false
@@ -750,9 +720,10 @@ func (r rd) indexProbe(className, attrName string, lo, hi domain.Value) ([]domai
 	return out, true
 }
 
-// indexEstimate counts the postings in range of the index maintained at
-// the read point, retained intervals included.
-func (r rd) indexEstimate(className, attrName string, lo, hi domain.Value) int {
+// IndexEstimate counts the postings in range of the index maintained at
+// the read point, retained intervals included, without materializing
+// them: the planner's costing probe. Returns -1 when no usable index.
+func (r View) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
 	ix := r.index(className, attrName)
 	if ix == nil {
 		return -1

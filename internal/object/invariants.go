@@ -52,7 +52,7 @@ func (s *Store) CheckInvariants() []string {
 			}
 		}
 	}
-	live := s.live().surrogates()
+	live := s.surrogates()
 	forEachObject := func(f func(sur domain.Surrogate, o *Object)) {
 		for _, sur := range live {
 			o, _ := s.obj(sur)
@@ -61,7 +61,7 @@ func (s *Store) CheckInvariants() []string {
 	}
 	forEachObject(func(sur domain.Surrogate, o *Object) {
 		if o.ownerClass != "" {
-			cls, ok := s.lookupClass(o.ownerClass)
+			cls, ok := s.class(o.ownerClass)
 			if !ok || !cls.Contains(sur) {
 				report("%s claims class %q but is not a member", sur, o.ownerClass)
 			}

@@ -189,22 +189,6 @@ func (s *Store) checkRefValueLocked(d *domain.Domain, v domain.Value) error {
 	return nil
 }
 
-// GetAttr reads an attribute with the paper's resolution rule (see
-// rd.getAttr). The hot path is lock-free: a memoized route valid against
-// the current epochs of the shards it crosses names the object whose own
-// attribute slot holds the value, and that slot is read live.
-func (s *Store) GetAttr(sur domain.Surrogate, name string) (domain.Value, error) {
-	return s.live().attrOf(sur, name)
-}
-
-// Members returns the member surrogates of a local subclass or
-// relationship subclass, following inheritance for subclasses the object's
-// type inherits (the interface's Pins seen from the implementation). Like
-// GetAttr, the hot path is a lock-free route hit.
-func (s *Store) Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
-	return s.live().membersOf(sur, name)
-}
-
 // notifier walks the inheritance fan-out from changed transmitters,
 // updating binding bookkeeping and collecting UpdateEvents for every
 // binding through which a change is visible. Chains re-transmit: if an

@@ -407,8 +407,8 @@ func (s *Store) lowWater() uint64 { return s.mvcc.lowA.Load() }
 // never blocked by a live snapshot, they only retain old versions for it.
 // Release the snapshot (refcounted) to let the sweep reclaim them.
 type Snapshot struct {
-	s       *Store
-	seq     uint64
+	// View is the read surface at the pinned sequence point.
+	View
 	nextSur uint64
 	// epochs are the per-shard structure epochs at pin time: a memoized
 	// resolution route whose stamps match them was valid exactly at the
@@ -428,10 +428,7 @@ func (s *Store) Snapshot() *Snapshot {
 }
 
 // Seq returns the pinned sequence point.
-func (sn *Snapshot) Seq() uint64 { return sn.seq }
-
-// NextSur returns the surrogate counter at the pin.
-func (sn *Snapshot) NextSur() uint64 { return sn.nextSur }
+func (sn *Snapshot) Seq() uint64 { return sn.at }
 
 // Acquire adds a reference; every Acquire needs a matching Release.
 func (sn *Snapshot) Acquire() *Snapshot {

@@ -297,9 +297,6 @@ func (c *Class) items() []domain.Surrogate {
 	return m
 }
 
-// Len reports the member count.
-func (c *Class) Len() int { return len(c.items()) }
-
 // Members returns the member surrogates in insertion order (a copy).
 func (c *Class) Members() []domain.Surrogate {
 	return append([]domain.Surrogate(nil), c.items()...)

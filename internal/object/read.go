@@ -7,22 +7,24 @@ import (
 	"sync/atomic"
 
 	"cadcam/internal/domain"
+	"cadcam/internal/schema"
 )
 
 // One read path. Every read of the store is a read at a sequence point: a
 // Snapshot reads at its pin, and the live store is the point liveSeq, at
 // which every version chain reads its head and every object is visible
 // from its creation (still pending inside the creating operation) to its
-// deletion. The read context rd carries the point. Its object lookup, its
-// two inheritance walks — one for attributes, one for subclasses — and
+// deletion. A View carries the point. Its object lookup, its two
+// inheritance walks — one for attributes, one for subclasses — and
 // getAttr, members and collection built on them serve live reads,
 // snapshot reads, ResolveChainStamped, the expression environment and
 // index maintenance alike.
 //
 // Live reads differ from snapshot reads in three places only: a live read
-// outside a store operation takes the object's shard read lock on a route
-// miss (a snapshot reads lock-free); a route hit is checked against the
-// current shard epochs (a snapshot checks its pin's); and a live
+// outside a store operation takes locks (the object's shard read lock on
+// a route miss, the class stripe for an extent, every shard for a full
+// listing; a snapshot reads lock-free); a route hit is checked against
+// the current shard epochs (a snapshot checks its pin's); and a live
 // resolution memoizes the route it walked (a snapshot's describes the
 // pinned past and is never memoized).
 
@@ -30,8 +32,11 @@ import (
 // head there.
 const liveSeq = ^uint64(0)
 
-// rd is a read at sequence point at.
-type rd struct {
+// View is a read of the store at one sequence point: the live store (a
+// Store embeds its View at liveSeq) or a pinned Snapshot (which embeds
+// its View at the pin). Its exported methods are the store's whole read
+// surface, with the same semantics live and pinned.
+type View struct {
 	s  *Store
 	at uint64
 	// pin is the snapshot read at (nil for live reads); route hits are
@@ -39,19 +44,13 @@ type rd struct {
 	pin *Snapshot
 }
 
-// live returns the read context of the live store.
-func (s *Store) live() rd { return rd{s: s, at: liveSeq} }
-
-// rd returns the read context at the snapshot's pin.
-func (sn *Snapshot) rd() rd { return rd{s: sn.s, at: sn.seq, pin: sn} }
-
 // isLive reports whether r reads the live store.
-func (r rd) isLive() bool { return r.pin == nil }
+func (r View) isLive() bool { return r.pin == nil }
 
 // obj returns the object with surrogate sur visible at the read point.
 // Lock-free: the table's slots publish atomically. Live callers hold a
 // shard lock, which keeps a concurrent store-exclusive operation out.
-func (r rd) obj(sur domain.Surrogate) (*Object, bool) {
+func (r View) obj(sur domain.Surrogate) (*Object, bool) {
 	o := r.s.shardOf(sur).objs.load(r.s.slot(sur))
 	if o == nil || !o.visibleAt(r.at) {
 		return nil, false
@@ -59,13 +58,9 @@ func (r rd) obj(sur domain.Surrogate) (*Object, bool) {
 	return o, true
 }
 
-// obj looks up a live object. Callers hold at least one shard lock (any
-// shard: topology is frozen store-wide, see shard).
-func (s *Store) obj(sur domain.Surrogate) (*Object, bool) { return s.live().obj(sur) }
-
 // transmitter returns o's transmitter under relType at the read point, or
 // nil when o was unbound there.
-func (r rd) transmitter(o *Object, relType string) *Object {
+func (r View) transmitter(o *Object, relType string) *Object {
 	l, _ := o.bindIn.at(r.at)
 	if b := byRel(l, relType); b != nil {
 		if t, ok := r.obj(b.Transmitter); ok {
@@ -80,7 +75,7 @@ func (r rd) transmitter(o *Object, relType string) *Object {
 // unbound, and the read is null (type-level inheritance only). A non-nil
 // chain gets every transmitter visited appended. This is the only walk of
 // an attribute's bindings.
-func (r rd) attrWalk(o *Object, name string, chain []domain.Surrogate) (slot *vchain[domain.Value], _ []domain.Surrogate, err error) {
+func (r View) attrWalk(o *Object, name string, chain []domain.Surrogate) (slot *vchain[domain.Value], _ []domain.Surrogate, err error) {
 	for cur := o; ; {
 		if i, ok := cur.lay.ord[name]; ok {
 			return &cur.attrs[i], chain, nil
@@ -112,7 +107,7 @@ var errNoMembersYet = errors.New("object: sub-relationship has no members yet")
 // the chain ends unbound or the class is not materialized yet (the read is
 // empty; materialization bumps the owner's shard epoch). chain is as in
 // attrWalk. This is the only walk of a subclass's bindings.
-func (r rd) subclassWalk(o *Object, name string, chain []domain.Surrogate) (*Class, []domain.Surrogate, error) {
+func (r View) subclassWalk(o *Object, name string, chain []domain.Surrogate) (*Class, []domain.Surrogate, error) {
 	for cur := o; ; {
 		eff, err := r.s.effectiveLocked(cur)
 		if err != nil {
@@ -141,7 +136,7 @@ func (r rd) subclassWalk(o *Object, name string, chain []domain.Surrogate) (*Cla
 
 // chainFrom starts the route chain of a resolution rooted at o: live reads
 // track it for memoization, snapshot reads do not.
-func (r rd) chainFrom(o *Object) []domain.Surrogate {
+func (r View) chainFrom(o *Object) []domain.Surrogate {
 	if r.isLive() {
 		return []domain.Surrogate{o.sur}
 	}
@@ -150,7 +145,7 @@ func (r rd) chainFrom(o *Object) []domain.Surrogate {
 
 // slot reads an own attribute slot at the read point: null when slot is
 // nil (unbound) or empty there.
-func (r rd) slot(slot *vchain[domain.Value]) domain.Value {
+func (r View) slot(slot *vchain[domain.Value]) domain.Value {
 	if slot != nil {
 		if v, _ := slot.at(r.at); v != nil {
 			return v
@@ -162,7 +157,7 @@ func (r rd) slot(slot *vchain[domain.Value]) domain.Value {
 // resolve reads an object attribute through its inheritance bindings
 // without memoizing a route. Index maintenance uses it: it may run for an
 // object on a shard the caller does not hold.
-func (r rd) resolve(o *Object, name string) (domain.Value, error) {
+func (r View) resolve(o *Object, name string) (domain.Value, error) {
 	slot, _, err := r.attrWalk(o, name, nil)
 	if err != nil {
 		return nil, err
@@ -175,7 +170,7 @@ func (r rd) resolve(o *Object, name string) (domain.Value, error) {
 // from the transmitter (view semantics — never a copy), null while
 // unbound. A live read memoizes the route it walked; the caller holds a
 // shard lock, which freezes topology store-wide, so the stamps are exact.
-func (r rd) getAttr(o *Object, name string) (domain.Value, error) {
+func (r View) getAttr(o *Object, name string) (domain.Value, error) {
 	if name == "Surrogate" {
 		return domain.Ref(o.sur), nil
 	}
@@ -187,14 +182,14 @@ func (r rd) getAttr(o *Object, name string) (domain.Value, error) {
 		return nil, err
 	}
 	if chain != nil {
-		r.s.memoAttr(o.sur, name, slot, chain)
+		r.memo(true, o.sur, name, &route{slot: slot, chain: chain})
 	}
 	return r.slot(slot), nil
 }
 
 // relAttr reads a relationship object's attribute: participant roles
 // (immutable), the binding bookkeeping, then user-declared attributes.
-func (r rd) relAttr(o *Object, name string) (domain.Value, error) {
+func (r View) relAttr(o *Object, name string) (domain.Value, error) {
 	if v, ok := o.role(name); ok {
 		return v, nil
 	}
@@ -218,7 +213,7 @@ func (r rd) relAttr(o *Object, name string) (domain.Value, error) {
 // members lists a local subclass or sub-relationship of o, following
 // inheritance for subclasses o's type inherits (the interface's Pins seen
 // from the implementation). A live read memoizes the subclass route.
-func (r rd) members(o *Object, name string) ([]domain.Surrogate, error) {
+func (r View) members(o *Object, name string) ([]domain.Surrogate, error) {
 	if cls, ok := o.relMap()[name]; ok {
 		return copySurs(cls.membersAt(r.at)), nil
 	}
@@ -239,7 +234,7 @@ func (r rd) members(o *Object, name string) ([]domain.Surrogate, error) {
 		return nil, err
 	}
 	if chain != nil {
-		r.s.memoMembers(o.sur, name, cls, chain)
+		r.memo(false, o.sur, name, &route{cls: cls, chain: chain})
 	}
 	return copySurs(cls.membersAt(r.at)), nil
 }
@@ -248,7 +243,7 @@ func (r rd) members(o *Object, name string) ([]domain.Surrogate, error) {
 // set-of role's elements, a single role as one element), a local subclass
 // or sub-relationship (following inheritance), or a set/list-valued
 // attribute.
-func (r rd) collection(o *Object, name string) ([]domain.Value, bool) {
+func (r View) collection(o *Object, name string) ([]domain.Value, bool) {
 	if o.lay.isRel {
 		if v, ok := o.role(name); ok {
 			if set, isSet := v.(*domain.Set); isSet {
@@ -272,7 +267,7 @@ func (r rd) collection(o *Object, name string) ([]domain.Value, bool) {
 // read point — every shard its chain crosses has the recorded epoch now
 // (live) or had it at the pin (snapshot), so the route describes that
 // topology exactly — and counts the hit. Lock-free.
-func (r rd) route(sh *shard, m *atomic.Pointer[sync.Map], sur domain.Surrogate, name string) *route {
+func (r View) route(sh *shard, m *atomic.Pointer[sync.Map], sur domain.Surrogate, name string) *route {
 	v, ok := m.Load().Load(routeKey{sur, name})
 	if !ok {
 		return nil
@@ -297,24 +292,26 @@ func (r rd) route(sh *shard, m *atomic.Pointer[sync.Map], sur domain.Surrogate, 
 
 // enter looks sur's object up for a route miss; a live read takes the
 // shard read lock, which the caller releases with leave.
-func (r rd) enter(sh *shard, sur domain.Surrogate) (*Object, bool) {
+func (r View) enter(sh *shard, sur domain.Surrogate) (*Object, bool) {
 	if r.isLive() {
 		sh.mu.RLock()
 	}
 	return r.obj(sur)
 }
 
-func (r rd) leave(sh *shard) {
+func (r View) leave(sh *shard) {
 	if r.isLive() {
 		sh.mu.RUnlock()
 	}
 }
 
-// attrOf is the entry point of attribute reads: a valid memoized route
-// names the object whose own slot holds the value, read at the point, so
-// a transmitter update is visible to a live read right after a hit, while
-// any structural change forces the resolution path via the epoch check.
-func (r rd) attrOf(sur domain.Surrogate, name string) (domain.Value, error) {
+// GetAttr reads an attribute with the paper's resolution rule (see
+// getAttr). It is the entry point of attribute reads, lock-free on a hit:
+// a memoized route valid at the read point names the object whose own
+// slot holds the value, read at the point, so a transmitter update is
+// visible to a live read right after a hit, while any structural change
+// forces the resolution path via the epoch check.
+func (r View) GetAttr(sur domain.Surrogate, name string) (domain.Value, error) {
 	sh := r.s.shardOf(sur)
 	if rt := r.route(sh, &sh.routes.attrs, sur, name); rt != nil {
 		return r.slot(rt.slot), nil
@@ -322,7 +319,7 @@ func (r rd) attrOf(sur domain.Surrogate, name string) (domain.Value, error) {
 	return r.attrMiss(sh, sur, name)
 }
 
-func (r rd) attrMiss(sh *shard, sur domain.Surrogate, name string) (domain.Value, error) {
+func (r View) attrMiss(sh *shard, sur domain.Surrogate, name string) (domain.Value, error) {
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
 	if !ok {
@@ -331,10 +328,14 @@ func (r rd) attrMiss(sh *shard, sur domain.Surrogate, name string) (domain.Value
 	return r.getAttr(o, name)
 }
 
-// membersOf is the entry point of member reads. Routes exist only for
-// names that resolve as (possibly inherited) subclasses, so a hit never
-// shadows a sub-relationship or a relationship object's member.
-func (r rd) membersOf(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
+// Members returns the member surrogates of a local subclass or
+// relationship subclass, following inheritance for subclasses the object's
+// type inherits (the interface's Pins seen from the implementation). It is
+// the entry point of member reads, lock-free on a hit like GetAttr. Routes
+// exist only for names that resolve as (possibly inherited) subclasses,
+// so a hit never shadows a sub-relationship or a relationship object's
+// member.
+func (r View) Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
 	sh := r.s.shardOf(sur)
 	if rt := r.route(sh, &sh.routes.members, sur, name); rt != nil {
 		return copySurs(rt.cls.membersAt(r.at)), nil
@@ -342,7 +343,7 @@ func (r rd) membersOf(sur domain.Surrogate, name string) ([]domain.Surrogate, er
 	return r.membersMiss(sh, sur, name)
 }
 
-func (r rd) membersMiss(sh *shard, sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
+func (r View) membersMiss(sh *shard, sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
 	if !ok {
@@ -354,7 +355,7 @@ func (r rd) membersMiss(sh *shard, sur domain.Surrogate, name string) ([]domain.
 // collectionOf is the entry point of collection reads. A members route
 // proves name a subclass of an object, an attribute route an attribute of
 // one; either answers without resolving.
-func (r rd) collectionOf(sur domain.Surrogate, name string) ([]domain.Value, bool) {
+func (r View) collectionOf(sur domain.Surrogate, name string) ([]domain.Value, bool) {
 	sh := r.s.shardOf(sur)
 	if rt := r.route(sh, &sh.routes.members, sur, name); rt != nil {
 		return refs(rt.cls.membersAt(r.at)), true
@@ -389,9 +390,12 @@ func elems(v domain.Value) ([]domain.Value, bool) {
 	return nil, false
 }
 
-// get returns the object visible at the read point; a live read takes
-// its shard read lock for the lookup.
-func (r rd) get(sur domain.Surrogate) (*Object, error) {
+// Get returns the object visible at the read point; a live read takes
+// its shard read lock for the lookup. The result must be treated as
+// read-only, and on a pinned read only its immutable identity accessors
+// (Surrogate, TypeName, IsRelationship, Parent, ParentSubclass) are
+// meaningful: attribute state is read through the View.
+func (r View) Get(sur domain.Surrogate) (*Object, error) {
 	sh := r.s.shardOf(sur)
 	o, ok := r.enter(sh, sur)
 	r.leave(sh)
@@ -401,37 +405,47 @@ func (r rd) get(sur domain.Surrogate) (*Object, error) {
 	return o, nil
 }
 
-func (r rd) typeOf(sur domain.Surrogate) (string, error) {
-	o, err := r.get(sur)
+// Exists reports whether sur denotes an object visible at the read point.
+func (r View) Exists(sur domain.Surrogate) bool {
+	_, err := r.Get(sur)
+	return err == nil
+}
+
+// TypeOf returns the type name of an object visible at the read point.
+func (r View) TypeOf(sur domain.Surrogate) (string, error) {
+	o, err := r.Get(sur)
 	if err != nil {
 		return "", err
 	}
 	return o.lay.name, nil
 }
 
-func (r rd) modSeq(sur domain.Surrogate) (uint64, error) {
-	o, err := r.get(sur)
+// ModSeq returns the store sequence of the object's last direct mutation
+// as of the read point; 0 if it was never mutated since creation. Long
+// transactions use it for optimistic checkin validation.
+func (r View) ModSeq(sur domain.Surrogate) (uint64, error) {
+	o, err := r.Get(sur)
 	if err != nil {
 		return 0, err
 	}
 	return o.modAt(r.at), nil
 }
 
-// bindingsOfInheritor returns sur's bindings as inheritor at the read
+// BindingsOfInheritor returns sur's bindings as inheritor at the read
 // point, keyed by relationship type name (empty when sur is not visible).
-func (r rd) bindingsOfInheritor(sur domain.Surrogate) map[string]*Binding {
+func (r View) BindingsOfInheritor(sur domain.Surrogate) map[string]*Binding {
 	var l []*Binding
-	if o, err := r.get(sur); err == nil {
+	if o, err := r.Get(sur); err == nil {
 		l, _ = o.bindIn.at(r.at)
 	}
 	return relMapOf(l)
 }
 
-// bindingsOfTransmitter returns sur's bindings as transmitter at the read
-// point.
-func (r rd) bindingsOfTransmitter(sur domain.Surrogate) []*Binding {
+// BindingsOfTransmitter returns sur's bindings as transmitter (its
+// inheritors) at the read point.
+func (r View) BindingsOfTransmitter(sur domain.Surrogate) []*Binding {
 	var l []*Binding
-	if o, err := r.get(sur); err == nil {
+	if o, err := r.Get(sur); err == nil {
 		l, _ = o.bindOut.at(r.at)
 	}
 	return append([]*Binding(nil), l...)
@@ -439,8 +453,22 @@ func (r rd) bindingsOfTransmitter(sur domain.Surrogate) []*Binding {
 
 // ---- whole-store reads ----
 
+// Catalog returns the schema catalog (immutable, shared by every view).
+func (r View) Catalog() *schema.Catalog { return r.s.cat }
+
+// Surrogates lists the surrogates visible at the read point, ascending. A
+// live read takes every shard read lock, so the listing is one state.
+func (r View) Surrogates() []domain.Surrogate {
+	if r.isLive() {
+		r.s.rlockAll()
+		defer r.s.runlockAll()
+	}
+	return r.surrogates()
+}
+
 // surrogates lists the surrogates visible at the read point, ascending.
-func (r rd) surrogates() []domain.Surrogate {
+// Live callers hold the locks that make the listing consistent.
+func (r View) surrogates() []domain.Surrogate {
 	var out []domain.Surrogate
 	r.s.walk(func(o *Object) error {
 		if o.visibleAt(r.at) {
@@ -453,7 +481,7 @@ func (r rd) surrogates() []domain.Surrogate {
 
 // shardSurrogates lists the surrogates of shard k visible at the read
 // point, ascending.
-func (r rd) shardSurrogates(k int) []domain.Surrogate {
+func (r View) shardSurrogates(k int) []domain.Surrogate {
 	var out []domain.Surrogate
 	n := uint64(len(r.s.shards))
 	for i := uint64(0); i < r.s.shards[k].objs.slots(); i++ {
@@ -468,7 +496,8 @@ func (r rd) shardSurrogates(k int) []domain.Surrogate {
 
 // class returns the database-level class visible at the read point.
 // Lock-free: stripe maps are copy-on-write and classes are never removed.
-func (r rd) class(name string) (*Class, bool) {
+// Live callers that go on to read the membership hold its stripe lock.
+func (r View) class(name string) (*Class, bool) {
 	c, ok := r.s.stripeOf(name).classMap()[name]
 	if !ok || c.createdSeq > r.at {
 		return nil, false
@@ -478,7 +507,7 @@ func (r rd) class(name string) (*Class, bool) {
 
 // classes lists the database-level classes visible at the read point,
 // keyed by name.
-func (r rd) classes() map[string]*Class {
+func (r View) classes() map[string]*Class {
 	out := make(map[string]*Class)
 	for i := range r.s.stripes {
 		for name, c := range r.s.stripes[i].classMap() {
@@ -490,13 +519,45 @@ func (r rd) classes() map[string]*Class {
 	return out
 }
 
-// classMembers lists a database-level class extent at the read point.
-func (r rd) classMembers(name string) ([]domain.Surrogate, error) {
-	c, ok := r.class(name)
+// ClassNames lists the database-level classes visible at the read point,
+// sorted.
+func (r View) ClassNames() []string { return sortedNames(r.classes()) }
+
+// Class lists a database-level class extent at the read point.
+func (r View) Class(name string) ([]domain.Surrogate, error) {
+	ms, ok := r.extent(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, name)
 	}
-	return copySurs(c.membersAt(r.at)), nil
+	return copySurs(ms), nil
+}
+
+// ClassSize returns the member count of a database-level class without
+// copying the extent, or -1 if no such class is visible: the query
+// planner's costing probe.
+func (r View) ClassSize(name string) int {
+	ms, ok := r.extent(name)
+	if !ok {
+		return -1
+	}
+	return len(ms)
+}
+
+// extent returns a class's membership at the read point; a live read
+// takes the class's stripe read lock for the lookup. A published
+// membership slice is never written within its length, so the result may
+// be read after the unlock.
+func (r View) extent(name string) ([]domain.Surrogate, bool) {
+	if r.isLive() {
+		st := r.s.stripeOf(name)
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+	}
+	c, ok := r.class(name)
+	if !ok {
+		return nil, false
+	}
+	return c.membersAt(r.at), true
 }
 
 func copySurs(surs []domain.Surrogate) []domain.Surrogate {

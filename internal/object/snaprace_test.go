@@ -110,7 +110,7 @@ func closures(t *testing.T, sn *object.Snapshot) map[domain.Surrogate][]inherit.
 	t.Helper()
 	out := map[domain.Surrogate][]inherit.Portion{}
 	for _, sur := range sn.Surrogates() {
-		ps, err := inherit.VisibleComponents(sn, sur)
+		ps, err := inherit.VisibleComponents(sn.View, sur)
 		if err != nil {
 			t.Fatalf("closure of %s at pin %d: %v", sur, sn.Seq(), err)
 		}
@@ -332,7 +332,7 @@ func pinDuringSweep(t *testing.T, point string, nth int) {
 			if r.ModSeq[x], err = sn.ModSeq(x); err != nil {
 				t.Fatal(err)
 			}
-			ps, err := inherit.VisibleComponents(sn, x)
+			ps, err := inherit.VisibleComponents(sn.View, x)
 			r.Closes[fmt.Sprint(x)] = fmt.Sprint(ps, err)
 		}
 		for _, x := range []domain.Surrogate{iface, victim, impl} {

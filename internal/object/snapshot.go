@@ -61,13 +61,19 @@ type StoreState struct {
 	Seq      uint64
 }
 
-// Export captures the store's full state under all shard read locks. The
-// result shares no mutable structure with the store (values are
-// deep-copied).
-func (s *Store) Export() *StoreState {
-	s.rlockAll()
-	defer s.runlockAll()
-	return s.exportLocked()
+// Export captures the full store state at the read point. The result
+// shares no mutable structure with the store (values are deep-copied). A
+// live export takes every shard read lock. A pinned one takes none, and
+// is byte-for-byte the state a serial replay of the journal truncated at
+// the pin would export (for failure-free histories, whose surrogate
+// counter never burns allocations).
+func (r View) Export() *StoreState {
+	if r.isLive() {
+		r.s.rlockAll()
+		defer r.s.runlockAll()
+		return r.s.exportLocked()
+	}
+	return r.export(r.pin.nextSur, r.at)
 }
 
 // WithExclusive runs f while holding every shard and stripe write lock,
@@ -81,12 +87,12 @@ func (s *Store) WithExclusive(f func(st *StoreState) error) error {
 }
 
 func (s *Store) exportLocked() *StoreState {
-	return s.live().export(s.nextSur.Load(), s.seq.Load())
+	return s.export(s.nextSur.Load(), s.seq.Load())
 }
 
 // export captures the state visible at the read point; nextSur and seq
 // are the counters at that point.
-func (r rd) export(nextSur, seq uint64) *StoreState {
+func (r View) export(nextSur, seq uint64) *StoreState {
 	st := r.baseState(nextSur, seq)
 	for _, sur := range r.surrogates() {
 		st.Objects, st.Bindings = r.record(sur, st.Objects, st.Bindings)
@@ -96,7 +102,7 @@ func (r rd) export(nextSur, seq uint64) *StoreState {
 
 // baseState captures the non-partitioned part of the state at the read
 // point: classes, index definitions and the counters, no records.
-func (r rd) baseState(nextSur, seq uint64) *StoreState {
+func (r View) baseState(nextSur, seq uint64) *StoreState {
 	st := &StoreState{NextSur: nextSur, Seq: seq}
 	classes := r.classes()
 	for _, name := range sortedNames(classes) {
@@ -108,7 +114,7 @@ func (r rd) baseState(nextSur, seq uint64) *StoreState {
 
 // record appends sur's record as visible at the read point: a binding
 // record for an inheritance binding's object, an object record otherwise.
-func (r rd) record(sur domain.Surrogate, objs []ObjectRecord, binds []BindingRecord) ([]ObjectRecord, []BindingRecord) {
+func (r View) record(sur domain.Surrogate, objs []ObjectRecord, binds []BindingRecord) ([]ObjectRecord, []BindingRecord) {
 	o, _ := r.obj(sur)
 	if o.binding != nil {
 		return objs, append(binds, bindingRecord(sur, o.binding, r.at))
@@ -118,7 +124,7 @@ func (r rd) record(sur domain.Surrogate, objs []ObjectRecord, binds []BindingRec
 
 // exportShards captures a partitioned export at the read point: shard i
 // carries records iff dirty[i]; marks[i] becomes its Mark.
-func (r rd) exportShards(nextSur, seq uint64, marks []uint64, dirty []bool) *StoreExport {
+func (r View) exportShards(nextSur, seq uint64, marks []uint64, dirty []bool) *StoreExport {
 	ex := &StoreExport{Base: r.baseState(nextSur, seq), Shards: make([]ShardExport, len(r.s.shards))}
 	for i := range r.s.shards {
 		se := &ex.Shards[i]
@@ -215,7 +221,7 @@ func (s *Store) WithExclusiveExport(baseline []uint64, f func(ex *StoreExport) e
 	s.lockAll()
 	defer s.unlockAll()
 	marks, dirty := s.dirtyMarks(baseline)
-	return f(s.live().exportShards(s.nextSur.Load(), s.seq.Load(), marks, dirty))
+	return f(s.exportShards(s.nextSur.Load(), s.seq.Load(), marks, dirty))
 }
 
 func copyAttrs(m map[string]domain.Value) map[string]domain.Value {

@@ -1,19 +1,13 @@
 package object
 
-import (
-	"time"
+import "time"
 
-	"cadcam/internal/domain"
-	"cadcam/internal/schema"
-)
-
-// Snapshot reads: every method is the store's own read at the pinned
-// sequence point. sn.rd() is the read context at the pin, and the methods
-// call the same lookup, inheritance walks and entry points as the live
-// store (read.go), which reads at liveSeq: objects come from the shards'
-// object tables gated by visibleAt, and every version chain — attribute
-// slots, bookkeeping, modSeq, the binding lists and class membership — is
-// read at the pin. No lock is taken.
+// Snapshot reads: a Snapshot embeds its View at the pinned sequence
+// point, whose reads call the same lookup, inheritance walks and entry
+// points as the live store's View at liveSeq (read.go): objects come from
+// the shards' object tables gated by visibleAt, and every version chain —
+// attribute slots, bookkeeping, modSeq, the binding lists and class
+// membership — is read at the pin. No lock is taken.
 //
 // The resolution route cache is shared with live reads: a memoized route
 // whose stamps equal the snapshot's pin-time epochs was valid exactly at
@@ -21,87 +15,21 @@ import (
 // pinned sequence. Resolutions at the pin are not memoized — they describe
 // the pinned past, not the live present.
 
-// Exists reports whether the surrogate denoted a live object at the pin.
-func (sn *Snapshot) Exists(sur domain.Surrogate) bool {
-	_, ok := sn.rd().obj(sur)
-	return ok
-}
-
-// TypeOf returns the type name of an object visible at the pin.
-func (sn *Snapshot) TypeOf(sur domain.Surrogate) (string, error) { return sn.rd().typeOf(sur) }
-
-// Get returns the object visible at the pin. Only the immutable identity
-// accessors (Surrogate, TypeName, IsRelationship, Parent, ParentSubclass)
-// are meaningful on the result; attribute state must be read through the
-// snapshot's own methods.
-func (sn *Snapshot) Get(sur domain.Surrogate) (*Object, error) { return sn.rd().get(sur) }
-
-// ModSeq returns the object's modification sequence as of the pin.
-func (sn *Snapshot) ModSeq(sur domain.Surrogate) (uint64, error) { return sn.rd().modSeq(sur) }
-
-// Catalog returns the schema catalog (immutable, shared with the store).
-func (sn *Snapshot) Catalog() *schema.Catalog { return sn.s.cat }
-
-// Surrogates returns the surrogates visible at the pin, ascending.
-func (sn *Snapshot) Surrogates() []domain.Surrogate { return sn.rd().surrogates() }
-
-// BindingsOfInheritor returns the bindings in which the object was the
-// inheritor at the pin, keyed by relationship type name.
-func (sn *Snapshot) BindingsOfInheritor(inheritor domain.Surrogate) map[string]*Binding {
-	return sn.rd().bindingsOfInheritor(inheritor)
-}
-
-// BindingsOfTransmitter returns the bindings in which the object was the
-// transmitter at the pin.
-func (sn *Snapshot) BindingsOfTransmitter(transmitter domain.Surrogate) []*Binding {
-	return sn.rd().bindingsOfTransmitter(transmitter)
-}
-
-// GetAttr reads an attribute at the pin with the same resolution rule,
-// and through the same entry point, as the live Store.GetAttr.
-func (sn *Snapshot) GetAttr(sur domain.Surrogate, name string) (domain.Value, error) {
-	return sn.rd().attrOf(sur, name)
-}
-
-// Members lists a local subclass at the pin, following inheritance, with
-// the live Members' semantics.
-func (sn *Snapshot) Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
-	return sn.rd().membersOf(sur, name)
-}
-
-// Class lists a database-level class extent at the pin.
-func (sn *Snapshot) Class(name string) ([]domain.Surrogate, error) {
-	return sn.rd().classMembers(name)
-}
-
-// ClassNames lists the database-level classes that existed at the pin,
-// sorted.
-func (sn *Snapshot) ClassNames() []string { return sortedNames(sn.rd().classes()) }
-
-// Export captures the full store state as of the pin without taking any
-// store lock. The result is byte-for-byte the state a serial replay of the
-// journal truncated at the pinned sequence would export (for failure-free
-// histories, whose surrogate counter never burns allocations).
-func (sn *Snapshot) Export() *StoreState {
-	return sn.rd().export(sn.nextSur, sn.seq)
-}
-
 // ExportShards captures a partitioned export as of the pin, lock-free:
 // shard i carries records iff dirty[i]; marks[i] becomes its Mark. The
 // checkpointer captures marks and dirtiness under the rotation lock (see
 // PinCheckpoint) and encodes the records here, with writers running.
 func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
-	return sn.rd().exportShards(sn.nextSur, sn.seq, marks, dirty)
+	return sn.exportShards(sn.nextSur, sn.at, marks, dirty)
 }
 
 // pinLocked registers a pin at the current sequence point. The caller
 // holds all shard locks (read or write), so the pin lands between
 // operations.
 func (s *Store) pinLocked() *Snapshot {
-	sn := &Snapshot{s: s}
+	sn := &Snapshot{nextSur: s.nextSur.Load()}
+	sn.View = View{s: s, at: s.seq.Load(), pin: sn}
 	sn.refs.Store(1)
-	sn.seq = s.seq.Load()
-	sn.nextSur = s.nextSur.Load()
 	sn.epochs = make([]uint64, len(s.shards))
 	for i := range s.shards {
 		sn.epochs[i] = s.shards[i].epoch.Load()
@@ -111,7 +39,7 @@ func (s *Store) pinLocked() *Snapshot {
 	if m.pins == nil {
 		m.pins = make(map[*Snapshot]uint64)
 	}
-	m.pins[sn] = sn.seq
+	m.pins[sn] = sn.at
 	m.taken.Add(1)
 	m.recalcLocked()
 	m.mu.Unlock()

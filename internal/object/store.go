@@ -275,6 +275,9 @@ type hookQueue struct {
 // database, typed by a validated schema catalog. It is partitioned into
 // surrogate-hashed shards; see the shard type for the locking protocol.
 type Store struct {
+	// View is the live read surface: the store read at liveSeq.
+	View
+
 	cat *schema.Catalog
 	// layouts maps every type name of the catalog to its object layout.
 	layouts map[string]*layout
@@ -348,6 +351,7 @@ func NewStoreShards(cat *schema.Catalog, shards int) (*Store, error) {
 		shards = DefaultShards
 	}
 	s := &Store{cat: cat, layouts: newLayouts(cat), shards: make([]shard, shards), seed: maphash.MakeSeed()}
+	s.View = View{s: s, at: liveSeq}
 	s.mvcc.lowA.Store(^uint64(0)) // no pins: low-water mark at infinity
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -433,13 +437,6 @@ func (s *Store) runlockAll() {
 		s.shards[i].mu.RUnlock()
 	}
 }
-
-// lookupClass finds a database-level class; callers hold the class's
-// stripe lock (or all stripes).
-func (s *Store) lookupClass(name string) (*Class, bool) { return s.live().class(name) }
-
-// Catalog returns the schema catalog.
-func (s *Store) Catalog() *schema.Catalog { return s.cat }
 
 // SetDeletePolicy selects the transmitter delete behaviour.
 func (s *Store) SetDeletePolicy(p DeletePolicy) {
@@ -555,11 +552,6 @@ func (s *Store) FinishReplay(maxSeq uint64, maxSur domain.Surrogate) {
 	}
 }
 
-// ModSeq returns the store sequence of the object's last direct mutation;
-// 0 if it was never mutated since creation. Long transactions use it for
-// optimistic checkin validation.
-func (s *Store) ModSeq(sur domain.Surrogate) (uint64, error) { return s.live().modSeq(sur) }
-
 // DefineClass creates a database-level class holding objects of the given
 // type ("" = unrestricted). Several classes may hold objects of the same
 // type (§3). It locks only the class's stripe: class creation cannot
@@ -587,31 +579,6 @@ func (s *Store) DefineClass(name, elemType string) error {
 	return nil
 }
 
-// Class returns the members of a database-level class.
-func (s *Store) Class(name string) ([]domain.Surrogate, error) {
-	st := s.stripeOf(name)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return s.live().classMembers(name)
-}
-
-// ClassSize returns the member count of a database-level class without
-// materializing the extent, or -1 if no such class exists. It is the
-// query planner's costing probe.
-func (s *Store) ClassSize(name string) int {
-	st := s.stripeOf(name)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	c, ok := s.lookupClass(name)
-	if !ok {
-		return -1
-	}
-	return c.Len()
-}
-
-// ClassNames lists database-level classes, sorted.
-func (s *Store) ClassNames() []string { return sortedNames(s.live().classes()) }
-
 // NewObject creates a top-level object of the named type, optionally
 // inserting it into a database-level class. Creation inserts into the
 // topology maps, so it runs store-wide exclusive.
@@ -624,7 +591,7 @@ func (s *Store) NewObject(typeName, className string) (domain.Surrogate, error) 
 	}
 	var cls *Class
 	if className != "" {
-		cls, ok = s.lookupClass(className)
+		cls, ok = s.class(className)
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrNoSuchClass, className)
 		}
@@ -735,19 +702,6 @@ func (s *Store) newObjectLocked(t *schema.ObjectType) *Object {
 	return o
 }
 
-// Exists reports whether a surrogate denotes a live object.
-func (s *Store) Exists(sur domain.Surrogate) bool {
-	_, err := s.Get(sur)
-	return err == nil
-}
-
-// TypeOf returns the type name of an object.
-func (s *Store) TypeOf(sur domain.Surrogate) (string, error) { return s.live().typeOf(sur) }
-
-// Get returns the object for a surrogate. The returned *Object must be
-// treated as read-only.
-func (s *Store) Get(sur domain.Surrogate) (*Object, error) { return s.live().get(sur) }
-
 // Len reports the number of live objects (including relationship objects).
 func (s *Store) Len() int {
 	s.rlockAll()
@@ -757,12 +711,4 @@ func (s *Store) Len() int {
 		n += s.shards[i].live
 	}
 	return n
-}
-
-// Surrogates returns all live surrogates in ascending order; intended for
-// iteration in tools, tests and persistence snapshots.
-func (s *Store) Surrogates() []domain.Surrogate {
-	s.rlockAll()
-	defer s.runlockAll()
-	return s.live().surrogates()
 }

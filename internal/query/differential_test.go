@@ -131,7 +131,7 @@ func (d *diffDriver) predicate() string {
 
 // checkOne runs a single predicate through the planner and the oracle on
 // one source and compares element for element.
-func checkOne(t *testing.T, src Source, cls, where string, seed int64, step int) {
+func checkOne(t *testing.T, src object.View, cls, where string, seed int64, step int) {
 	t.Helper()
 	got, plan, err := Run(src, cls, where)
 	if err != nil {
@@ -165,9 +165,9 @@ func TestDifferentialPlannerVsNaive(t *testing.T) {
 			if i%25 != 0 {
 				continue
 			}
-			src := ForStore(d.s)
+			src := d.s.View
 			sn := d.s.Snapshot()
-			snSrc := ForSnapshot(sn)
+			snSrc := sn.View
 			for q := 0; q < 6; q++ {
 				where := d.predicate()
 				cls := []string{"gates", "impls"}[d.rng.Intn(2)]
@@ -192,7 +192,7 @@ func TestDifferentialSnapshotStability(t *testing.T) {
 	}
 	sn := d.s.Snapshot()
 	defer sn.Release()
-	snSrc := ForSnapshot(sn)
+	snSrc := sn.View
 	const where = "Width >= 5 and Width <= 12"
 	pinned, _, err := Run(snSrc, "gates", where)
 	if err != nil {
@@ -215,6 +215,6 @@ func TestDifferentialSnapshotStability(t *testing.T) {
 				t.Fatalf("step %d: pinned answer moved at %d", i, j)
 			}
 		}
-		checkOne(t, ForStore(d.s), "gates", where, 7, i)
+		checkOne(t, d.s.View, "gates", where, 7, i)
 	}
 }

@@ -1,3 +1,11 @@
+// Package query plans and executes predicate queries over database-level
+// class extents. A query is a class name plus a constraint-language
+// predicate; the planner chooses between a secondary-index probe, an
+// adaptive route-cache probe and a plain class-member scan, and EXPLAIN
+// renders the choice with its cost estimates. Queries read through an
+// object.View: the live store's, which holds no lock across rows (each
+// row takes and releases its own), or a snapshot's, which serves extents,
+// values and index probes at its pin however long the query runs.
 package query
 
 import (
@@ -37,9 +45,9 @@ func (m Mode) String() string {
 }
 
 // Plan is a costed access path for one query. Build it once, run it
-// against the same source (or an equivalent one: a plan built on the
-// store runs on a snapshot and vice versa — Run degrades to a scan if
-// the chosen index is not usable there).
+// against the same view (or another one: a plan built on the live store
+// runs on a snapshot and vice versa — Run degrades to a scan if the
+// chosen index is not usable there).
 type Plan struct {
 	Class string
 	Where expr.Expr // nil lists the whole extent
@@ -154,9 +162,8 @@ func indexableLit(v domain.Value) bool {
 
 // Build plans a query over className. It prefers an index probe on the
 // most selective sargable conjunct, falls back to the route-cache probe
-// for single-attribute predicates on sources that resolve inheritance
-// chains, and otherwise scans the extent.
-func Build(src Source, className string, where expr.Expr) (*Plan, error) {
+// for single-attribute predicates, and otherwise scans the extent.
+func Build(src object.View, className string, where expr.Expr) (*Plan, error) {
 	size := src.ClassSize(className)
 	if size < 0 {
 		return nil, fmt.Errorf("query: no class %q", className)
@@ -206,14 +213,10 @@ func Build(src Source, className string, where expr.Expr) (*Plan, error) {
 	}
 
 	if roots := expr.Roots(where); len(roots) == 1 {
-		if _, ok := src.(ChainSource); ok {
-			for r := range roots {
-				p.Attr = r
-			}
-			p.Mode = RouteProbe
-			return p, nil
+		for r := range roots {
+			p.Attr = r
 		}
-		p.note("single-attribute predicate, but source resolves no inheritance chains")
+		p.Mode = RouteProbe
 	}
 	return p, nil
 }
@@ -222,15 +225,15 @@ func Build(src Source, className string, where expr.Expr) (*Plan, error) {
 // (unknown names, type-mismatched comparisons, nulls reaching a
 // comparison) do not match — the same folding constraints use. Results
 // are sorted ascending by surrogate.
-func (p *Plan) Run(src Source) ([]domain.Surrogate, error) {
+func (p *Plan) Run(src object.View) ([]domain.Surrogate, error) {
 	if p.Mode == IndexScan {
 		if cands, ok := src.IndexProbe(p.Class, p.Attr, p.Lo, p.Hi); ok {
 			return p.filter(src, cands), nil
 		}
-		// The index was dropped (or never covered this source's sequence
+		// The index was dropped (or never covered this view's sequence
 		// point): degrade to a scan rather than fail.
 	}
-	members, err := src.ClassMembers(p.Class)
+	members, err := src.Class(p.Class)
 	if err != nil {
 		return nil, err
 	}
@@ -240,14 +243,12 @@ func (p *Plan) Run(src Source) ([]domain.Surrogate, error) {
 		return out, nil
 	}
 	if p.Mode == RouteProbe {
-		if cs, ok := src.(ChainSource); ok {
-			return p.routeProbe(src, cs, members), nil
-		}
+		return p.routeProbe(src, members), nil
 	}
 	return p.filter(src, members), nil
 }
 
-func (p *Plan) filter(src Source, surs []domain.Surrogate) []domain.Surrogate {
+func (p *Plan) filter(src object.View, surs []domain.Surrogate) []domain.Surrogate {
 	out := make([]domain.Surrogate, 0, len(surs))
 	for _, sur := range surs {
 		if ok, err := p.pred.EvalBool(src.Env(sur)); err == nil && ok {
@@ -264,11 +265,11 @@ func (p *Plan) filter(src Source, surs []domain.Surrogate) []domain.Surrogate {
 // owning the attribute locally are their own chain end and evaluate
 // individually — the worst case is a scan plus a cached chain walk per
 // row, the best case one evaluation per transmitter.
-func (p *Plan) routeProbe(src Source, cs ChainSource, members []domain.Surrogate) []domain.Surrogate {
+func (p *Plan) routeProbe(src object.View, members []domain.Surrogate) []domain.Surrogate {
 	verdict := make(map[domain.Surrogate]bool)
 	out := make([]domain.Surrogate, 0, len(members))
 	for _, m := range members {
-		owner, ok := cs.ChainOwner(m, p.Attr)
+		owner, ok := src.ChainOwner(m, p.Attr)
 		if !ok || owner == 0 {
 			owner = m
 		}
@@ -327,19 +328,24 @@ func rangeStr(lo, hi domain.Value) string {
 	return "[" + l + ", " + h + "]"
 }
 
-// Run parses, plans and executes a query in one call, returning the
-// matches and the plan (for EXPLAIN-after-the-fact). An empty predicate
-// lists the whole extent.
-func Run(src Source, className, where string) ([]domain.Surrogate, *Plan, error) {
+// Prepare parses and plans a query without running it. An empty
+// predicate lists the whole extent.
+func Prepare(src object.View, className, where string) (*Plan, error) {
 	var e expr.Expr
 	if strings.TrimSpace(where) != "" {
 		parsed, err := expr.Parse(where)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		e = parsed
 	}
-	p, err := Build(src, className, e)
+	return Build(src, className, e)
+}
+
+// Run parses, plans and executes a query in one call, returning the
+// matches and the plan (for EXPLAIN-after-the-fact).
+func Run(src object.View, className, where string) ([]domain.Surrogate, *Plan, error) {
+	p, err := Prepare(src, className, where)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -350,9 +356,9 @@ func Run(src Source, className, where string) ([]domain.Surrogate, *Plan, error)
 // Naive is the planner's differential oracle: it interprets the
 // predicate (no compilation, no index, no route grouping) over every
 // class member. Run must agree with it element for element on any
-// source.
-func Naive(src Source, className string, where expr.Expr) ([]domain.Surrogate, error) {
-	members, err := src.ClassMembers(className)
+// view.
+func Naive(src object.View, className string, where expr.Expr) ([]domain.Surrogate, error) {
+	members, err := src.Class(className)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func mustParse(t *testing.T, src string) expr.Expr {
 	return e
 }
 
-func runBoth(t *testing.T, src Source, cls, where string) ([]domain.Surrogate, *Plan) {
+func runBoth(t *testing.T, src object.View, cls, where string) ([]domain.Surrogate, *Plan) {
 	t.Helper()
 	got, plan, err := Run(src, cls, where)
 	if err != nil {
@@ -92,25 +93,42 @@ func runBoth(t *testing.T, src Source, cls, where string) ([]domain.Surrogate, *
 }
 
 func TestPlanModeSelection(t *testing.T) {
-	s, _ := gatesFixture(t, 20)
-	src := ForStore(s)
+	s, gs := gatesFixture(t, 20)
+	// The pinned row reads at a pin taken before the last writes: it must
+	// return what the live query returned there.
+	setA(t, s, gs[1], "Length", domain.Int(2))
+	setA(t, s, gs[4], "Length", domain.Int(2))
+	sn := s.Snapshot()
+	defer sn.Release()
+	atPin, _ := runBoth(t, s.View, "gates", "Length = 2")
+	setA(t, s, gs[1], "Length", domain.Int(3))
+	setA(t, s, gs[7], "Length", domain.Int(2))
 
 	cases := []struct {
-		where string
-		mode  Mode
+		where  string
+		mode   Mode
+		pinned bool
 	}{
-		{"", FullScan},                               // whole extent
-		{"Width = 2", IndexScan},                     // sargable, indexed
-		{"2 = Width", IndexScan},                     // literal on the left
-		{"Width >= 3 and Function = AND", IndexScan}, // conjunct picks the index
-		{"Length = 2", RouteProbe},                   // single root, unindexed
-		{"Width = Length", FullScan},                 // path ⋈ path: two roots, not sargable
-		{"Function = AND", FullScan},                 // enum symbol is a path, not a literal
+		{"", FullScan, false},                               // whole extent
+		{"Width = 2", IndexScan, false},                     // sargable, indexed
+		{"2 = Width", IndexScan, false},                     // literal on the left
+		{"Width >= 3 and Function = AND", IndexScan, false}, // conjunct picks the index
+		{"Length = 2", RouteProbe, false},                   // single root, unindexed
+		{"Length = 2", RouteProbe, true},                    // the same at a pin
+		{"Width = Length", FullScan, false},                 // path ⋈ path: two roots, not sargable
+		{"Function = AND", FullScan, false},                 // enum symbol is a path, not a literal
 	}
 	for _, c := range cases {
-		_, plan := runBoth(t, src, "gates", c.where)
+		src := s.View
+		if c.pinned {
+			src = sn.View
+		}
+		got, plan := runBoth(t, src, "gates", c.where)
 		if plan.Mode != c.mode {
-			t.Errorf("where %q: mode = %s, want %s", c.where, plan.Mode, c.mode)
+			t.Errorf("where %q (pinned %v): mode = %s, want %s", c.where, c.pinned, plan.Mode, c.mode)
+		}
+		if c.pinned && !slices.Equal(got, atPin) {
+			t.Errorf("where %q at the pin = %v, live at the pin = %v", c.where, got, atPin)
 		}
 	}
 }
@@ -123,7 +141,7 @@ func TestPlanPicksMostSelectiveSarg(t *testing.T) {
 	for i, g := range gs {
 		setA(t, s, g, "Length", domain.Int(int64(i))) // unique: point probe yields 1
 	}
-	src := ForStore(s)
+	src := s.View
 	_, plan := runBoth(t, src, "gates", "Width = 2 and Length = 7")
 	if plan.Mode != IndexScan || plan.Index != "gates_l" {
 		t.Fatalf("plan = %s via %q, want index scan via gates_l", plan.Mode, plan.Index)
@@ -135,7 +153,7 @@ func TestPlanPicksMostSelectiveSarg(t *testing.T) {
 
 func TestPlanRangeAndResidual(t *testing.T) {
 	s, _ := gatesFixture(t, 25)
-	src := ForStore(s)
+	src := s.View
 	// Strict bound widens to an inclusive probe; the residual re-cuts it.
 	got, plan := runBoth(t, src, "gates", "Width > 2 and Function = OR")
 	if plan.Mode != IndexScan {
@@ -154,7 +172,7 @@ func TestPlanRangeAndResidual(t *testing.T) {
 
 func TestPlanUnknownClass(t *testing.T) {
 	s, _ := gatesFixture(t, 1)
-	if _, _, err := Run(ForStore(s), "nope", ""); err == nil {
+	if _, _, err := Run(s.View, "nope", ""); err == nil {
 		t.Fatal("want error for unknown class")
 	}
 }
@@ -164,7 +182,7 @@ func TestPlanErrorRowsDoNotMatch(t *testing.T) {
 	// Null out Width on one row: the predicate errors there and the row
 	// must simply not match, on every access path.
 	setA(t, s, gs[0], "Width", domain.NullValue)
-	src := ForStore(s)
+	src := s.View
 	for _, where := range []string{"Width >= 0", "Length >= 0 or Width >= 0", ""} {
 		runBoth(t, src, "gates", where)
 	}
@@ -172,7 +190,7 @@ func TestPlanErrorRowsDoNotMatch(t *testing.T) {
 
 func TestPlanOnSnapshotAndDegrade(t *testing.T) {
 	s, gs := gatesFixture(t, 12)
-	src := ForStore(s)
+	src := s.View
 	plan, err := Build(src, "gates", mustParse(t, "Width = 2"))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +206,7 @@ func TestPlanOnSnapshotAndDegrade(t *testing.T) {
 	// The same plan runs against a pinned snapshot and agrees.
 	sn := s.Snapshot()
 	defer sn.Release()
-	snSrc := ForSnapshot(sn)
+	snSrc := sn.View
 	got, err := plan.Run(snSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +260,7 @@ func TestPlanInheritedValuesThroughIndex(t *testing.T) {
 	if err := s.CreateIndex("impls_len", "impls", "Length"); err != nil {
 		t.Fatal(err)
 	}
-	src := ForStore(s)
+	src := s.View
 	got, plan := runBoth(t, src, "impls", "Length = 8")
 	if plan.Mode != IndexScan {
 		t.Fatalf("mode = %s", plan.Mode)
@@ -265,7 +283,7 @@ func TestPlanInheritedValuesThroughIndex(t *testing.T) {
 
 func TestExplainText(t *testing.T) {
 	s, _ := gatesFixture(t, 10)
-	src := ForStore(s)
+	src := s.View
 
 	plan, err := Build(src, "gates", mustParse(t, "Width = 2"))
 	if err != nil {

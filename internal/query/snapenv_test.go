@@ -8,7 +8,6 @@ import (
 	"cadcam/internal/bench"
 	"cadcam/internal/domain"
 	"cadcam/internal/object"
-	"cadcam/internal/query"
 	"cadcam/internal/schema"
 )
 
@@ -107,7 +106,7 @@ func TestSnapshotEnvMatchesLive(t *testing.T) {
 			s := db.Store()
 			sn := s.Snapshot()
 			defer sn.Release()
-			live, pinned := query.ForStore(s), query.ForSnapshot(sn)
+			live, pinned := s.View, sn.View
 			for pass := 0; pass < 2; pass++ {
 				for _, sur := range s.Surrogates() {
 					typ, err := s.TypeOf(sur)

@@ -81,6 +81,9 @@ func (p *pipeConn) Close() error {
 // memory. Generous enough for a full checkpoint snapshot frame.
 const maxStreamMessage = 1 << 30
 
+// recvChunk is the receive buffer a stream conn starts a message with.
+const recvChunk = 64 << 10
+
 // streamConn frames messages over any byte stream (a TCP connection, a
 // unix socket, a pair of pipes) with a 4-byte little-endian length
 // prefix. Frame integrity still comes from the CRC inside each message.
@@ -117,11 +120,21 @@ func (s *streamConn) Recv() ([]byte, error) {
 	if n > maxStreamMessage {
 		return nil, ErrFrame
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(s.rw, b); err != nil {
-		return nil, err
+	// The buffer grows only as bytes arrive, doubling from one chunk, so a
+	// length prefix alone cannot make the receiver allocate what it claims.
+	b := make([]byte, min(int(n), recvChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(s.rw, b[off:]); err != nil {
+			if off > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if off = len(b); off == int(n) {
+			return b, nil
+		}
+		b = append(b, make([]byte, min(int(n)-off, off))...)
 	}
-	return b, nil
 }
 
 func (s *streamConn) Close() error { return s.rw.Close() }

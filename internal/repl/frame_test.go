@@ -3,7 +3,10 @@ package repl
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
+	"net"
 	"testing"
 )
 
@@ -128,4 +131,48 @@ func FuzzReplFrameDecode(f *testing.F) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", again, fr)
 		}
 	})
+}
+
+// TestStreamConnGrowsToMessage: messages below, at and across the
+// receive chunk arrive whole, and a body cut short is an unexpected EOF,
+// not a clean close.
+func TestStreamConnGrowsToMessage(t *testing.T) {
+	a, b := net.Pipe()
+	tx, rx := StreamConn(a), StreamConn(b)
+	defer tx.Close()
+	sizes := []int{0, 1, recvChunk - 1, recvChunk, recvChunk + 1, 3*recvChunk + 5}
+	go func() {
+		for _, n := range sizes {
+			msg := make([]byte, n)
+			for i := range msg {
+				msg[i] = byte(i * 7)
+			}
+			if err := tx.Send(msg); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], 2*recvChunk)
+		a.Write(hdr[:])
+		a.Write(make([]byte, recvChunk+1))
+		a.Close()
+	}()
+	for _, n := range sizes {
+		got, err := rx.Recv()
+		if err != nil {
+			t.Fatalf("size %d: %v", n, err)
+		}
+		if len(got) != n {
+			t.Fatalf("size %d: got %d bytes", n, len(got))
+		}
+		for i, c := range got {
+			if c != byte(i*7) {
+				t.Fatalf("size %d: byte %d = %d", n, i, c)
+			}
+		}
+	}
+	if _, err := rx.Recv(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated body: %v, want io.ErrUnexpectedEOF", err)
+	}
 }

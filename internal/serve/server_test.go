@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -420,6 +422,36 @@ func TestServeCorruptFrameTearsDownSession(t *testing.T) {
 			t.Fatal("proto_errors never counted")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeClaimedLengthNotAllocated: a frame header claiming 64 MiB
+// with one body byte behind it must not make the session allocate the
+// claimed length — here before Hello, so before any authentication.
+func TestServeClaimedLengthNotAllocated(t *testing.T) {
+	s := testServer(t, Config{DB: testDB(t)})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 4; i++ {
+		c, srv := net.Pipe()
+		defer c.Close()
+		s.ServeConn(srv)
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], 64<<20)
+		// net.Pipe writes return once the reader took the bytes, so after
+		// the body byte the session is reading the body.
+		if _, err := c.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("4 sessions each sent a 64 MiB header and 1 byte; heap grew %d bytes", grew)
 	}
 }
 

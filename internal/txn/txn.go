@@ -22,6 +22,18 @@ type Manager struct {
 	// store, outside all store locks, so transactional writes get the
 	// same per-statement durability as facade mutations.
 	barrier func() error
+
+	// step, when set, is called at named points inside operations (see
+	// stepPoint). Tests use it to interleave a writer with a half-done
+	// operation; it is nil otherwise.
+	step func(string)
+}
+
+// stepPoint calls the step hook, if one is set.
+func (m *Manager) stepPoint(name string) {
+	if m.step != nil {
+		m.step(name)
+	}
 }
 
 // NewManager creates a transaction manager. Access control defaults to

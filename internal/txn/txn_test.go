@@ -2,10 +2,12 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"cadcam/internal/domain"
+	"cadcam/internal/inherit"
 	"cadcam/internal/object"
 	"cadcam/internal/paperschema"
 )
@@ -406,6 +408,66 @@ func TestLockExpansionErrors(t *testing.T) {
 	}
 	if _, err := tx.LockExpansion(1, S); !errors.Is(err, ErrTxnDone) {
 		t.Errorf("expansion on finished txn: %v", err)
+	}
+}
+
+// TestExpansionConcurrentInsert runs a writer between LockExpansion's walk
+// and its locks: it adds a subobject to the composite and binds it to a
+// component interface. Both must come out locked and reported — the
+// subobject in the full mode, the new component's portion capped.
+func TestExpansionConcurrentInsert(t *testing.T) {
+	m := gateManager(t)
+	_, _, impl, _ := buildComposite(t, m)
+	comp, err := m.store.NewObject(paperschema.TypeGateInterface, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Access().Grant("designer", comp, RightRead)
+	var sub domain.Surrogate
+	m.step = func(point string) {
+		if point != "expansion/walked" || sub != 0 {
+			return
+		}
+		if sub, err = m.store.NewSubobject(impl, "SubGates"); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := m.store.Bind(paperschema.RelAllOfGateInterface, sub, comp); err != nil {
+			t.Error(err)
+		}
+	}
+	tx := m.Begin("designer")
+	el, err := tx.LockExpansion(impl, X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub == 0 {
+		t.Fatal("the step hook never ran")
+	}
+	held := tx.HeldLocks()
+	if held[sub] != X {
+		t.Errorf("subobject %v added mid-expansion holds %v, want X", sub, held[sub])
+	}
+	if !slices.Contains(el.Own, sub) {
+		t.Errorf("Own = %v lacks the subobject %v", el.Own, sub)
+	}
+	if held[comp] != S {
+		t.Errorf("component %v bound mid-expansion holds %v, want S", comp, held[comp])
+	}
+	want, err := inherit.VisibleComponents(m.store.View, impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(el.Portions) != len(want) {
+		t.Fatalf("Portions = %v, want one per %v", el.Portions, want)
+	}
+	for i, p := range want {
+		if got := el.Portions[i]; got.Object != p.Object || got.Rel != p.Rel {
+			t.Errorf("Portions[%d] = %v/%s, want %v/%s", i, got.Object, got.Rel, p.Object, p.Rel)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

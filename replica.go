@@ -112,7 +112,7 @@ func (f *Follower) SnapshotView() (*SnapshotView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SnapshotView{snap: snap}, nil
+	return viewOf(snap), nil
 }
 
 // SnapshotViewWithin pins a view only if the replica is at most maxLag
@@ -123,7 +123,7 @@ func (f *Follower) SnapshotViewWithin(maxLag uint64) (*SnapshotView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SnapshotView{snap: snap}, nil
+	return viewOf(snap), nil
 }
 
 // Lag returns how many records the replica is behind the newest state
