@@ -303,7 +303,7 @@ type DBStats struct {
 }
 
 // Stats returns resolution-cache hit/miss/invalidation counters, the
-// current structure epoch, the WAL group-commit counters, the
+// WAL group-commit counters, the
 // checkpoint/recovery counters, replication counters (when shipping),
 // and the sticky-error health probe.
 func (db *Database) Stats() DBStats {

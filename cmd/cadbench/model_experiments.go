@@ -155,8 +155,8 @@ func runE3() error {
 		stats = db.Stats()
 		db.Close()
 	}
-	fmt.Printf("route cache at depth 64: hits=%d misses=%d invalidations=%d epoch=%d\n",
-		stats.Hits, stats.Misses, stats.Invalidations, stats.Epoch)
+	fmt.Printf("route cache at depth 64: hits=%d misses=%d invalidations=%d\n",
+		stats.Hits, stats.Misses, stats.Invalidations)
 	return nil
 }
 

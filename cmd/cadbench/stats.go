@@ -7,8 +7,6 @@ type cacheReport struct {
 	Hits          uint64  `json:"hits"`
 	Misses        uint64  `json:"misses"`
 	Invalidations uint64  `json:"invalidations"`
-	Epoch         uint64  `json:"epoch"`
-	Routes        uint64  `json:"routes"`
 	HitRate       float64 `json:"hit_rate"`
 }
 
@@ -20,8 +18,6 @@ func fillCacheReport(report *jsonReport, db *cadcam.Database) {
 		Hits:          st.Hits,
 		Misses:        st.Misses,
 		Invalidations: st.Invalidations,
-		Epoch:         st.Epoch,
-		Routes:        st.Routes,
 	}
 	if total := st.Hits + st.Misses; total > 0 {
 		c.HitRate = float64(st.Hits) / float64(total)

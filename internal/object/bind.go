@@ -69,10 +69,6 @@ func (s *Store) Bind(relType string, inheritor, transmitter domain.Surrogate) (d
 	seq := s.seq.Add(1)
 	s.publishObj(obj, seq)
 	s.indexBinding(b, seq, with)
-	// Binding changes every route through the inheritor: null routes
-	// memoized while unbound must revalidate. All such routes carry the
-	// inheritor in their chain, so its shard epoch covers them.
-	s.bumpEpoch(s.shardOf(inheritor))
 	// Inherited values the inheritor (and everything downstream) now
 	// reads through the new binding enter the secondary indexes at seq.
 	s.idxTouch(inheritor)
@@ -131,9 +127,6 @@ func (s *Store) removeBindingLocked(b *Binding, seq uint64) {
 	s.retireObj(b.Obj, seq)
 	// The binding object disappears from its shard's durable state.
 	s.markDirty(b.Obj.sur)
-	// Every route resolved through this binding carries the inheritor in
-	// its chain; bump that shard's epoch.
-	s.bumpEpoch(s.shardOf(b.Inheritor))
 	// The inheritor's inherited values changed with the route; queue its
 	// index recomputation for the operation's idxCommit.
 	s.idxTouch(b.Inheritor)

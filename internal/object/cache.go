@@ -1,7 +1,6 @@
 package object
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"cadcam/internal/domain"
@@ -11,150 +10,155 @@ import (
 //
 // Reading an inherited member walks the binding chain from the inheritor
 // to the object that owns the member (§4: view semantics — the value is
-// never copied). The chain itself only changes on *structural* operations
-// (bind, unbind, delete, class materialization), so the store memoizes the
-// route — never the value — keyed by (surrogate, member name). A cache hit
-// reads the owner's live attribute slot, so a transmitter update made
-// after the route was memoized is visible immediately; plain attribute
-// writes never invalidate, which keeps routes hot under update-heavy
-// workloads.
+// never copied). The store memoizes the route — never the value — on the
+// inheritor itself, in a slot per member name. A cache hit reads the
+// owner's live attribute slot, so a transmitter update made after the
+// route was memoized is visible immediately; plain attribute writes never
+// invalidate, which keeps routes hot under update-heavy workloads.
 //
-// Sharding: each route lives in the cache of the shard owning its root
-// surrogate and is stamped with the structure epoch of every shard its
-// chain passes through. Structural operations bump only the epochs of the
-// shards they affect, so a Bind in one partition does not evict routes
-// confined to another. The hit path validates all stamps lock-free;
-// resolution runs under a shard lock, which freezes topology store-wide
-// (see the shard type), so the recorded stamps are exact.
+// One invalidation rule: a route records, for every object its walk
+// visited, the binding-list node (bindIn) it read there, and for a
+// members route the owner's subclass maps. Published binding lists and
+// subclass maps are immutable and replaced on every change, so the
+// recorded pointers are exact version stamps of everything the walk
+// depended on: a route holds at a read point while every recorded node is
+// still the one read there (the head for a live read, the node at the pin
+// for a snapshot read). Bind, unbind, rebind and delete all publish a new
+// list on the inheritor whose chain they change — deleting a transmitter
+// dissolves its bindings — and materialization publishes new subclass
+// maps, so no structural operation touches the cache.
 //
 // Entry: every read that can be served from a route enters through a
 // View's entry points (GetAttr, Members, collectionOf in read.go): the
 // exported expression environment (View.Env, ClassEnv member reads — so
 // query residuals hit the cache too), ResolveChainStamped and ChainOwner.
-// A pinned View checks the stamps against the pin's epochs instead of the
-// current ones. Only live resolutions memoize; snapshot and
-// index-maintenance resolutions do not, and environments inside store
-// operations bypass the hit path.
+// Only live resolutions memoize; snapshot and index-maintenance
+// resolutions do not, and environments inside store operations bypass the
+// hit path.
 //
-// Concurrency: routes live in sync.Maps and attribute slots publish
-// atomically, so the GetAttr/Members hit path takes no lock. Structural
-// writers bump epochs while holding all shard write locks; a concurrent
-// lock-free reader either observes a new epoch (and falls back to the
-// locked slow path) or serializes before the structural operation, which
-// is a legal linearization.
+// Concurrency: an object's route slots, binding lists and subclass maps
+// publish atomically, so the hit path takes no lock. A head never returns
+// to a node it left, so a reader that finds every recorded node still
+// current found them all current at once when it checked the first: it
+// serializes before any structural change it raced.
 
-// routeKey addresses one memoized resolution.
-type routeKey struct {
-	sur  domain.Surrogate
-	name string
+// hop is one object a walk visited and the binding list it read there.
+type hop struct {
+	o  *Object
+	in *vnode[[]*Binding]
 }
 
-// shardStamp records the structure epoch one shard had when a route was
-// resolved.
-type shardStamp struct {
-	shard int
-	epoch uint64
-}
-
-// route is one memoized resolution. For attribute routes, slot is the own
-// attribute slot that holds the value (nil: the chain ended unbound, the
-// read is null). For members routes, cls is the owner's
-// materialized subclass (nil: unbound or not yet materialized, the read is
-// empty). chain lists every surrogate visited from the inheritor to the
-// owner, in order — transactions lock it for lock inheritance (§6).
-// stamps holds one entry per distinct shard along the chain.
+// route is one memoized resolution: the hops from the inheritor to the
+// last object whose bindings the walk followed, and the owner it ended
+// at (nil: the chain ended unbound, the read is null or empty). For
+// attribute routes, slot is the owner's own attribute slot holding the
+// value. For members routes, subs is the owner's subclass maps as read
+// and cls the materialized subclass in them (nil: not materialized yet,
+// the read is empty).
 type route struct {
-	stamps []shardStamp
-	slot   *vchain[domain.Value]
-	cls    *Class
-	chain  []domain.Surrogate
+	hops    []hop
+	owner   *Object
+	slot    *vchain[domain.Value]
+	members bool
+	subs    *subMaps
+	cls     *Class
 }
 
-// routeCacheResetThreshold bounds dead-key accumulation per shard: when an
-// epoch bump finds more stored routes than this, the maps are swapped out
-// whole instead of being left to revalidate lazily.
-const routeCacheResetThreshold = 1 << 14
-
-// routeCache holds one shard's attribute and members route maps. The maps
-// are swappable so invalidation can drop a bloated cache in O(1).
-type routeCache struct {
-	attrs   atomic.Pointer[sync.Map]
-	members atomic.Pointer[sync.Map]
-	stored  atomic.Uint64
+// visit records that the walk read o's binding list node in. A nil route
+// records nothing.
+func (rt *route) visit(o *Object, in *vnode[[]*Binding]) {
+	if rt != nil {
+		rt.hops = append(rt.hops, hop{o, in})
+	}
 }
 
-func (rc *routeCache) init() {
-	rc.attrs.Store(new(sync.Map))
-	rc.members.Store(new(sync.Map))
+// validAt reports whether the route still describes the walk at sequence
+// point at: every hop's binding list there is the node recorded, and a
+// members route's owner still has the subclass maps recorded. A pinned
+// read compares the maps current now, which only refuses more: a class
+// materialized after the pin reads empty at it either way.
+func (rt *route) validAt(at uint64) bool {
+	for _, h := range rt.hops {
+		if h.o.bindIn.node(at) != h.in {
+			return false
+		}
+	}
+	return !rt.members || rt.owner == nil || rt.owner.subs.Load() == rt.subs
 }
 
-func (rc *routeCache) reset() {
-	rc.attrs.Store(new(sync.Map))
-	rc.members.Store(new(sync.Map))
-	rc.stored.Store(0)
+// chain lists every surrogate the route visited from the inheritor to the
+// owner, in order — transactions lock it for lock inheritance (§6).
+func (rt *route) chain() []domain.Surrogate {
+	out := make([]domain.Surrogate, 0, len(rt.hops)+1)
+	for _, h := range rt.hops {
+		out = append(out, h.o.sur)
+	}
+	if rt.owner != nil {
+		out = append(out, rt.owner.sur)
+	}
+	return out
 }
 
-// stampChain collects the current epochs of the distinct shards along a
-// chain; a pinned chain has none. Live callers hold at least one shard
-// lock, so the epochs cannot move.
-func (r View) stampChain(chain []domain.Surrogate) []shardStamp {
-	if !r.isLive() {
+// routeSlot returns the slot of o's routes holding name's route (members:
+// a subclass route, else an inherited attribute route), or nil when name
+// has none on o's type.
+func routeSlot(o *Object, name string, members bool, alloc bool) *atomic.Pointer[route] {
+	ords := o.lay.attrRoutes
+	if members {
+		ords = o.lay.subRoutes
+	}
+	i, ok := ords[name]
+	if !ok {
 		return nil
 	}
-	s := r.s
-	stamps := make([]shardStamp, 0, 2)
-	for _, sur := range chain {
-		idx := s.shardIndex(sur)
-		seen := false
-		for _, st := range stamps {
-			if st.shard == idx {
-				seen = true
-				break
-			}
+	p := o.routes.Load()
+	if p == nil {
+		if !alloc {
+			return nil
 		}
-		if !seen {
-			stamps = append(stamps, shardStamp{shard: idx, epoch: s.shards[idx].epoch.Load()})
+		slots := make([]atomic.Pointer[route], len(o.lay.attrRoutes)+len(o.lay.subRoutes))
+		if !o.routes.CompareAndSwap(nil, &slots) {
+			p = o.routes.Load()
+		} else {
+			p = &slots
 		}
 	}
-	return stamps
+	return &(*p)[i]
 }
 
-// memo stamps a route resolved under a shard lock (no epoch can move
-// while any shard lock is held, so the stamps are exact) and stores it
-// under (sur, name) in the attribute or members map of sur's shard. A
-// pinned resolution describes the past: it is neither stamped nor stored.
-func (r View) memo(attr bool, sur domain.Surrogate, name string, rt *route) *route {
-	if !r.isLive() {
-		return rt
+// hit returns o's route for name if it holds at the read point, counting
+// the hit, or the refusal when a recorded node changed. Lock-free.
+func (r View) hit(o *Object, name string, members bool) *route {
+	slot := routeSlot(o, name, members, false)
+	if slot == nil {
+		return nil
 	}
-	rt.stamps = r.stampChain(rt.chain)
-	sh := r.s.shardOf(sur)
-	m := &sh.routes.members
-	if attr {
-		m = &sh.routes.attrs
+	rt := slot.Load()
+	if rt == nil {
+		return nil
 	}
-	m.Load().Store(routeKey{sur, name}, rt)
-	sh.routes.stored.Add(1)
-	sh.misses.Add(1)
+	sh := r.s.shardOf(o.sur)
+	if !rt.validAt(r.at) {
+		sh.invalidations.Add(1)
+		return nil
+	}
+	sh.hits.Add(1)
 	return rt
 }
 
-// bumpEpoch invalidates every memoized route that crosses the shard.
-// Callers hold all shard write locks; lock-free readers racing the bump
-// either see the new epoch (slow path) or serialize before the structural
-// change.
-func (s *Store) bumpEpoch(sh *shard) {
-	sh.epoch.Add(1)
-	sh.invalidations.Add(1)
-	if sh.routes.stored.Load() > routeCacheResetThreshold {
-		sh.routes.reset()
+// memo stores a live resolution's route on its root object o and counts
+// the miss. The caller holds a shard lock, so no structural operation
+// runs while the walk records its hops. A pinned resolution describes the
+// past and is not stored; nor is a name without a route slot (own
+// attributes are read from their slot directly).
+func (r View) memo(o *Object, name string, rt *route) {
+	if !r.isLive() {
+		return
 	}
-}
-
-// bumpAllEpochs invalidates every route in the store (snapshot import).
-func (s *Store) bumpAllEpochs() {
-	for i := range s.shards {
-		s.bumpEpoch(&s.shards[i])
+	if slot := routeSlot(o, name, rt.members, true); slot != nil {
+		c := *rt
+		slot.Store(&c)
+		r.s.shardOf(o.sur).misses.Add(1)
 	}
 }
 
@@ -165,19 +169,15 @@ type ShardStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Invalidations uint64 `json:"invalidations"`
-	Epoch         uint64 `json:"epoch"`
-	Routes        uint64 `json:"routes"`
 }
 
-// StoreStats aggregates the resolution-cache counters across shards.
-// Epoch is the sum of the per-shard structure epochs (total structural
-// changes observed); PerShard carries the per-shard breakdown.
+// StoreStats aggregates the resolution-cache counters across shards;
+// PerShard carries the per-shard breakdown, counted on the shard of the
+// route's inheritor.
 type StoreStats struct {
 	Hits          uint64 // reads served from a memoized route, lock-free
-	Misses        uint64 // cacheable resolutions that had to walk the chain
-	Invalidations uint64 // structure-epoch bumps
-	Epoch         uint64 // sum of per-shard structure epochs
-	Routes        uint64 // approximate number of stored routes
+	Misses        uint64 // live resolutions that walked and memoized a route
+	Invalidations uint64 // hits refused because a recorded binding list or subclass map changed
 	Shards        int    // shard count
 	PerShard      []ShardStats
 	MVCC          MVCCStats // snapshot pins and version-chain GC (mvcc.go)
@@ -198,37 +198,34 @@ func (s *Store) Stats() StoreStats {
 			Hits:          sh.hits.Load(),
 			Misses:        sh.misses.Load(),
 			Invalidations: sh.invalidations.Load(),
-			Epoch:         sh.epoch.Load(),
-			Routes:        sh.routes.stored.Load(),
 		}
 		sh.mu.RUnlock()
 		st.PerShard[i] = p
 		st.Hits += p.Hits
 		st.Misses += p.Misses
 		st.Invalidations += p.Invalidations
-		st.Epoch += p.Epoch
-		st.Routes += p.Routes
 	}
 	st.MVCC = s.mvccStats()
 	return st
 }
 
-// ChainStamp captures the shard epochs a resolved chain depended on.
-// Transactions use it to detect a rebind between resolving a chain and
-// locking it (see ResolveChainStamped).
+// ChainStamp is what a resolved chain depended on: the object it was
+// resolved on and the route it followed (none for a member that is not
+// inherited). Transactions use it to detect a rebind between resolving a
+// chain and locking it (see ResolveChainStamped).
 type ChainStamp struct {
-	stamps []shardStamp
+	root *Object
+	rt   *route
 }
 
 // StampValid reports whether the chain the stamp was taken from is still
-// current: no shard it crossed has seen a structural change since.
+// current: its object is still live and every binding list the route read
+// is still the live one.
 func (s *Store) StampValid(st ChainStamp) bool {
-	for _, x := range st.stamps {
-		if s.shards[x.shard].epoch.Load() != x.epoch {
-			return false
-		}
+	if o, ok := s.obj(st.root.sur); !ok || o != st.root {
+		return false
 	}
-	return true
+	return st.rt == nil || st.rt.validAt(liveSeq)
 }
 
 // ResolveChainStamped returns the surrogates visited when resolving
@@ -237,12 +234,18 @@ func (s *Store) StampValid(st ChainStamp) bool {
 // chain (lock inheritance runs in the reverse direction of data
 // inheritance, §6). Names that are not inherited — own members, unknown
 // names, relationship objects — resolve to just the object itself. The
-// ChainStamp records the structure epochs of every shard the chain
-// crosses, so the caller can cheaply re-check (StampValid) that the chain
-// is still current after acquiring locks on it.
+// ChainStamp records the route the chain was read from, so the caller can
+// cheaply re-check (StampValid) that the chain is still current after
+// acquiring locks on it.
 func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]domain.Surrogate, ChainStamp, error) {
-	chain, stamps, err := s.resolveChain(sur, member)
-	return chain, ChainStamp{stamps: stamps}, err
+	o, rt, err := s.resolveChain(sur, member)
+	if err != nil {
+		return nil, ChainStamp{}, err
+	}
+	if rt == nil {
+		return []domain.Surrogate{sur}, ChainStamp{root: o}, nil
+	}
+	return rt.chain(), ChainStamp{root: o, rt: rt}, nil
 }
 
 // ChainOwner returns the object owning what member resolves to on sur at
@@ -250,51 +253,59 @@ func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]doma
 // member that is not inherited. Members sharing an owner share the value,
 // which the query planner's route probe exploits.
 func (r View) ChainOwner(sur domain.Surrogate, member string) (domain.Surrogate, bool) {
-	chain, _, err := r.resolveChain(sur, member)
-	if err != nil || len(chain) == 0 {
+	_, rt, err := r.resolveChain(sur, member)
+	switch {
+	case err != nil:
 		return 0, false
+	case rt == nil:
+		return sur, true
+	case rt.owner != nil:
+		return rt.owner.sur, true
 	}
-	return chain[len(chain)-1], true
+	return rt.hops[len(rt.hops)-1].o.sur, true
 }
 
-// resolveChain lists the surrogates visited resolving member on sur at
-// the read point, from a valid route or by walking, with the chain's
-// stamps (none at a pin, see memo).
-func (r View) resolveChain(sur domain.Surrogate, member string) ([]domain.Surrogate, []shardStamp, error) {
+// resolveChain returns the object sur denotes at the read point and the
+// route member resolves along on it, from a valid route or by walking:
+// nil for a member that is not inherited (an own member, an unknown name,
+// a relationship object, a sub-relationship without members).
+func (r View) resolveChain(sur domain.Surrogate, member string) (*Object, *route, error) {
+	if o, ok := r.settled(sur); ok {
+		if rt := r.hit(o, member, false); rt != nil {
+			return o, rt, nil
+		}
+		if rt := r.hit(o, member, true); rt != nil {
+			return o, rt, nil
+		}
+	}
 	sh := r.s.shardOf(sur)
-	if rt := r.route(sh, &sh.routes.attrs, sur, member); rt != nil {
-		return rt.chain, rt.stamps, nil
-	}
-	if rt := r.route(sh, &sh.routes.members, sur, member); rt != nil {
-		return rt.chain, rt.stamps, nil
-	}
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
 	if !ok {
 		return nil, nil, noObject(sur)
 	}
-	self := []domain.Surrogate{sur}
-	var err error
-	if eff, effErr := r.s.effectiveLocked(o); effErr == nil {
-		if a, ok := eff.Attr(member); ok && a.Inherited() {
-			slot, chain, err := r.attrWalk(o, member, self)
-			if err != nil {
-				return nil, nil, err
-			}
-			rt := r.memo(true, sur, member, &route{slot: slot, chain: chain})
-			return rt.chain, rt.stamps, nil
+	if o.lay.isRel {
+		return o, nil, nil
+	}
+	if a, ok := o.lay.eff.Attr(member); ok && a.Inherited() {
+		rt := &route{}
+		if _, err := r.attrWalk(o, member, rt); err != nil {
+			return nil, nil, err
 		}
-		if sd, ok := eff.SubclassByName(member); ok && sd.Inherited() {
-			var cls *Class
-			var chain []domain.Surrogate
-			if cls, chain, err = r.subclassWalk(o, member, self); err == nil {
-				rt := r.memo(false, sur, member, &route{cls: cls, chain: chain})
-				return rt.chain, rt.stamps, nil
-			}
-			if err == errNoMembersYet {
-				err = nil
-			}
+		r.memo(o, member, rt)
+		return o, rt, nil
+	}
+	if sd, ok := o.lay.eff.SubclassByName(member); ok && sd.Inherited() {
+		rt := &route{members: true}
+		switch _, err := r.subclassWalk(o, member, rt); err {
+		case nil:
+			r.memo(o, member, rt)
+			return o, rt, nil
+		case errNoMembersYet:
+			return o, nil, nil
+		default:
+			return nil, nil, err
 		}
 	}
-	return self, r.stampChain(self), err
+	return o, nil, nil
 }

@@ -29,27 +29,42 @@ func TestRouteCacheHitsAndLiveness(t *testing.T) {
 		t.Fatalf("inherited read: %v", v)
 	}
 	after := s.Stats()
-	if after.Hits != base.Hits+1 {
-		t.Fatalf("second read should hit: hits %d -> %d", base.Hits, after.Hits)
-	}
-	if after.Epoch != base.Epoch {
-		t.Fatalf("read bumped the epoch: %d -> %d", base.Epoch, after.Epoch)
+	if after.Hits != base.Hits+1 || after.Misses != base.Misses {
+		t.Fatalf("second read should hit: hits %d -> %d, misses %d -> %d",
+			base.Hits, after.Hits, base.Misses, after.Misses)
 	}
 
 	// A plain write must not invalidate, and must be visible through the
 	// already-memoized route (routes cache the path, never the value).
 	set(t, s, iface, "Length", domain.Int(11))
-	if ep := s.Stats().Epoch; ep != after.Epoch {
-		t.Fatalf("SetAttr bumped the epoch: %d -> %d", after.Epoch, ep)
-	}
 	if v := get(t, s, impl, "Length"); !v.Equal(domain.Int(11)) {
 		t.Fatalf("cached route served a stale value: %v", v)
 	}
+	if st := s.Stats(); st.Hits != after.Hits+1 || st.Misses != after.Misses || st.Invalidations != after.Invalidations {
+		t.Fatalf("read after SetAttr should hit: %+v -> %+v", after, st)
+	}
+}
+
+// expectMiss reads name on sur and checks the read walked (one more miss,
+// no hit) and returned want; refused reports whether a memoized route was
+// refused on the way (Invalidations moved).
+func expectMiss(t *testing.T, s *Store, sur domain.Surrogate, name string, want domain.Value) (refused bool) {
+	t.Helper()
+	before := s.Stats()
+	if v := get(t, s, sur, name); !v.Equal(want) {
+		t.Fatalf("read of %s.%s: %v, want %v", sur, name, v, want)
+	}
+	after := s.Stats()
+	if after.Hits != before.Hits || after.Misses != before.Misses+1 {
+		t.Fatalf("read of %s.%s should miss: hits %d -> %d, misses %d -> %d",
+			sur, name, before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+	return after.Invalidations > before.Invalidations
 }
 
 // TestRouteCacheInvalidation walks the structural operations that must
-// bump the epoch, checking each actually changes what a cached read
-// resolves to.
+// invalidate a memoized route, checking the next read misses and returns
+// what the changed chain resolves to.
 func TestRouteCacheInvalidation(t *testing.T) {
 	s := gateStore(t)
 	a := mustSur(t)(s.NewObject(paperschema.TypeGateInterface, ""))
@@ -59,44 +74,42 @@ func TestRouteCacheInvalidation(t *testing.T) {
 	set(t, s, b, "Length", domain.Int(2))
 
 	// Null route while unbound.
-	if v := get(t, s, impl, "Length"); !domain.IsNull(v) {
-		t.Fatalf("unbound read: %v", v)
-	}
-	ep0 := s.Stats().Epoch
+	expectMiss(t, s, impl, "Length", domain.NullValue)
 
 	// Bind invalidates the memoized null route.
 	if _, err := s.Bind(paperschema.RelAllOfGateInterface, impl, a); err != nil {
 		t.Fatal(err)
 	}
-	if ep := s.Stats().Epoch; ep == ep0 {
-		t.Fatal("Bind did not bump the epoch")
+	if !expectMiss(t, s, impl, "Length", domain.Int(1)) {
+		t.Fatal("Bind: the null route was not refused")
 	}
-	if v := get(t, s, impl, "Length"); !v.Equal(domain.Int(1)) {
-		t.Fatalf("after bind: %v", v)
+	chain, stamp, err := s.ResolveChainStamped(impl, "Length")
+	if err != nil || len(chain) != 2 || chain[1] != a || !s.StampValid(stamp) {
+		t.Fatalf("chain %v (%v), stamp valid %v", chain, err, s.StampValid(stamp))
 	}
 
-	// Rebinding to a different transmitter redirects the route.
+	// Rebinding to a different transmitter redirects the route: the stale
+	// route is refused (Invalidations rises) and the walk follows b.
 	if err := s.Unbind(paperschema.RelAllOfGateInterface, impl); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Bind(paperschema.RelAllOfGateInterface, impl, b); err != nil {
 		t.Fatal(err)
 	}
-	if v := get(t, s, impl, "Length"); !v.Equal(domain.Int(2)) {
-		t.Fatalf("after rebind: %v", v)
+	if !expectMiss(t, s, impl, "Length", domain.Int(2)) {
+		t.Fatal("rebind: the stale route was not refused")
+	}
+	if s.StampValid(stamp) {
+		t.Fatal("rebind: the chain stamp through a is still valid")
 	}
 
 	// Deleting the transmitter (DeleteUnbind) kills the route.
 	s.SetDeletePolicy(DeleteUnbind)
-	epDel := s.Stats().Epoch
 	if err := s.Delete(b); err != nil {
 		t.Fatal(err)
 	}
-	if ep := s.Stats().Epoch; ep == epDel {
-		t.Fatal("Delete did not bump the epoch")
-	}
-	if v := get(t, s, impl, "Length"); !domain.IsNull(v) {
-		t.Fatalf("route survived transmitter delete: %v", v)
+	if !expectMiss(t, s, impl, "Length", domain.NullValue) {
+		t.Fatal("delete: the stale route was not refused")
 	}
 }
 

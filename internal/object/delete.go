@@ -174,10 +174,8 @@ func (s *Store) removeObjectLocked(sur domain.Surrogate, seq uint64) {
 		s.unindexParticipantLocked(sur, v)
 	}
 	// Unlink from the owning class or parent.
-	if o.ownerClass != "" {
-		if cls, ok := s.class(o.ownerClass); ok {
-			s.classRemove(cls, sur)
-		}
+	if o.ownerClass != nil {
+		s.classRemove(o.ownerClass, sur)
 	}
 	if o.parent != 0 {
 		if po, ok := s.obj(o.parent); ok {
@@ -191,10 +189,6 @@ func (s *Store) removeObjectLocked(sur domain.Surrogate, seq uint64) {
 	}
 	s.retireObj(o, seq)
 	s.markDirty(sur)
-	// Routes from or through the dead object must not be served again;
-	// every such route carries sur in its chain, so its shard's epoch
-	// covers them all.
-	s.bumpEpoch(sh)
 }
 
 func (s *Store) unindexParticipantLocked(rel domain.Surrogate, v domain.Value) {

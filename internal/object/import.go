@@ -151,9 +151,15 @@ func (s *Store) importObject(r *ObjectRecord) error {
 	if err := o.importAttrs(r.Attrs); err != nil {
 		return err
 	}
+	if r.OwnerClass != "" {
+		cls, ok := s.class(r.OwnerClass)
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrNoSuchClass, r.OwnerClass)
+		}
+		o.ownerClass = cls
+	}
 	o.parent = r.Parent
 	o.parentSub = r.ParentSub
-	o.ownerClass = r.OwnerClass
 	o.participants = r.Participants
 	if r.ModSeq != 0 {
 		o.mod.head.Store(&vnode[struct{}]{at: r.ModSeq})
@@ -218,12 +224,8 @@ func (s *Store) finishImport(base *StoreState) error {
 		if o.binding != nil {
 			return nil
 		}
-		if o.ownerClass != "" {
-			cls, ok := s.class(o.ownerClass)
-			if !ok {
-				return fmt.Errorf("%w: %q", ErrNoSuchClass, o.ownerClass)
-			}
-			cls.add(o.sur, 0)
+		if o.ownerClass != nil {
+			o.ownerClass.add(o.sur, 0)
 		}
 		if o.parent != 0 {
 			po, ok := s.obj(o.parent)
@@ -262,11 +264,7 @@ func (s *Store) finishImport(base *StoreState) error {
 	}
 	s.nextSur.Store(base.NextSur)
 	s.seq.Store(base.Seq)
-	if err := s.seedIndexState(base.Indexes); err != nil {
-		return err
-	}
-	s.bumpAllEpochs()
-	return nil
+	return s.seedIndexState(base.Indexes)
 }
 
 // clearLocked returns a store whose import failed to the empty state the
@@ -285,7 +283,6 @@ func (s *Store) clearLocked() {
 	s.indexes.Store(nil)
 	s.nextSur.Store(0)
 	s.seq.Store(0)
-	s.bumpAllEpochs()
 }
 
 // takeInt removes an integer bookkeeping attribute from the map and

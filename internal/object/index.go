@@ -325,9 +325,9 @@ func (s *Store) classRemove(cls *Class, sur domain.Surrogate) {
 // (bind, unbind, cascade delete) may have rerouted. idxCommit recomputes
 // the queued objects — and everything downstream of them through the
 // binding graph — at the operation's commit sequence. This mirrors the
-// route cache exactly: the events that bump shard epochs are the events
-// that queue recomputation, and the recomputation itself reuses the
-// epoch-guarded route resolution. Callers hold the all-shard lock.
+// route cache: the events that queue recomputation are the ones that
+// publish a new binding list on the inheritor, which is what invalidates
+// its memoized routes. Callers hold the all-shard lock.
 func (s *Store) idxTouch(sur domain.Surrogate) {
 	if s.indexes.Load() == nil {
 		return
@@ -384,10 +384,10 @@ func (s *Store) idxCommit(seq uint64) {
 	}
 	for sur := range rec {
 		o, ok := s.obj(sur)
-		if !ok || o.lay.isRel || o.ownerClass == "" {
+		if !ok || o.lay.isRel || o.ownerClass == nil {
 			continue
 		}
-		for _, ix := range reg.byAttrOfClass(o.ownerClass) {
+		for _, ix := range reg.byAttrOfClass(o.ownerClass.name) {
 			ix.refresh(s, sur, seq)
 		}
 	}
@@ -420,7 +420,7 @@ func (s *Store) idxOwn(o *Object, name string, v domain.Value, seq uint64) {
 		return
 	}
 	for _, ix := range reg.byAttr[name] {
-		if ix.className != o.ownerClass {
+		if ix.className != o.className() {
 			continue
 		}
 		if domain.IsNull(v) {
@@ -447,11 +447,11 @@ func (s *Store) idxInherited(inheritor domain.Surrogate, member string, seq uint
 		return
 	}
 	o, ok := s.obj(inheritor)
-	if !ok || o.lay.isRel || o.ownerClass == "" {
+	if !ok || o.lay.isRel || o.ownerClass == nil {
 		return
 	}
 	for _, ix := range list {
-		if ix.className == o.ownerClass {
+		if ix.className == o.ownerClass.name {
 			ix.refresh(s, inheritor, seq)
 		}
 	}
@@ -892,38 +892,4 @@ func (s *Store) idxAudit(report func(format string, args ...any)) {
 			}
 		}
 	}
-}
-
-// IndexStat reports the shape of one secondary index.
-type IndexStat struct {
-	Name     string
-	Class    string
-	Attr     string
-	Keys     int
-	Entries  int
-	Retained uint64
-}
-
-// IndexStats reports per-index sizes for the live indexes.
-func (s *Store) IndexStats() []IndexStat {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return nil
-	}
-	var out []IndexStat
-	for _, ix := range reg.list {
-		if ix.dropped() != 0 {
-			continue
-		}
-		st := IndexStat{Name: ix.name, Class: ix.className, Attr: ix.attrName, Retained: ix.retained.Load()}
-		for i := range ix.parts {
-			p := &ix.parts[i]
-			p.mu.Lock()
-			st.Keys += len(p.buckets)
-			st.Entries += len(p.cur)
-			p.mu.Unlock()
-		}
-		out = append(out, st)
-	}
-	return out
 }

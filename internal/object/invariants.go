@@ -46,8 +46,8 @@ func (s *Store) CheckInvariants() []string {
 					report("class %q holds dead member %s", name, m)
 					continue
 				}
-				if o.ownerClass != name {
-					report("class %q holds %s whose ownerClass is %q", name, m, o.ownerClass)
+				if o.ownerClass != cls {
+					report("class %q holds %s whose ownerClass is %q", name, m, o.className())
 				}
 			}
 		}
@@ -60,10 +60,9 @@ func (s *Store) CheckInvariants() []string {
 		}
 	}
 	forEachObject(func(sur domain.Surrogate, o *Object) {
-		if o.ownerClass != "" {
-			cls, ok := s.class(o.ownerClass)
-			if !ok || !cls.Contains(sur) {
-				report("%s claims class %q but is not a member", sur, o.ownerClass)
+		if cls := o.ownerClass; cls != nil {
+			if !cls.Contains(sur) {
+				report("%s claims class %q but is not a member", sur, cls.name)
 			}
 		}
 	})

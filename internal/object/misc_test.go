@@ -290,20 +290,32 @@ func TestImportRejectsSurrogatesOutsideState(t *testing.T) {
 	}
 }
 
-func TestWithExclusive(t *testing.T) {
+// TestPinCheckpointExport exports through the checkpointer's path: a
+// snapshot pinned under the rotation lock, exported whole and by shard
+// after the lock is released, and an inLock error that aborts the pin.
+func TestPinCheckpointExport(t *testing.T) {
 	s := gateStore(t)
 	mustSur(t)(s.NewObject(paperschema.TypePin, ""))
-	var got int
-	err := s.WithExclusive(func(st *StoreState) error {
-		got = len(st.Objects)
-		return nil
-	})
-	if err != nil || got != 1 {
-		t.Errorf("WithExclusive: %d, %v", got, err)
+	pc, err := s.PinCheckpoint(nil, func() error { return nil })
+	if err != nil {
+		t.Fatal(err)
 	}
+	mustSur(t)(s.NewObject(paperschema.TypePin, "")) // after the pin: not exported
+	got := 0
+	for _, sh := range pc.Snap.ExportShards(pc.Marks, pc.Dirty).Shards {
+		got += len(sh.Objects)
+	}
+	if n := len(pc.Snap.Export().Objects); got != 1 || n != 1 {
+		t.Errorf("pinned export: %d objects by shard, %d whole, want 1", got, n)
+	}
+	pc.Snap.Release()
+	pc.Snap.Release() // a second Release is a no-op
 	wantErr := errors.New("boom")
-	if err := s.WithExclusive(func(*StoreState) error { return wantErr }); !errors.Is(err, wantErr) {
+	if _, err := s.PinCheckpoint(nil, func() error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Errorf("error propagation: %v", err)
+	}
+	if pins := s.Stats().MVCC.Pins; pins != 0 {
+		t.Errorf("%d pins left, want 0", pins)
 	}
 }
 

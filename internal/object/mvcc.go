@@ -405,16 +405,12 @@ func (s *Store) lowWater() uint64 { return s.mvcc.lowA.Load() }
 // Snapshot is a pinned store-wide sequence point. All read methods
 // traverse version chains lock-free at the pinned sequence; writers are
 // never blocked by a live snapshot, they only retain old versions for it.
-// Release the snapshot (refcounted) to let the sweep reclaim them.
+// Release the snapshot to let the sweep reclaim them.
 type Snapshot struct {
 	// View is the read surface at the pinned sequence point.
 	View
-	nextSur uint64
-	// epochs are the per-shard structure epochs at pin time: a memoized
-	// resolution route whose stamps match them was valid exactly at the
-	// pin, so snapshot reads may reuse the live route cache.
-	epochs []uint64
-	refs   atomic.Int64
+	nextSur  uint64
+	released atomic.Bool
 }
 
 // Snapshot pins the current sequence point. It briefly takes all shard
@@ -430,17 +426,11 @@ func (s *Store) Snapshot() *Snapshot {
 // Seq returns the pinned sequence point.
 func (sn *Snapshot) Seq() uint64 { return sn.at }
 
-// Acquire adds a reference; every Acquire needs a matching Release.
-func (sn *Snapshot) Acquire() *Snapshot {
-	sn.refs.Add(1)
-	return sn
-}
-
-// Release drops one reference; the last release unpins the sequence point
-// and, if no other pin remains, triggers a version sweep when retained
-// garbage exists.
+// Release unpins the sequence point and, if no other pin remains,
+// triggers a version sweep when retained garbage exists. A second Release
+// is a no-op.
 func (sn *Snapshot) Release() {
-	if sn.refs.Add(-1) != 0 {
+	if !sn.released.CompareAndSwap(false, true) {
 		return
 	}
 	s := sn.s

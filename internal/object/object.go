@@ -62,7 +62,7 @@ type Object struct {
 
 	parent     domain.Surrogate // 0 for top-level objects
 	parentSub  string           // subclass of the parent that holds this object
-	ownerClass string           // top-level class name, "" if none
+	ownerClass *Class           // top-level class, nil if none
 
 	// mod versions the store sequence of the last direct mutation
 	// (attribute write, subclass membership change), used for optimistic
@@ -76,19 +76,30 @@ type Object struct {
 	// deleted), so the live store (S = liveSeq) sees it from creation on.
 	createdSeq atomic.Uint64
 	deletedSeq atomic.Uint64
+
+	// routes holds the object's memoized resolution routes, indexed by the
+	// layout's route ordinals; nil until the first is memoized. Slots are
+	// written under a shard read lock and read lock-free (cache.go).
+	routes atomic.Pointer[[]atomic.Pointer[route]]
 }
 
 // layout is a type's fixed object layout, computed once per type from the
 // validated catalog, which cannot change afterwards. It lists the type's
 // own attributes — the ones its objects store — in declaration order, and
 // an object's attribute slots are indexed by these ordinals. Inherited
-// attributes have no slot: they are read through the bindings.
+// attributes have no slot: they are read through the bindings, along a
+// route memoized in the object's route slot for the name. Subclasses,
+// own or inherited, have a route slot too: their read depends on
+// materialization.
 type layout struct {
 	name  string
 	isRel bool                  // relationship or inheritance relationship type
 	eff   *schema.EffectiveType // object types only
 	attrs []*schema.Attribute   // own attributes by ordinal
 	ord   map[string]int        // own attribute name -> ordinal
+
+	attrRoutes map[string]int // inherited attribute name -> route ordinal
+	subRoutes  map[string]int // subclass name -> route ordinal, after attrRoutes'
 }
 
 // newLayouts computes the layout of every object, relationship and
@@ -100,6 +111,17 @@ func newLayouts(cat *schema.Catalog) map[string]*layout {
 		for i := range attrs {
 			l.ord[attrs[i].Name] = i
 			l.attrs = append(l.attrs, &attrs[i])
+		}
+		if eff != nil {
+			l.attrRoutes, l.subRoutes = make(map[string]int), make(map[string]int)
+			for _, a := range eff.Attrs {
+				if a.Inherited() {
+					l.attrRoutes[a.Name] = len(l.attrRoutes)
+				}
+			}
+			for _, sd := range eff.Subclasses {
+				l.subRoutes[sd.Name] = len(l.attrRoutes) + len(l.subRoutes)
+			}
 		}
 		m[name] = l
 	}
@@ -260,6 +282,14 @@ func (o *Object) IsRelationship() bool { return o.lay.isRel }
 
 // Parent returns the owning complex object's surrogate, or 0.
 func (o *Object) Parent() domain.Surrogate { return o.parent }
+
+// className returns the name of the object's top-level class, "" if none.
+func (o *Object) className() string {
+	if o.ownerClass == nil {
+		return ""
+	}
+	return o.ownerClass.name
+}
 
 // ParentSubclass returns the parent subclass holding this subobject.
 func (o *Object) ParentSubclass() string { return o.parentSub }

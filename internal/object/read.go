@@ -3,8 +3,6 @@ package object
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cadcam/internal/domain"
 	"cadcam/internal/schema"
@@ -20,13 +18,14 @@ import (
 // snapshot reads, ResolveChainStamped, the expression environment and
 // index maintenance alike.
 //
-// Live reads differ from snapshot reads in three places only: a live read
-// outside a store operation takes locks (the object's shard read lock on
-// a route miss, the class stripe for an extent, every shard for a full
-// listing; a snapshot reads lock-free); a route hit is checked against
-// the current shard epochs (a snapshot checks its pin's); and a live
+// Live reads differ from snapshot reads in two places only: a live read
+// outside a store operation takes locks when it cannot answer lock-free
+// (the object's shard read lock to walk, the class stripe for an extent,
+// every shard for a full listing; a snapshot reads lock-free); and a live
 // resolution memoizes the route it walked (a snapshot's describes the
-// pinned past and is never memoized).
+// pinned past and is never memoized). A route hit is checked at the read
+// point alike: the binding lists it recorded must be the ones read there
+// (cache.go).
 
 // liveSeq is the sequence point of the live store: every chain reads its
 // head there.
@@ -39,8 +38,7 @@ const liveSeq = ^uint64(0)
 type View struct {
 	s  *Store
 	at uint64
-	// pin is the snapshot read at (nil for live reads); route hits are
-	// checked against its pin-time epochs instead of the current ones.
+	// pin is the snapshot read at (nil for live reads).
 	pin *Snapshot
 }
 
@@ -58,11 +56,24 @@ func (r View) obj(sur domain.Surrogate) (*Object, bool) {
 	return o, true
 }
 
-// transmitter returns o's transmitter under relType at the read point, or
-// nil when o was unbound there.
-func (r View) transmitter(o *Object, relType string) *Object {
-	l, _ := o.bindIn.at(r.at)
-	if b := byRel(l, relType); b != nil {
+// settled returns the object with surrogate sur if a lock-free read may
+// answer from it: visible at the read point and, for a live read, created
+// by a committed operation (a running one may still roll back).
+func (r View) settled(sur domain.Surrogate) (*Object, bool) {
+	o, ok := r.obj(sur)
+	if !ok || o.createdSeq.Load() == pending {
+		return nil, false
+	}
+	return o, true
+}
+
+// transmitter returns the transmitter under relType in the binding list
+// node in, or nil when there is none visible at the read point.
+func (r View) transmitter(in *vnode[[]*Binding], relType string) *Object {
+	if in == nil {
+		return nil
+	}
+	if b := byRel(in.v, relType); b != nil {
 		if t, ok := r.obj(b.Transmitter); ok {
 			return t
 		}
@@ -73,72 +84,80 @@ func (r View) transmitter(o *Object, relType string) *Object {
 // attrWalk follows attribute name's inheritance bindings from o to the
 // own attribute slot that holds the value: slot is nil when the chain ends
 // unbound, and the read is null (type-level inheritance only). A non-nil
-// chain gets every transmitter visited appended. This is the only walk of
-// an attribute's bindings.
-func (r View) attrWalk(o *Object, name string, chain []domain.Surrogate) (slot *vchain[domain.Value], _ []domain.Surrogate, err error) {
+// rt records the walk: every binding list read and the owner. This is the
+// only walk of an attribute's bindings.
+func (r View) attrWalk(o *Object, name string, rt *route) (slot *vchain[domain.Value], err error) {
 	for cur := o; ; {
 		if i, ok := cur.lay.ord[name]; ok {
-			return &cur.attrs[i], chain, nil
+			if rt != nil {
+				rt.owner, rt.slot = cur, &cur.attrs[i]
+			}
+			return &cur.attrs[i], nil
 		}
 		eff, err := r.s.effectiveLocked(cur)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		a, ok := eff.Attr(name)
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cur.lay.name, name)
+			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cur.lay.name, name)
 		}
-		if cur = r.transmitter(cur, a.Via); cur == nil {
-			return nil, chain, nil
-		}
-		if chain != nil {
-			chain = append(chain, cur.sur)
+		in := cur.bindIn.node(r.at)
+		rt.visit(cur, in)
+		if cur = r.transmitter(in, a.Via); cur == nil {
+			return nil, nil
 		}
 	}
 }
 
 // errNoMembersYet marks a declared sub-relationship without members: it
-// reads empty, and no route is memoized for it, because materializing it
-// bumps no epoch.
+// reads empty, and no route is memoized for it.
 var errNoMembersYet = errors.New("object: sub-relationship has no members yet")
 
 // subclassWalk follows subclass name's inheritance bindings from o to the
 // object owning it and returns the owner's materialized class: nil when
 // the chain ends unbound or the class is not materialized yet (the read is
-// empty; materialization bumps the owner's shard epoch). chain is as in
-// attrWalk. This is the only walk of a subclass's bindings.
-func (r View) subclassWalk(o *Object, name string, chain []domain.Surrogate) (*Class, []domain.Surrogate, error) {
+// empty). rt is as in attrWalk, and records the owner's subclass maps.
+// This is the only walk of a subclass's bindings.
+func (r View) subclassWalk(o *Object, name string, rt *route) (*Class, error) {
 	for cur := o; ; {
 		eff, err := r.s.effectiveLocked(cur)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sd, ok := eff.SubclassByName(name)
 		if !ok {
 			for _, sr := range eff.Type.SubRels {
 				if sr.Name == name {
-					return nil, nil, errNoMembersYet
+					return nil, errNoMembersYet
 				}
 			}
-			return nil, nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, cur.lay.name, name)
+			return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, cur.lay.name, name)
 		}
 		if !sd.Inherited() {
-			return cur.subMap()[name], chain, nil
+			subs := cur.subs.Load()
+			var cls *Class
+			if subs != nil {
+				cls = subs.sub[name]
+			}
+			if rt != nil {
+				rt.owner, rt.subs, rt.cls = cur, subs, cls
+			}
+			return cls, nil
 		}
-		if cur = r.transmitter(cur, sd.Via); cur == nil {
-			return nil, chain, nil
-		}
-		if chain != nil {
-			chain = append(chain, cur.sur)
+		in := cur.bindIn.node(r.at)
+		rt.visit(cur, in)
+		if cur = r.transmitter(in, sd.Via); cur == nil {
+			return nil, nil
 		}
 	}
 }
 
-// chainFrom starts the route chain of a resolution rooted at o: live reads
-// track it for memoization, snapshot reads do not.
-func (r View) chainFrom(o *Object) []domain.Surrogate {
+// recorder returns rec for a live walk to record its route into, nil for
+// a pinned walk, whose route is never memoized.
+func (r View) recorder(rec *route) *route {
 	if r.isLive() {
-		return []domain.Surrogate{o.sur}
+		return rec
 	}
 	return nil
 }
@@ -158,7 +177,7 @@ func (r View) slot(slot *vchain[domain.Value]) domain.Value {
 // without memoizing a route. Index maintenance uses it: it may run for an
 // object on a shard the caller does not hold.
 func (r View) resolve(o *Object, name string) (domain.Value, error) {
-	slot, _, err := r.attrWalk(o, name, nil)
+	slot, err := r.attrWalk(o, name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +188,7 @@ func (r View) resolve(o *Object, name string) (domain.Value, error) {
 // attributes from the object itself, inherited ones through the binding
 // from the transmitter (view semantics — never a copy), null while
 // unbound. A live read memoizes the route it walked; the caller holds a
-// shard lock, which freezes topology store-wide, so the stamps are exact.
+// shard lock, which freezes topology store-wide, so the route is exact.
 func (r View) getAttr(o *Object, name string) (domain.Value, error) {
 	if name == "Surrogate" {
 		return domain.Ref(o.sur), nil
@@ -177,13 +196,12 @@ func (r View) getAttr(o *Object, name string) (domain.Value, error) {
 	if o.lay.isRel {
 		return r.relAttr(o, name)
 	}
-	slot, chain, err := r.attrWalk(o, name, r.chainFrom(o))
+	var rec route
+	slot, err := r.attrWalk(o, name, r.recorder(&rec))
 	if err != nil {
 		return nil, err
 	}
-	if chain != nil {
-		r.memo(true, o.sur, name, &route{slot: slot, chain: chain})
-	}
+	r.memo(o, name, &rec)
 	return r.slot(slot), nil
 }
 
@@ -226,16 +244,15 @@ func (r View) members(o *Object, name string) ([]domain.Surrogate, error) {
 		}
 		return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, o.lay.name, name)
 	}
-	cls, chain, err := r.subclassWalk(o, name, r.chainFrom(o))
+	rec := route{members: true}
+	cls, err := r.subclassWalk(o, name, r.recorder(&rec))
 	if err == errNoMembersYet {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	if chain != nil {
-		r.memo(false, o.sur, name, &route{cls: cls, chain: chain})
-	}
+	r.memo(o, name, &rec)
 	return copySurs(cls.membersAt(r.at)), nil
 }
 
@@ -261,37 +278,10 @@ func (r View) collection(o *Object, name string) ([]domain.Value, bool) {
 	return nil, false
 }
 
-// ---- entry points: route hit first ----
+// ---- entry points: answer lock-free first ----
 
-// route returns the memoized route for (sur, name) in m if it held at the
-// read point — every shard its chain crosses has the recorded epoch now
-// (live) or had it at the pin (snapshot), so the route describes that
-// topology exactly — and counts the hit. Lock-free.
-func (r View) route(sh *shard, m *atomic.Pointer[sync.Map], sur domain.Surrogate, name string) *route {
-	v, ok := m.Load().Load(routeKey{sur, name})
-	if !ok {
-		return nil
-	}
-	rt := v.(*route)
-	if r.pin == nil {
-		for _, st := range rt.stamps {
-			if r.s.shards[st.shard].epoch.Load() != st.epoch {
-				return nil
-			}
-		}
-	} else {
-		for _, st := range rt.stamps {
-			if r.pin.epochs[st.shard] != st.epoch {
-				return nil
-			}
-		}
-	}
-	sh.hits.Add(1)
-	return rt
-}
-
-// enter looks sur's object up for a route miss; a live read takes the
-// shard read lock, which the caller releases with leave.
+// enter looks sur's object up for a read that walks; a live read takes
+// the shard read lock, which the caller releases with leave.
 func (r View) enter(sh *shard, sur domain.Surrogate) (*Object, bool) {
 	if r.isLive() {
 		sh.mu.RLock()
@@ -306,20 +296,25 @@ func (r View) leave(sh *shard) {
 }
 
 // GetAttr reads an attribute with the paper's resolution rule (see
-// getAttr). It is the entry point of attribute reads, lock-free on a hit:
-// a memoized route valid at the read point names the object whose own
-// slot holds the value, read at the point, so a transmitter update is
-// visible to a live read right after a hit, while any structural change
-// forces the resolution path via the epoch check.
+// getAttr). It is the entry point of attribute reads, lock-free for an
+// own attribute and on a route hit: a route valid at the read point names
+// the object whose own slot holds the value, read at the point, so a
+// transmitter update is visible to a live read right after a hit, while
+// any structural change on the route forces the resolution path.
 func (r View) GetAttr(sur domain.Surrogate, name string) (domain.Value, error) {
-	sh := r.s.shardOf(sur)
-	if rt := r.route(sh, &sh.routes.attrs, sur, name); rt != nil {
-		return r.slot(rt.slot), nil
+	if o, ok := r.settled(sur); ok && !o.lay.isRel && name != "Surrogate" {
+		if i, ok := o.lay.ord[name]; ok {
+			return r.slot(&o.attrs[i]), nil
+		}
+		if rt := r.hit(o, name, false); rt != nil {
+			return r.slot(rt.slot), nil
+		}
 	}
-	return r.attrMiss(sh, sur, name)
+	return r.attrMiss(sur, name)
 }
 
-func (r View) attrMiss(sh *shard, sur domain.Surrogate, name string) (domain.Value, error) {
+func (r View) attrMiss(sur domain.Surrogate, name string) (domain.Value, error) {
+	sh := r.s.shardOf(sur)
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
 	if !ok {
@@ -336,14 +331,16 @@ func (r View) attrMiss(sh *shard, sur domain.Surrogate, name string) (domain.Val
 // so a hit never shadows a sub-relationship or a relationship object's
 // member.
 func (r View) Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
-	sh := r.s.shardOf(sur)
-	if rt := r.route(sh, &sh.routes.members, sur, name); rt != nil {
-		return copySurs(rt.cls.membersAt(r.at)), nil
+	if o, ok := r.settled(sur); ok {
+		if rt := r.hit(o, name, true); rt != nil {
+			return copySurs(rt.cls.membersAt(r.at)), nil
+		}
 	}
-	return r.membersMiss(sh, sur, name)
+	return r.membersMiss(sur, name)
 }
 
-func (r View) membersMiss(sh *shard, sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
+func (r View) membersMiss(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
+	sh := r.s.shardOf(sur)
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
 	if !ok {
@@ -356,13 +353,15 @@ func (r View) membersMiss(sh *shard, sur domain.Surrogate, name string) ([]domai
 // proves name a subclass of an object, an attribute route an attribute of
 // one; either answers without resolving.
 func (r View) collectionOf(sur domain.Surrogate, name string) ([]domain.Value, bool) {
+	if o, ok := r.settled(sur); ok {
+		if rt := r.hit(o, name, true); rt != nil {
+			return refs(rt.cls.membersAt(r.at)), true
+		}
+		if rt := r.hit(o, name, false); rt != nil {
+			return elems(r.slot(rt.slot))
+		}
+	}
 	sh := r.s.shardOf(sur)
-	if rt := r.route(sh, &sh.routes.members, sur, name); rt != nil {
-		return refs(rt.cls.membersAt(r.at)), true
-	}
-	if rt := r.route(sh, &sh.routes.attrs, sur, name); rt != nil {
-		return elems(r.slot(rt.slot))
-	}
 	o, ok := r.enter(sh, sur)
 	defer r.leave(sh)
 	if !ok {

@@ -20,7 +20,7 @@ func encodedVal(v domain.Value) string {
 // flips the binding an inherited attribute resolves through. Linearized
 // reads may observe the old transmitter's value, the new one's, or the
 // unbound null in between — anything else (a stale mix, an error, a
-// torn route) is a bug in the epoch-invalidated route cache.
+// torn route) is a bug in the route cache's hop validation.
 func TestRebindUnderRead(t *testing.T) {
 	s := gateStore(t)
 	must := mustSur(t)

@@ -71,23 +71,9 @@ func (r View) Export() *StoreState {
 	if r.isLive() {
 		r.s.rlockAll()
 		defer r.s.runlockAll()
-		return r.s.exportLocked()
+		return r.export(r.s.nextSur.Load(), r.s.seq.Load())
 	}
 	return r.export(r.pin.nextSur, r.at)
-}
-
-// WithExclusive runs f while holding every shard and stripe write lock,
-// passing a consistent export. No mutation (and hence no journal append)
-// can run concurrently; the checkpointer uses this to pair a snapshot
-// with a log rotation atomically.
-func (s *Store) WithExclusive(f func(st *StoreState) error) error {
-	s.lockAll()
-	defer s.unlockAll()
-	return f(s.exportLocked())
-}
-
-func (s *Store) exportLocked() *StoreState {
-	return s.export(s.nextSur.Load(), s.seq.Load())
 }
 
 // export captures the state visible at the read point; nextSur and seq
@@ -122,10 +108,13 @@ func (r View) record(sur domain.Surrogate, objs []ObjectRecord, binds []BindingR
 	return append(objs, objectRecord(o, r.at)), binds
 }
 
-// exportShards captures a partitioned export at the read point: shard i
-// carries records iff dirty[i]; marks[i] becomes its Mark.
-func (r View) exportShards(nextSur, seq uint64, marks []uint64, dirty []bool) *StoreExport {
-	ex := &StoreExport{Base: r.baseState(nextSur, seq), Shards: make([]ShardExport, len(r.s.shards))}
+// ExportShards captures a partitioned export as of the pin, lock-free:
+// shard i carries records iff dirty[i]; marks[i] becomes its Mark. The
+// checkpointer captures marks and dirtiness under the rotation lock (see
+// PinCheckpoint) and encodes the records here, with writers running.
+func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
+	r := sn.View
+	ex := &StoreExport{Base: r.baseState(sn.nextSur, r.at), Shards: make([]ShardExport, len(r.s.shards))}
 	for i := range r.s.shards {
 		se := &ex.Shards[i]
 		se.Mark = marks[i]
@@ -167,7 +156,7 @@ func objectRecord(o *Object, at uint64) ObjectRecord {
 		IsRel:        o.lay.isRel,
 		Parent:       o.parent,
 		ParentSub:    o.parentSub,
-		OwnerClass:   o.ownerClass,
+		OwnerClass:   o.className(),
 		ModSeq:       o.modAt(at),
 		Attrs:        copyAttrsAt(o, at),
 		Participants: copyAttrs(o.participants),
@@ -207,21 +196,6 @@ type ShardExport struct {
 type StoreExport struct {
 	Base   *StoreState // Classes, NextSur, Seq only — no records
 	Shards []ShardExport
-}
-
-// WithExclusiveExport runs f while holding every shard and stripe write
-// lock, passing a partitioned export in which only shards whose dirty
-// counter moved past the caller's baseline carry records. baseline holds
-// the Mark values captured by the previous committed checkpoint; nil (or
-// a length mismatch, e.g. after a shard-count change) exports every
-// shard. Like WithExclusive, no mutation or journal append can run
-// concurrently, so the checkpointer can pair the capture with a journal
-// rotation atomically — and encode the records off-lock afterwards.
-func (s *Store) WithExclusiveExport(baseline []uint64, f func(ex *StoreExport) error) error {
-	s.lockAll()
-	defer s.unlockAll()
-	marks, dirty := s.dirtyMarks(baseline)
-	return f(s.exportShards(s.nextSur.Load(), s.seq.Load(), marks, dirty))
 }
 
 func copyAttrs(m map[string]domain.Value) map[string]domain.Value {

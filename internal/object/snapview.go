@@ -10,18 +10,10 @@ import "time"
 // membership — is read at the pin. No lock is taken.
 //
 // The resolution route cache is shared with live reads: a memoized route
-// whose stamps equal the snapshot's pin-time epochs was valid exactly at
-// the pin, so the snapshot may follow it and read the owner's slot at the
-// pinned sequence. Resolutions at the pin are not memoized — they describe
-// the pinned past, not the live present.
-
-// ExportShards captures a partitioned export as of the pin, lock-free:
-// shard i carries records iff dirty[i]; marks[i] becomes its Mark. The
-// checkpointer captures marks and dirtiness under the rotation lock (see
-// PinCheckpoint) and encodes the records here, with writers running.
-func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
-	return sn.exportShards(sn.nextSur, sn.at, marks, dirty)
-}
+// whose recorded binding-list nodes are the ones each hop's list held at
+// the pin describes the walk at the pin, so the snapshot may follow it and
+// read the owner's slot at the pinned sequence. Resolutions at the pin are
+// not memoized — they describe the pinned past, not the live present.
 
 // pinLocked registers a pin at the current sequence point. The caller
 // holds all shard locks (read or write), so the pin lands between
@@ -29,11 +21,6 @@ func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
 func (s *Store) pinLocked() *Snapshot {
 	sn := &Snapshot{nextSur: s.nextSur.Load()}
 	sn.View = View{s: s, at: s.seq.Load(), pin: sn}
-	sn.refs.Store(1)
-	sn.epochs = make([]uint64, len(s.shards))
-	for i := range s.shards {
-		sn.epochs[i] = s.shards[i].epoch.Load()
-	}
 	m := &s.mvcc
 	m.mu.Lock()
 	if m.pins == nil {

@@ -63,8 +63,8 @@ const DefaultShards = 16
 const classStripes = 16
 
 // shard owns a surrogate-hashed partition of the store: its object table
-// (each object carrying its own version chains and binding lists), a
-// structure epoch and the resolution-route cache for routes rooted at its
+// (each object carrying its own version chains, binding lists and
+// memoized resolution routes) and the route-cache counters of its
 // surrogates.
 //
 // The object table is the only store of the shard's objects. Live reads
@@ -100,20 +100,12 @@ type shard struct {
 	// by this shard, for cascading deletes.
 	relsByParticipant map[domain.Surrogate]map[domain.Surrogate]bool
 
-	// epoch is the shard's structure epoch: bumped (under all shard write
-	// locks) by every structural operation that can change a resolution
-	// route rooted at or passing through this shard's surrogates. Plain
-	// attribute writes never bump it. See cache.go.
-	epoch  atomic.Uint64
-	routes routeCache
-
 	// dirty counts logical mutations of durable state owned by this shard:
 	// object and binding creation or removal, attribute writes, and binding
 	// bookkeeping advances. The incremental checkpointer compares it
 	// against the value captured at the last committed checkpoint to decide
-	// whether the shard's snapshot segment must be re-encoded. Unlike epoch
-	// it advances on plain attribute writes too, and it plays no part in
-	// route invalidation. It is an atomic because cross-shard effects
+	// whether the shard's snapshot segment must be re-encoded. It plays no
+	// part in route invalidation. It is an atomic because cross-shard effects
 	// (binding bookkeeping, acknowledgements) mutate objects owned by other
 	// shards while holding only one shard lock.
 	dirty atomic.Uint64
@@ -356,7 +348,6 @@ func NewStoreShards(cat *schema.Catalog, shards int) (*Store, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.relsByParticipant = make(map[domain.Surrogate]map[domain.Surrogate]bool)
-		sh.routes.init()
 	}
 	hooks := []UpdateHook(nil)
 	s.hooks.Store(&hooks)
@@ -601,7 +592,7 @@ func (s *Store) NewObject(typeName, className string) (domain.Surrogate, error) 
 	}
 	o := s.newObjectLocked(t)
 	if cls != nil {
-		o.ownerClass = className
+		o.ownerClass = cls
 		s.classAdd(cls, o.sur)
 	}
 	seq := s.seq.Add(1)
@@ -679,10 +670,6 @@ func (s *Store) subclassOf(o *Object, name string) (*schema.EffSubclass, *Class,
 	if !ok {
 		cls = newClass(name, sd.ElemType)
 		o.putSub(name, cls)
-		// Materializing a subclass changes what members routes must point
-		// at: a route memoized before the class existed records "empty".
-		// Any such route has o in its chain, so o's shard epoch covers it.
-		s.bumpEpoch(s.shardOf(o.sur))
 	}
 	return sd, cls, nil
 }

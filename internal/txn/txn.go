@@ -244,8 +244,8 @@ func (t *Txn) Members(sur domain.Surrogate, name string) ([]domain.Surrogate, er
 // a rebind can slip in between resolving and acquiring the locks, the
 // chain is re-resolved after each round of new locks until a round adds
 // nothing (the locked set only grows, so the loop terminates). The chain
-// carries the structure epochs of every store shard it crosses; once the
-// locked set stops growing, the stamp is re-checked so a rebind that
+// carries the route it was read from; once the locked set stops growing,
+// the stamp re-checks the route's binding lists so a rebind that
 // happened mid-acquisition (by a writer not going through this lock
 // manager) forces another resolution round. The re-check is bounded:
 // under continuous non-transactional structural churn we keep the locks

@@ -72,19 +72,19 @@ func checkpointScene(t testing.TB) (*object.Store, *version.Manager) {
 func exportCheckpoint(t testing.TB, s *object.Store, vm *version.Manager, epoch uint64) *Checkpoint {
 	t.Helper()
 	vs := vm.Export()
-	cp := &Checkpoint{Epoch: epoch}
-	err := s.WithExclusiveExport(nil, func(ex *object.StoreExport) error {
-		m := &Manifest{Epoch: epoch, Base: ex.Base, Versions: vs}
-		for p, sh := range ex.Shards {
-			m.SegEpochs = append(m.SegEpochs, epoch)
-			cp.Segments = append(cp.Segments, EncodeSegment(p, sh.Objects, sh.Bindings))
-		}
-		cp.Manifest, cp.manifest = m, EncodeManifest(m)
-		return nil
-	})
+	pc, err := s.PinCheckpoint(nil, func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Snap.Release()
+	ex := pc.Snap.ExportShards(pc.Marks, pc.Dirty)
+	cp := &Checkpoint{Epoch: epoch}
+	m := &Manifest{Epoch: epoch, Base: ex.Base, Versions: vs}
+	for p, sh := range ex.Shards {
+		m.SegEpochs = append(m.SegEpochs, epoch)
+		cp.Segments = append(cp.Segments, EncodeSegment(p, sh.Objects, sh.Bindings))
+	}
+	cp.Manifest, cp.manifest = m, EncodeManifest(m)
 	return cp
 }
 

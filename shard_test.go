@@ -383,7 +383,7 @@ func TestStatsPerShard(t *testing.T) {
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("Shards = %d, len(PerShard) = %d, want 4", st.Shards, len(st.PerShard))
 	}
-	var hits, misses, inval, epoch, routes uint64
+	var hits, misses, inval uint64
 	objects := 0
 	for i, p := range st.PerShard {
 		if p.Shard != i {
@@ -392,15 +392,11 @@ func TestStatsPerShard(t *testing.T) {
 		hits += p.Hits
 		misses += p.Misses
 		inval += p.Invalidations
-		epoch += p.Epoch
-		routes += p.Routes
 		objects += p.Objects
 	}
-	if hits != st.Hits || misses != st.Misses || inval != st.Invalidations ||
-		epoch != st.Epoch || routes != st.Routes {
-		t.Errorf("per-shard sums (h=%d m=%d i=%d e=%d r=%d) != aggregates (h=%d m=%d i=%d e=%d r=%d)",
-			hits, misses, inval, epoch, routes,
-			st.Hits, st.Misses, st.Invalidations, st.Epoch, st.Routes)
+	if hits != st.Hits || misses != st.Misses || inval != st.Invalidations {
+		t.Errorf("per-shard sums (h=%d m=%d i=%d) != aggregates (h=%d m=%d i=%d)",
+			hits, misses, inval, st.Hits, st.Misses, st.Invalidations)
 	}
 	// 1 interface + n impls + n bindings.
 	if want := 1 + 2*n; objects != want {
