@@ -1,6 +1,9 @@
 package cadcam_test
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -33,10 +36,17 @@ const (
 	// JournalBytes script, format and name records included and batch
 	// framing excluded: a pure function of the record encoding, the same
 	// on every run, so the budget is the measured value itself (384 ops
-	// in 3,276 bytes, 8.53 B/op). Writing every name inline instead
-	// costs 25.86 B/op; the previous encoding, every Op field and every
-	// name in full, cost 30.33.
-	journalBytesPerOp = 3276.0 / 384
+	// in 2,893 bytes, 7.53 B/op). Writing each op's Seq in full instead
+	// of as a delta from the previous op's costs 8.53 B/op; writing every
+	// name inline as well, 25.86; the first encoding, every Op field and
+	// every name in full, cost 30.33.
+	journalBytesPerOp = 2893.0 / 384
+
+	// journalFileBytesPerOp is the journal file per op of the same
+	// script, frame headers included: 4,827 bytes in 384 frames, one per
+	// op (the first also carries the format and name records), 12.57
+	// B/op. The fixed 8-byte length+CRC header and full Seqs cost 16.57.
+	journalFileBytesPerOp = 4827.0 / 384
 )
 
 // TestWorkBudgets gates the heap per object, the allocations of the hot
@@ -191,16 +201,29 @@ func TestWorkBudgets(t *testing.T) {
 				ops++
 			}
 		}
+		var fileBytes int64
+		for e := sc.Epoch; ; e++ {
+			info, err := os.Stat(filepath.Join(dir, cadcam.WALFilename(e)))
+			if errors.Is(err, os.ErrNotExist) {
+				break
+			}
+			must(err)
+			fileBytes += info.Size()
+		}
 		records := after.Records - before.Records
 		syncs := after.Syncs - before.Syncs
 		perOp := float64(bytes) / float64(ops)
-		t.Logf("%d ops in %d journal records, %d payload bytes: %.2f B/op; %d fsyncs for %d records",
-			ops, len(sc.Records), bytes, perOp, syncs, records)
+		filePerOp := float64(fileBytes) / float64(ops)
+		t.Logf("%d ops in %d journal records, %d payload bytes: %.2f B/op; %d file bytes: %.2f B/op; %d fsyncs for %d records",
+			ops, len(sc.Records), bytes, perOp, fileBytes, filePerOp, syncs, records)
 		if ops != 6*rounds || records != uint64(ops) {
 			t.Fatalf("script journaled %d ops (%d committed records), want %d", ops, records, 6*rounds)
 		}
 		if perOp > journalBytesPerOp {
 			t.Errorf("journal payload %.2f B/op, budget %.2f", perOp, journalBytesPerOp)
+		}
+		if filePerOp > journalFileBytesPerOp {
+			t.Errorf("journal file %.2f B/op, budget %.2f", filePerOp, journalFileBytesPerOp)
 		}
 		if syncs != records {
 			t.Errorf("%d fsyncs for %d records, want one per record", syncs, records)

@@ -295,17 +295,17 @@ func mvccExportProbe(rep *mvccReport) error {
 	if err != nil {
 		return err
 	}
-	// Keep the ops at or below the pin, and every format and name record:
-	// the kept ops refer to their names.
-	var kept [][]byte
+	// Keep the ops at or below the pin. The whole journal decodes first:
+	// a kept op's names and Seq delta refer to records that may be dropped.
+	var kept []*oplog.Op
 	var names oplog.Decoder
 	for _, rec := range sc.Records {
 		op, err := names.Decode(rec)
 		if err != nil {
 			return err
 		}
-		if op == nil || op.Seq > 0 && op.Seq <= seq {
-			kept = append(kept, rec)
+		if op != nil && op.Seq > 0 && op.Seq <= seq {
+			kept = append(kept, op)
 		}
 	}
 	fresh, err := object.NewStore(paperschema.MustGates())

@@ -155,12 +155,21 @@ func (op *Op) Encode() []byte {
 	return e.Bytes()
 }
 
-// encode appends the op record: [kind][uvarint Seq] and then the kind's
-// fields. Names go through enc's table, or inline when enc is nil.
+// encode appends the op record: [kind][Seq] and then the kind's fields.
+// With an Encoder, Seq is a delta from the handle's last Seq and names
+// go through its table; with a nil one, Seq is a uvarint and names are
+// inline.
 func (op *Op) encode(e *codec.Buf, enc *Encoder) {
 	f := op.Kind.fields()
 	e.Byte(byte(op.Kind))
-	e.Uvarint(op.Seq)
+	if enc == nil {
+		e.Uvarint(op.Seq)
+	} else {
+		e.Varint(int64(op.Seq - (enc.prev + 1)))
+		if op.Seq != 0 {
+			enc.prev = op.Seq
+		}
+	}
 	if f&fSur != 0 {
 		e.Sur(op.Sur)
 	}
@@ -224,15 +233,23 @@ func sortedKeys(m map[string]domain.Value) []string {
 // Journal records go through a Decoder, which holds the name table.
 func Decode(b []byte) (*Op, error) { return decodeOp(b, nil) }
 
-// decodeOp decodes one op record, resolving name indices in names.
-func decodeOp(b []byte, names []string) (*Op, error) {
+// decodeOp decodes one op record. With a Decoder, Seq is a delta from
+// its last Seq and name indices resolve in its table; with a nil one,
+// Seq is a uvarint and names must be inline.
+func decodeOp(b []byte, d *Decoder) (*Op, error) {
 	r := codec.NewReader(b)
 	op := &Op{Kind: Kind(r.Byte())}
 	f := op.Kind.fields()
 	if r.Err() == nil && f == 0 {
 		return nil, fmt.Errorf("%w: kind %d is not an op", ErrCorrupt, op.Kind)
 	}
-	op.Seq = r.Uvarint()
+	var names []string
+	if d == nil {
+		op.Seq = r.Uvarint()
+	} else {
+		op.Seq = d.prev + 1 + uint64(r.Varint())
+		names = d.names
+	}
 	if f&fSur != 0 {
 		op.Sur = r.Sur()
 	}

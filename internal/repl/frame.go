@@ -21,10 +21,11 @@ const (
 // start over from its newest checkpoint.
 const FlagResync byte = 1
 
-// frameHeader is the CRC frame header every message carries — the same
-// 4-byte length + 4-byte CRC32-IEEE layout as the on-disk journal, so a
-// torn or corrupted transport write is detected exactly like a torn
-// journal tail.
+// frameHeader is the CRC frame header every message carries: a 4-byte
+// length and a 4-byte CRC32-IEEE of the payload, paid once per message
+// (the on-disk journal, which pays a header per commit batch, uses a
+// varint header instead). A torn or corrupted transport write fails the
+// length or the CRC, as a torn journal tail does.
 const frameHeader = 8
 
 // maxFrameRecords bounds the record count a decoder will allocate for,

@@ -6,11 +6,11 @@
 // admission control tied to the WAL group-commit stall counters, and
 // graceful drain.
 //
-// The wire format reuses the journal's framing idiom: every message is
-// a 4-byte little-endian payload length, a 4-byte CRC32-IEEE of the
-// payload, then the payload — so a torn or corrupted transport write is
-// detected exactly like a torn journal tail, and the connection is torn
-// down rather than guessed at. Payload fields use the persistence
+// The wire format frames every message with a 4-byte little-endian
+// payload length and a 4-byte CRC32-IEEE of the payload, then the
+// payload, as the replication stream does — so a torn or corrupted
+// transport write is detected as a torn journal tail is, and the
+// connection is torn down rather than guessed at. Payload fields use the persistence
 // layer's codec (uvarints, length-prefixed strings, tag-prefixed
 // values), which is already fuzz-hardened against adversarial input.
 package serve

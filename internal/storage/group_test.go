@@ -272,7 +272,7 @@ func TestGroupSwapLog(t *testing.T) {
 
 func TestAppendBatchTornTailDropsWholeBatch(t *testing.T) {
 	l, path := openFresh(t)
-	if err := l.Append([]byte("keep")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("keep")}, true); err != nil {
 		t.Fatal(err)
 	}
 	batch := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
@@ -297,19 +297,22 @@ func TestAppendBatchTornTailDropsWholeBatch(t *testing.T) {
 	}
 }
 
-func TestAppendBatchSingleRecordUsesLegacyFrame(t *testing.T) {
+// TestAppendBatchSingleRecordBareFrame: a one-record batch is framed
+// bare, with a one-byte length varint and the CRC as its whole header.
+func TestAppendBatchSingleRecordBareFrame(t *testing.T) {
 	l, path := openFresh(t)
 	if err := l.AppendBatch([][]byte{[]byte("solo")}, true); err != nil {
 		t.Fatal(err)
 	}
-	// A single record not starting with the marker is framed exactly like
-	// Append would frame it.
 	sizeBatch := l.Size()
-	if err := l.Append([]byte("solo")); err != nil {
+	if sizeBatch != 1+crcSize+int64(len("solo")) {
+		t.Errorf("single-record frame is %d bytes, want %d", sizeBatch, 1+crcSize+len("solo"))
+	}
+	if err := l.AppendBatch([][]byte{[]byte("solo")}, true); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size()-sizeBatch != sizeBatch {
-		t.Errorf("single-record batch frame differs from legacy frame: %d vs %d",
+		t.Errorf("second single-record frame differs from the first: %d vs %d",
 			sizeBatch, l.Size()-sizeBatch)
 	}
 	l.Close()
@@ -319,15 +322,21 @@ func TestAppendBatchSingleRecordUsesLegacyFrame(t *testing.T) {
 	}
 }
 
-func TestAppendBatchEscapesMarkerPayload(t *testing.T) {
+// TestAppendBatchBarePayloadNotExpanded: the header's flag bit, not the
+// payload, decides whether a frame is a batch, so a lone record whose
+// bytes read as a packed batch comes back as one record.
+func TestAppendBatchBarePayloadNotExpanded(t *testing.T) {
 	l, path := openFresh(t)
-	tricky := []byte{BatchMarker, 1, 2, 3}
-	if err := l.AppendBatch([][]byte{tricky}, true); err != nil {
+	payload := []byte{2, 1, 'a', 1, 'b'} // two records, "a" and "b", packed
+	if recs, err := expandBatch(payload); err != nil || len(recs) != 2 {
+		t.Fatalf("fixture is not a batch payload: %q, %v", recs, err)
+	}
+	if err := l.AppendBatch([][]byte{payload}, true); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
 	recs := reopenRecords(t, path)
-	if len(recs) != 1 || !bytes.Equal(recs[0], tricky) {
-		t.Fatalf("marker-prefixed payload mangled: %q", recs)
+	if len(recs) != 1 || !bytes.Equal(recs[0], payload) {
+		t.Fatalf("batch-shaped payload mangled: %q", recs)
 	}
 }

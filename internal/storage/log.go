@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -32,25 +33,38 @@ var (
 // is truncated silently (the write never committed).
 var ErrCorrupt = errors.New("storage: corrupt log record")
 
-const headerSize = 8 // 4 bytes length + 4 bytes CRC32
+// ErrLegacyFrame reports a log that opens with an intact frame of the
+// fixed 8-byte header layout journals used before the varint header:
+// a journal an earlier release wrote, which this one must not truncate
+// or misread.
+var ErrLegacyFrame = errors.New("storage: log written in the 8-byte frame layout of an earlier release")
 
-// BatchMarker is the first payload byte of a batch frame: one CRC frame
-// whose payload packs several logical records (group commit writes one
-// frame per batch). Logical records written by the database start with an
-// oplog kind byte, which must stay below this value; scan treats any
-// payload starting with BatchMarker as a batch frame and expands it.
-const BatchMarker byte = 0xF5
+// A log frame is
+//
+//	uvarint(len<<1 | batched) · CRC32-IEEE (4 bytes, little-endian) · payload
+//
+// where len is the payload's length. The CRC covers the varint and the
+// payload, so a flipped length or flag bit fails the check just as a
+// flipped payload byte does. An unbatched payload is one bare record; a
+// batched payload is uvarint(count) followed by count
+// uvarint(len)·record pairs. A one-record commit batch, the common case,
+// pays a 5-byte header (6 from a 64-byte record up).
+const crcSize = 4
 
-// Log is an append-only record log. Appends are atomic at the record
+// snapshotHeaderSize is the header of a snapshot file: a 4-byte
+// little-endian payload length and a 4-byte CRC32-IEEE of the payload.
+const snapshotHeaderSize = 8
+
+// errTorn marks bytes that end inside a frame, or a frame that fails its
+// CRC with nothing behind it: the tail a crash leaves mid-write.
+var errTorn = errors.New("storage: torn frame")
+
+// Log is an append-only record log. Appends are atomic at the frame
 // level: a crash mid-write leaves a torn tail that Open truncates.
 type Log struct {
 	f    *os.File
 	path string
 	size int64
-	// SyncEvery controls fsync: 1 = every append (durable, slow),
-	// 0 = never (rely on Close/Checkpoint). Default 1.
-	syncEvery int
-	pending   int
 }
 
 // OpenLog opens (creating if necessary) the log at path, scans and
@@ -73,7 +87,7 @@ func OpenLog(path string) (*Log, [][]byte, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &Log{f: f, path: path, size: validSize, syncEvery: 1}, records, nil
+	return &Log{f: f, path: path, size: validSize}, records, nil
 }
 
 // Frame is one intact CRC frame of a log: the byte range it occupies and
@@ -98,46 +112,63 @@ type Frame struct {
 // recovery (via OpenLog) and the replication shipper both sit on it, so
 // they can never disagree about where a batch starts or ends.
 func ScanFrames(r io.ReaderAt, from, total int64) ([]Frame, int64, error) {
+	if total <= from {
+		return nil, from, nil
+	}
+	buf := make([]byte, total-from)
+	if _, err := r.ReadAt(buf, from); err != nil {
+		return nil, 0, err
+	}
 	var frames []Frame
 	offset := from
-	header := make([]byte, headerSize)
-	for offset < total {
-		if total-offset < headerSize {
-			break // torn header
+	for b := buf; len(b) > 0; {
+		records, size, err := parseFrame(b)
+		if errors.Is(err, errTorn) {
+			break // a torn batch is dropped whole
 		}
-		if _, err := r.ReadAt(header, offset); err != nil {
-			return nil, 0, err
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w at offset %d", err, offset)
 		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if int64(length) > total-offset-headerSize {
-			break // torn payload
-		}
-		payload := make([]byte, length)
-		if _, err := r.ReadAt(payload, offset+headerSize); err != nil {
-			return nil, 0, err
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			if offset+headerSize+int64(length) >= total {
-				break // torn final record (or torn batch: dropped whole)
-			}
-			return nil, 0, fmt.Errorf("%w at offset %d", ErrCorrupt, offset)
-		}
-		records := [][]byte{payload}
-		if len(payload) > 0 && payload[0] == BatchMarker {
-			// A CRC-valid batch frame is atomic: either the whole batch
-			// replays or (torn, handled above) none of it does.
-			sub, err := expandBatch(payload)
-			if err != nil {
-				return nil, 0, fmt.Errorf("%w at offset %d: %v", ErrCorrupt, offset, err)
-			}
-			records = sub
-		}
-		end := offset + headerSize + int64(length)
-		frames = append(frames, Frame{Offset: offset, End: end, Records: records})
-		offset = end
+		frames = append(frames, Frame{Offset: offset, End: offset + int64(size), Records: records})
+		offset += int64(size)
+		b = b[size:]
 	}
 	return frames, offset, nil
+}
+
+// parseFrame decodes the frame at the start of b and returns its records
+// and its size. It fails with errTorn when b ends inside the frame (a
+// partial varint, fewer than 4 CRC bytes, a short payload) or the frame
+// fails its CRC and ends exactly where b does, and with an error
+// wrapping ErrCorrupt for a header varint longer than 64 bits, a CRC
+// failure with bytes behind it, or a CRC-valid batched payload that
+// does not unpack.
+func parseFrame(b []byte) ([][]byte, int, error) {
+	v, n := binary.Uvarint(b)
+	if n < 0 {
+		return nil, 0, fmt.Errorf("%w: frame header overflows 64 bits", ErrCorrupt)
+	}
+	if n == 0 || len(b)-n < crcSize || v>>1 > uint64(len(b)-n-crcSize) {
+		return nil, 0, errTorn
+	}
+	size := n + crcSize + int(v>>1)
+	payload := b[n+crcSize : size]
+	if crc32.Update(crc32.ChecksumIEEE(b[:n]), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(b[n:]) {
+		if size == len(b) {
+			return nil, 0, errTorn // torn final frame (or a flipped bit in it)
+		}
+		return nil, 0, fmt.Errorf("%w: checksum", ErrCorrupt)
+	}
+	if v&1 == 0 {
+		return [][]byte{payload}, size, nil
+	}
+	// A CRC-valid batch frame is atomic: either the whole batch replays
+	// or (torn, handled above) none of it does.
+	records, err := expandBatch(payload)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return records, size, nil
 }
 
 // ReadFrames scans the intact frames of the log at path from byte offset
@@ -167,6 +198,8 @@ func ReadFrames(path string, from int64) ([]Frame, int64, error) {
 // intact frame. Recovery checks a journal's format with it before
 // OpenLog may truncate anything. A first frame whose CRC fails reads as
 // nil here; OpenLog decides whether that is a torn tail or corruption.
+// A log that opens with an intact frame of the earlier 8-byte header
+// layout fails with ErrLegacyFrame instead: OpenLog would misread it.
 func ReadFirst(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -177,19 +210,47 @@ func ReadFirst(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if info.Size() < headerSize {
-		return nil, nil
-	}
-	header := make([]byte, headerSize)
-	if _, err := f.ReadAt(header, 0); err != nil {
+	size := info.Size()
+	head := make([]byte, min(size, binary.MaxVarintLen64+crcSize))
+	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, err
 	}
-	end := min(info.Size(), headerSize+int64(binary.LittleEndian.Uint32(header[0:4])))
+	end := size
+	if v, n := binary.Uvarint(head); n > 0 && v>>1 < uint64(size) {
+		end = min(size, int64(n+crcSize)+int64(v>>1))
+	}
 	frames, _, err := ScanFrames(f, 0, end)
-	if err != nil || len(frames) == 0 || len(frames[0].Records) == 0 {
-		return nil, err
+	if err == nil && len(frames) > 0 {
+		return frames[0].Records[0], nil
 	}
-	return frames[0].Records[0], nil
+	if legacy, lerr := legacyFrame(f, size); lerr != nil {
+		return nil, lerr
+	} else if legacy {
+		return nil, ErrLegacyFrame
+	}
+	return nil, err
+}
+
+// legacyFrame reports whether r opens with an intact frame of the
+// earlier layout: a 4-byte little-endian payload length, a 4-byte
+// CRC32-IEEE of the payload, then the payload.
+func legacyFrame(r io.ReaderAt, size int64) (bool, error) {
+	if size < snapshotHeaderSize {
+		return false, nil
+	}
+	header := make([]byte, snapshotHeaderSize)
+	if _, err := r.ReadAt(header, 0); err != nil {
+		return false, err
+	}
+	length := int64(binary.LittleEndian.Uint32(header[0:4]))
+	if length > size-snapshotHeaderSize {
+		return false, nil
+	}
+	payload := make([]byte, length)
+	if _, err := r.ReadAt(payload, snapshotHeaderSize); err != nil {
+		return false, err
+	}
+	return crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(header[4:8]), nil
 }
 
 // scan reads records until EOF or a torn/corrupt tail. It distinguishes a
@@ -211,31 +272,41 @@ func scan(f *os.File) ([][]byte, int64, error) {
 	return records, end, nil
 }
 
-// frameBatch packs payloads into one batch-frame payload:
-// [BatchMarker][uvarint count]([uvarint len][bytes])*.
-func frameBatch(payloads [][]byte) []byte {
-	size := 1 + binary.MaxVarintLen64
-	for _, p := range payloads {
-		size += binary.MaxVarintLen64 + len(p)
+// frame encodes payloads as one frame — bare for a single payload,
+// batched otherwise — and returns it with its header length.
+func frame(payloads [][]byte) ([]byte, int) {
+	length, batched := len(payloads[0]), uint64(0)
+	if len(payloads) > 1 {
+		length, batched = uvarintLen(uint64(len(payloads))), 1
+		for _, p := range payloads {
+			length += uvarintLen(uint64(len(p))) + len(p)
+		}
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, BatchMarker)
-	buf = binary.AppendUvarint(buf, uint64(len(payloads)))
-	for _, p := range payloads {
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
+	buf := make([]byte, 0, binary.MaxVarintLen64+crcSize+length)
+	buf = binary.AppendUvarint(buf, uint64(length)<<1|batched)
+	n := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	if batched == 0 {
+		buf = append(buf, payloads[0]...)
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(len(payloads)))
+		for _, p := range payloads {
+			buf = binary.AppendUvarint(buf, uint64(len(p)))
+			buf = append(buf, p...)
+		}
 	}
-	return buf
+	sum := crc32.Update(crc32.ChecksumIEEE(buf[:n]), crc32.IEEETable, buf[n+crcSize:])
+	binary.LittleEndian.PutUint32(buf[n:], sum)
+	return buf, n + crcSize
 }
 
-// expandBatch unpacks a batch-frame payload back into its records.
-func expandBatch(payload []byte) ([][]byte, error) {
-	if len(payload) == 0 || payload[0] != BatchMarker {
-		return nil, errors.New("not a batch frame")
-	}
-	b := payload[1:] // skip marker
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// expandBatch unpacks a batched payload into its records.
+func expandBatch(b []byte) ([][]byte, error) {
 	count, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || count == 0 {
 		return nil, errors.New("bad batch count")
 	}
 	b = b[n:]
@@ -260,37 +331,10 @@ func expandBatch(payload []byte) ([][]byte, error) {
 	return records, nil
 }
 
-// SetSync configures fsync frequency: n = fsync every n appends
-// (n <= 0 disables fsync on append).
-func (l *Log) SetSync(n int) { l.syncEvery = n }
-
-// Append writes one record and, per the sync policy, fsyncs.
-func (l *Log) Append(payload []byte) error {
-	header := make([]byte, headerSize)
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(header); err != nil {
-		return fmt.Errorf("storage: append: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		return fmt.Errorf("storage: append: %w", err)
-	}
-	l.size += headerSize + int64(len(payload))
-	l.pending++
-	if l.syncEvery > 0 && l.pending >= l.syncEvery {
-		l.pending = 0
-		if err := l.sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AppendBatch writes payloads as one frame with a single write syscall —
-// a legacy single-record frame for one payload, a batch frame otherwise —
-// and fsyncs when sync is true, independent of the SetSync policy. A
-// crash mid-write tears the whole frame: scan drops the entire batch, so
-// a batch is committed atomically or not at all.
+// AppendBatch writes payloads as one frame with a single write syscall
+// and fsyncs when sync is true. A crash mid-write tears the whole frame:
+// scan drops the entire batch, so a batch is committed atomically or not
+// at all.
 func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 	if err := fpAppendError.Hit(); err != nil {
 		return fmt.Errorf("storage: append batch: %w", err)
@@ -301,17 +345,7 @@ func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 		}
 		return nil
 	}
-	payload := payloads[0]
-	if len(payloads) > 1 || (len(payload) > 0 && payload[0] == BatchMarker) {
-		// Multi-record batches get a batch frame; so does a single record
-		// that happens to start with the marker byte, so scan can never
-		// misread a plain record as a frame.
-		payload = frameBatch(payloads)
-	}
-	buf := make([]byte, headerSize, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, payload...)
+	buf, header := frame(payloads)
 	if a := fpTornWrite.Fire(); a != nil {
 		l.tear(buf, a, len(buf)/2)
 		return fmt.Errorf("storage: append batch: %w", a.Err)
@@ -321,7 +355,7 @@ func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 		// of the payload land on disk, so scan sees a CRC mismatch at the
 		// tail and must drop the whole batch.
 		if a := fpPartialBatch.Fire(); a != nil {
-			l.tear(buf, a, headerSize+(len(buf)-headerSize)*3/4)
+			l.tear(buf, a, header+(len(buf)-header)*3/4)
 			return fmt.Errorf("storage: append batch: %w", a.Err)
 		}
 	}
@@ -330,10 +364,8 @@ func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 	}
 	l.size += int64(len(buf))
 	if sync {
-		l.pending = 0
 		return l.sync()
 	}
-	l.pending += len(payloads)
 	return nil
 }
 
@@ -401,7 +433,7 @@ func WriteSnapshot(path string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("storage: snapshot: %w", err)
 	}
-	header := make([]byte, headerSize)
+	header := make([]byte, snapshotHeaderSize)
 	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := f.Write(header); err != nil {
@@ -435,15 +467,15 @@ func ReadSnapshot(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < headerSize {
+	if len(b) < snapshotHeaderSize {
 		return nil, fmt.Errorf("%w: snapshot too short", ErrCorrupt)
 	}
 	length := binary.LittleEndian.Uint32(b[0:4])
 	sum := binary.LittleEndian.Uint32(b[4:8])
-	if int(length) != len(b)-headerSize {
+	if int(length) != len(b)-snapshotHeaderSize {
 		return nil, fmt.Errorf("%w: snapshot length mismatch", ErrCorrupt)
 	}
-	payload := b[headerSize:]
+	payload := b[snapshotHeaderSize:]
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
 	}

@@ -153,11 +153,15 @@ func OpenChain(dir string, start uint64) ([][]byte, uint64, *storage.Log, error)
 
 // checkFormat reads the first record of each log of the chain rooted at
 // start, without writing, and fails unless each opens with a format
-// record of this version. A log without an intact frame passes: it holds
-// nothing to misread.
+// record of this version. A log in the 8-byte frame layout of an earlier
+// release fails the same way. A log without an intact frame passes: it
+// holds nothing to misread.
 func checkFormat(dir string, start uint64) error {
 	for e := start; ; e++ {
 		first, err := storage.ReadFirst(filepath.Join(dir, WALFilename(e)))
+		if errors.Is(err, storage.ErrLegacyFrame) {
+			return fmt.Errorf("wal: %s: %w: %w", WALFilename(e), oplog.ErrFormat, err)
+		}
 		if errors.Is(err, os.ErrNotExist) {
 			if e > start {
 				return nil

@@ -27,9 +27,9 @@ func buildChain(t *testing.T, dir string) [][][]byte {
 		if len(records) != 0 {
 			t.Fatalf("fresh epoch %d log has %d records", epoch, len(records))
 		}
-		// Mixed batch sizes: single-record legacy frames, multi-record
-		// batch frames, and a record that begins with the batch marker
-		// (must still round-trip as one record).
+		// Mixed batch sizes: single-record bare frames, multi-record
+		// batch frames, and a bare record whose bytes read as a packed
+		// batch (must still round-trip as one record).
 		sizes := []int{1, 3, 1, 7, 2}
 		for b, n := range sizes {
 			var batch [][]byte
@@ -37,7 +37,8 @@ func buildChain(t *testing.T, dir string) [][][]byte {
 				batch = append(batch, rec(epoch, b, i))
 			}
 			if n == 1 && b == 2 {
-				batch = [][]byte{append([]byte{storage.BatchMarker}, rec(epoch, b, 0)...)}
+				r := rec(epoch, b, 0)
+				batch = [][]byte{append([]byte{1, byte(len(r))}, r...)}
 			}
 			if b == 0 {
 				// Every log opens with a format record, or OpenChain

@@ -84,9 +84,9 @@ func FuzzWALDecode(f *testing.F) {
 	if len(every) != int(oplog.KindDropIndex) {
 		f.Fatalf("seeds cover %d kinds, want %d", len(every), oplog.KindDropIndex)
 	}
-	enc, _ := primedJournal(f)
 	for _, op := range every {
 		f.Add(op.Encode())
+		enc, _ := primedJournal(f)
 		recs := enc.EncodeBatch([]*oplog.Op{op})
 		f.Add(recs[len(recs)-1])
 	}

@@ -65,7 +65,8 @@ func TestSnapshotExportMatchesTruncatedReplay(t *testing.T) {
 	// Truncate the journal at S: keep exactly the sequenced ops at or
 	// below the pin (cross-shard appends may be out of order in the log;
 	// the per-op sequence is the truncation criterion, not file order).
-	// Format and name records stay: the kept ops refer to their names.
+	// The whole journal decodes first: a kept op's names and Seq delta
+	// refer to records that may be dropped.
 	sc, err := ScanJournal(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +74,15 @@ func TestSnapshotExportMatchesTruncatedReplay(t *testing.T) {
 	if sc.Store != nil {
 		t.Fatal("unexpected checkpoint in fresh directory")
 	}
-	var kept [][]byte
+	var kept []*oplog.Op
 	var names oplog.Decoder
 	for _, rec := range sc.Records {
 		op, err := names.Decode(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op == nil || op.Seq > 0 && op.Seq <= S {
-			kept = append(kept, rec)
+		if op != nil && op.Seq > 0 && op.Seq <= S {
+			kept = append(kept, op)
 		}
 	}
 
