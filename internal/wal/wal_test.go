@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"reflect"
 	"testing"
 
 	"cadcam/internal/domain"
@@ -116,6 +117,34 @@ func TestApplyUnknownOp(t *testing.T) {
 	s, vm := fresh(t)
 	if err := Apply(&oplog.Op{Kind: oplog.Kind(99)}, s, vm, false); err == nil {
 		t.Error("unknown op should fail")
+	}
+}
+
+// TestReplayNApplyError: a call whose ops fail to apply rewinds the
+// decoder and reports how many ops are already in the store, 0 only when
+// the first op failed.
+func TestReplayNApplyError(t *testing.T) {
+	pin := &oplog.Op{Kind: oplog.KindNewObject, Name: paperschema.TypePin}
+	stray := &oplog.Op{Kind: oplog.KindDelete, Sur: 1 << 30}
+	for _, tc := range []struct {
+		ops  []*oplog.Op
+		done int
+	}{
+		{[]*oplog.Op{stray, pin}, 0},
+		{[]*oplog.Op{pin, {Kind: oplog.KindSetAttr, Sur: 1, Name: "PinId", Value: domain.Int(1)}, stray}, 2},
+	} {
+		s, vm := fresh(t)
+		var names oplog.Decoder
+		done, err := ReplayN(new(oplog.Encoder).EncodeBatch(tc.ops), &names, s, vm, 1)
+		if err == nil || done != tc.done {
+			t.Fatalf("ReplayN = %d, %v; want %d and an apply error", done, err, tc.done)
+		}
+		if !reflect.DeepEqual(names, oplog.Decoder{}) {
+			t.Fatalf("decoder advanced by a failed call: %+v", names)
+		}
+		if got := s.Seq(); (got == 0) != (tc.done == 0) {
+			t.Fatalf("store Seq %d after %d applied ops", got, tc.done)
+		}
 	}
 }
 
