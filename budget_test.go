@@ -10,6 +10,7 @@ import (
 	"cadcam"
 	"cadcam/internal/oplog"
 	"cadcam/internal/paperschema"
+	"cadcam/internal/wal"
 )
 
 // Work budgets: counts that do not drift from run to run, pinned at their
@@ -47,11 +48,22 @@ const (
 	// op (the first also carries the format and name records), 12.57
 	// B/op. The fixed 8-byte length+CRC header and full Seqs cost 16.57.
 	journalFileBytesPerOp = 4827.0 / 384
+
+	// checkpointBytesPerObject is the segment payload per live object of
+	// a checkpoint of buildCorpus at 1,000 chains (14,000 objects, 5,000
+	// of them bindings, in 16 segments), CRC frames excluded: like the
+	// journal bytes, a pure function of the record encoding, so the
+	// budget is the measured value itself (140,842 bytes, 10.06
+	// B/object). Segment format 2, with every surrogate and ModSeq in
+	// full, a byte for each absent field and the binding bookkeeping as
+	// named attributes, cost 235,281 bytes (16.81 B/object).
+	checkpointBytesPerObject = 140842.0 / 14000
 )
 
 // TestWorkBudgets gates the heap per object, the allocations of the hot
-// store paths and the journal bytes and fsyncs per record. It must not run in parallel with other tests: their
-// garbage and goroutines would show up in the heap delta.
+// store paths, the journal bytes and fsyncs per record and the
+// checkpoint bytes per object. It must not run in parallel with other
+// tests: their garbage and goroutines would show up in the heap delta.
 func TestWorkBudgets(t *testing.T) {
 	t.Run("HeapPerObject", func(t *testing.T) {
 		var before, after runtime.MemStats
@@ -227,6 +239,34 @@ func TestWorkBudgets(t *testing.T) {
 		}
 		if syncs != records {
 			t.Errorf("%d fsyncs for %d records, want one per record", syncs, records)
+		}
+	})
+	t.Run("CheckpointBytes", func(t *testing.T) {
+		dir := t.TempDir()
+		db, err := cadcam.Open(paperschema.MustGates(), cadcam.Options{Dir: dir, SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildCorpus(t, db, 1000)
+		objects := db.Store().Len()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := wal.LoadCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bytes int
+		for _, seg := range cp.Segments {
+			bytes += len(seg)
+		}
+		perObject := float64(bytes) / float64(objects)
+		t.Logf("%d objects in %d segments, %d payload bytes: %.2f B/object", objects, len(cp.Segments), bytes, perObject)
+		if perObject > checkpointBytesPerObject {
+			t.Errorf("checkpoint payload %.2f B/object, budget %.2f", perObject, checkpointBytesPerObject)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"cadcam/internal/codec"
@@ -110,25 +111,53 @@ func TestOpenUnreadableCheckpoint(t *testing.T) {
 			dir := t.TempDir()
 			threeCheckpoints(t, dir)
 			c.damage(t, dir)
-			before := dirListing(t, dir)
-
-			db, err := Open(paperschema.MustGates(), Options{Dir: dir})
-			if err == nil {
-				db.Close()
-				t.Fatal("Open succeeded on a directory with an unreadable checkpoint")
-			}
-			if !errors.Is(err, ErrCheckpointUnreadable) {
-				t.Fatalf("Open error = %v, want ErrCheckpointUnreadable", err)
-			}
-			after := dirListing(t, dir)
-			if len(after) != len(before) {
-				t.Fatalf("Open changed the directory: %d files before, %d after", len(before), len(after))
-			}
-			for name, b := range before {
-				if after[name] != b {
-					t.Errorf("Open changed or removed %s", name)
-				}
-			}
+			openRefused(t, dir)
 		})
+	}
+}
+
+// openRefused checks that Open of dir fails with ErrCheckpointUnreadable
+// and leaves the directory, names and contents, as it was. It returns
+// the error.
+func openRefused(t *testing.T, dir string) error {
+	t.Helper()
+	before := dirListing(t, dir)
+	db, err := Open(paperschema.MustGates(), Options{Dir: dir})
+	if err == nil {
+		db.Close()
+		t.Fatal("Open succeeded on a directory with an unreadable checkpoint")
+	}
+	if !errors.Is(err, ErrCheckpointUnreadable) {
+		t.Fatalf("Open error = %v, want ErrCheckpointUnreadable", err)
+	}
+	after := dirListing(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Errorf("Open changed or removed %s", name)
+		}
+	}
+	return err
+}
+
+// TestOldCheckpointRefused: a directory whose checkpoint segments were
+// written in the previous record format must not open. The fixture
+// testdata/v2-checkpoint was written by the release before the delta and
+// flag record layout (segment version 2): a class, two interfaces with
+// their Length and Width, implementations bound to them with their
+// TimeBehavior, a checkpoint, then one Width write in the journal. Open
+// returns ErrCheckpointUnreadable and leaves every file byte-identical.
+func TestOldCheckpointRefused(t *testing.T) {
+	src := filepath.Join("testdata", "v2-checkpoint")
+	dir := t.TempDir()
+	for name, b := range dirListing(t, src) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := openRefused(t, dir); !strings.Contains(err.Error(), "unsupported segment version 2") {
+		t.Fatalf("Open error = %v, want it to name segment version 2", err)
 	}
 }

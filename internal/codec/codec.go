@@ -388,6 +388,17 @@ func (r *Reader) Count(minSize int) int {
 	return int(n)
 }
 
+// Flags reads a flags byte and fails unless every set bit is one of
+// defined's.
+func (r *Reader) Flags(defined byte) byte {
+	f := r.Byte()
+	if f&^defined != 0 {
+		r.fail()
+		return 0
+	}
+	return f
+}
+
 // Strs reads a count-prefixed slice of strings; empty decodes as nil.
 func (r *Reader) Strs() []string {
 	n := r.Count(1) // each string carries at least its length byte

@@ -121,16 +121,15 @@ func (m *Model) Load(st *object.StoreState) error {
 		if m.taken(r.Sur) {
 			return fmt.Errorf("model: duplicate surrogate %s", r.Sur)
 		}
-		attrs := copyValues(r.Attrs)
 		m.bindings[r.Sur] = &Binding{
 			Sur:         r.Sur,
 			RelType:     r.RelType,
 			Transmitter: r.Transmitter,
 			Inheritor:   r.Inheritor,
-			Updates:     takeInt(attrs, object.AttrTransmitterUpdates),
-			LastSeq:     takeInt(attrs, object.AttrLastUpdateSeq),
-			AckSeq:      takeInt(attrs, object.AttrAcknowledgedSeq),
-			Attrs:       attrs,
+			Updates:     r.Updates,
+			LastSeq:     r.LastSeq,
+			AckSeq:      r.AckSeq,
+			Attrs:       copyValues(r.Attrs),
 		}
 	}
 	m.nextSur = st.NextSur
@@ -155,22 +154,10 @@ func copyValues(src map[string]domain.Value) map[string]domain.Value {
 	return out
 }
 
-func takeInt(m map[string]domain.Value, key string) int64 {
-	v, ok := m[key]
-	if !ok {
-		return 0
-	}
-	delete(m, key)
-	if n, ok := v.(domain.Int); ok {
-		return int64(n)
-	}
-	return 0
-}
-
 // Export produces the model state in the store's snapshot record form:
 // classes sorted by name, objects and bindings in ascending surrogate
-// order, bookkeeping re-folded into binding Attrs. Encoding this with
-// wal.EncodeSnapshot must yield the same bytes as the recovered store.
+// order. Encoding this with wal.EncodeSnapshot must yield the same bytes
+// as the recovered store.
 func (m *Model) Export() *object.StoreState {
 	st := &object.StoreState{NextSur: m.nextSur, Seq: m.seq}
 	names := make([]string, 0, len(m.classes))
@@ -202,19 +189,15 @@ func (m *Model) Export() *object.StoreState {
 	sort.Slice(surs, func(i, j int) bool { return surs[i] < surs[j] })
 	for _, sur := range surs {
 		if b, ok := m.bindings[sur]; ok {
-			attrs := copyValues(b.Attrs)
-			if attrs == nil {
-				attrs = make(map[string]domain.Value, 3)
-			}
-			attrs[object.AttrTransmitterUpdates] = domain.Int(b.Updates)
-			attrs[object.AttrLastUpdateSeq] = domain.Int(b.LastSeq)
-			attrs[object.AttrAcknowledgedSeq] = domain.Int(b.AckSeq)
 			st.Bindings = append(st.Bindings, object.BindingRecord{
 				Sur:         sur,
 				RelType:     b.RelType,
 				Transmitter: b.Transmitter,
 				Inheritor:   b.Inheritor,
-				Attrs:       attrs,
+				Attrs:       copyValues(b.Attrs),
+				Updates:     b.Updates,
+				LastSeq:     b.LastSeq,
+				AckSeq:      b.AckSeq,
 			})
 			continue
 		}

@@ -188,9 +188,8 @@ func (o *Object) importAttrs(attrs map[string]domain.Value) error {
 }
 
 // importBinding enters one binding's object in its shard's table, with
-// its *Binding attached for the finish pass to link. The bookkeeping
-// attributes move from the record's attribute map into the binding book.
-// Concurrency as for importObject.
+// its *Binding attached for the finish pass to link, and the record's
+// bookkeeping in the binding book. Concurrency as for importObject.
 func (s *Store) importBinding(r *BindingRecord) error {
 	if _, dup := s.obj(r.Sur); dup {
 		return fmt.Errorf("object: duplicate surrogate %s in snapshot", r.Sur)
@@ -199,16 +198,11 @@ func (s *Store) importBinding(r *BindingRecord) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchType, r.RelType)
 	}
-	attrs := r.Attrs
 	obj := s.layouts[r.RelType].newObject(r.Sur)
 	b := &Binding{Obj: obj, Rel: rel, Transmitter: r.Transmitter, Inheritor: r.Inheritor}
-	b.book.put(0, bookkeeping{
-		upd:  takeInt(attrs, AttrTransmitterUpdates),
-		last: takeInt(attrs, AttrLastUpdateSeq),
-		ack:  takeInt(attrs, AttrAcknowledgedSeq),
-	}, 0)
+	b.book.put(0, bookkeeping{upd: r.Updates, last: r.LastSeq, ack: r.AckSeq}, 0)
 	obj.binding = b
-	if err := obj.importAttrs(attrs); err != nil {
+	if err := obj.importAttrs(r.Attrs); err != nil {
 		return err
 	}
 	s.putObj(obj, 0)
@@ -283,20 +277,6 @@ func (s *Store) clearLocked() {
 	s.indexes.Store(nil)
 	s.nextSur.Store(0)
 	s.seq.Store(0)
-}
-
-// takeInt removes an integer bookkeeping attribute from the map and
-// returns its value (0 when absent or non-integer).
-func takeInt(m map[string]domain.Value, key string) int64 {
-	v, ok := m[key]
-	if !ok {
-		return 0
-	}
-	delete(m, key)
-	if n, ok := v.(domain.Int); ok {
-		return int64(n)
-	}
-	return 0
 }
 
 // linkSubobjectLocked re-registers a subobject in its parent's subclass

@@ -25,15 +25,19 @@ type ObjectRecord struct {
 	Participants map[string]domain.Value
 }
 
-// BindingRecord is the portable form of one inheritance binding. The
-// system bookkeeping (TransmitterUpdates, LastUpdateSeq, AcknowledgedSeq)
-// travels inside Attrs, exactly as earlier single-lock versions stored it.
+// BindingRecord is the portable form of one inheritance binding: Attrs
+// holds the relationship's own attributes, and the system bookkeeping
+// (TransmitterUpdates, LastUpdateSeq, AcknowledgedSeq) has its own
+// fields.
 type BindingRecord struct {
 	Sur         domain.Surrogate
 	RelType     string
 	Transmitter domain.Surrogate
 	Inheritor   domain.Surrogate
 	Attrs       map[string]domain.Value
+	Updates     int64
+	LastSeq     int64
+	AckSeq      int64
 }
 
 // ClassRecord describes a database-level class.
@@ -131,20 +135,16 @@ func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
 
 // bindingRecord captures one binding as visible at sequence point at.
 func bindingRecord(sur domain.Surrogate, b *Binding, at uint64) BindingRecord {
-	attrs := copyAttrsAt(b.Obj, at)
-	if attrs == nil {
-		attrs = make(map[string]domain.Value, 3)
-	}
 	k, _ := b.book.at(at)
-	attrs[AttrTransmitterUpdates] = domain.Int(k.upd)
-	attrs[AttrLastUpdateSeq] = domain.Int(k.last)
-	attrs[AttrAcknowledgedSeq] = domain.Int(k.ack)
 	return BindingRecord{
 		Sur:         sur,
 		RelType:     b.Rel.Name,
 		Transmitter: b.Transmitter,
 		Inheritor:   b.Inheritor,
-		Attrs:       attrs,
+		Attrs:       copyAttrsAt(b.Obj, at),
+		Updates:     k.upd,
+		LastSeq:     k.last,
+		AckSeq:      k.ack,
 	}
 }
 

@@ -309,6 +309,7 @@ func (f *Follower) applyBatchLocked(fr *Frame) (uint64, error) {
 			return 0, f.err
 		}
 		f.applied = fr.Seq + n - 1
+		f.err = nil // the stream is whole again: a failed batch now applied
 		f.pos = wal.ChainPos{Epoch: fr.Epoch, Offset: fr.End}
 		if fr.Sealed > f.sealed {
 			f.sealed = fr.Sealed

@@ -656,7 +656,30 @@ var strayDelete = (&oplog.Op{Kind: oplog.KindDelete, Sur: 1 << 30}).Encode()
 // seen prefix of an overlapping one are skipped, not decoded. The
 // replica ends byte-identical to the primary, every op at its original
 // Seq.
-func TestDecoderFollowsAppliedRecords(t *testing.T) {
+func TestDecoderFollowsAppliedRecords(t *testing.T) { reapplyFailedBatch(t) }
+
+// TestFollowerReadableAfterReappliedBatch: once the batch that failed to
+// apply applies after the reconnect, the follower's error clears and the
+// caught-up replica serves reads again.
+func TestFollowerReadableAfterReappliedBatch(t *testing.T) {
+	s := reapplyFailedBatch(t)
+	if err := s.f.Err(); err != nil {
+		t.Fatalf("caught-up follower keeps the error %v", err)
+	}
+	view, err := s.f.View()
+	if err != nil {
+		t.Fatalf("View on a caught-up follower: %v", err)
+	}
+	view.Release()
+	if view, err = s.f.ViewWithin(0); err != nil {
+		t.Fatalf("ViewWithin(0) on a caught-up follower: %v", err)
+	}
+	view.Release()
+}
+
+// reapplyFailedBatch runs TestDecoderFollowsAppliedRecords's script and
+// returns the caught-up follower.
+func reapplyFailedBatch(t *testing.T) *scripted {
 	s := newScripted(t)
 	frames, start := s.frames, s.start
 
@@ -678,6 +701,7 @@ func TestDecoderFollowsAppliedRecords(t *testing.T) {
 	if st := s.f.Stats(); st.Resyncs != 0 || st.CorruptFrames != 0 {
 		t.Fatalf("follower stats %+v: no batch should have needed a resync", st)
 	}
+	return s
 }
 
 // TestPartlyAppliedBatchResyncs: a batch that fails to apply after some

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
 	"cadcam/internal/domain"
@@ -117,11 +119,22 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
+// everyFlagObject is an object record with every optional field set, so
+// its flags byte has every defined bit.
+func everyFlagObject() object.ObjectRecord {
+	return object.ObjectRecord{
+		Sur: 9, TypeName: "WireType", IsRel: true, Parent: 5, ParentSub: "Wires", OwnerClass: "C0", ModSeq: 7,
+		Attrs:        map[string]domain.Value{"Length": domain.Rl(2.5)},
+		Participants: map[string]domain.Value{"Pin1": domain.Ref(4), "Pin2": domain.Ref(6)},
+	}
+}
+
 // FuzzSnapshotDecode drives the snapshot decoder the same way: recovery
 // reads the snapshot blob before any journal record, so a damaged blob
 // must be rejected with an error, never a panic or runaway allocation.
-// The seeds include a string index past the table and a table count
-// beyond the payload.
+// The seeds include a string index past the table, a table count
+// beyond the payload and an object with every flag bit set. An accepted
+// blob must decode, re-encoded, to the same state.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeSnapshot(&object.StoreState{NextSur: 5, Seq: 3}, &version.ManagerState{}))
@@ -130,30 +143,78 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Objects: []object.ObjectRecord{{
 			Sur: 1, TypeName: "GateInterface_I", OwnerClass: "C0", ModSeq: 2,
 			Attrs: map[string]domain.Value{"Length": domain.Int(4)},
-		}},
+		}, everyFlagObject()},
 		Bindings: []object.BindingRecord{{
 			Sur: 2, RelType: "AllOf_GateInterface", Transmitter: 1, Inheritor: 3,
-			Attrs: map[string]domain.Value{
-				"TransmitterUpdates": domain.Int(1),
-				"LastUpdateSeq":      domain.Int(2),
-				"AcknowledgedSeq":    domain.Int(0),
-			},
+			Updates: 1, LastSeq: 2,
 		}},
-		NextSur: 4, Seq: 9,
+		NextSur: 10, Seq: 9,
 	}, &version.ManagerState{}))
+	f.Add(badIndexSnapshot())
+	f.Add(hugeTableSnapshot())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, vs, err := DecodeSnapshotState(b)
 		if err != nil {
 			return
 		}
-		// An accepted blob must re-encode to an accepted blob (not
-		// necessarily byte-identical: map order inside attrs is fixed by
-		// the codec, but a fuzzed blob may contain non-canonical varints).
-		b2 := EncodeSnapshot(st, vs)
-		if _, _, err := DecodeSnapshotState(b2); err != nil {
+		st2, vs2, err := DecodeSnapshotState(EncodeSnapshot(st, vs))
+		if err != nil {
 			t.Fatalf("re-decode of accepted snapshot failed: %v", err)
 		}
+		if !deepEqualBits(st, st2) || !deepEqualBits(vs, vs2) {
+			t.Fatalf("snapshot round trip changed the state:\nfirst:  %+v\nsecond: %+v", st, st2)
+		}
 	})
+}
+
+// deepEqualBits is reflect.DeepEqual, except that floats compare by their
+// bits: a NaN read from a fuzzed blob equals itself.
+func deepEqualBits(a, b any) bool { return equalBits(reflect.ValueOf(a), reflect.ValueOf(b)) }
+
+func equalBits(a, b reflect.Value) bool {
+	if a.IsValid() != b.IsValid() || !a.IsValid() {
+		return a.IsValid() == b.IsValid()
+	}
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalBits(a.Elem(), b.Elem())
+	case reflect.Slice, reflect.Array:
+		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for it := a.MapRange(); it.Next(); {
+			if v := b.MapIndex(it.Key()); !v.IsValid() || !equalBits(it.Value(), v) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }
 
 // FuzzManifestDecode drives the checkpoint-manifest decoder with
@@ -200,7 +261,9 @@ func FuzzManifestDecode(f *testing.F) {
 // FuzzSegmentDecode drives the segment decoder the same way, pinned to
 // partition 0 (the decoder rejects any payload claiming another
 // partition, which the fuzzer will also exercise), seeded with the same
-// two kinds of string-table damage as FuzzSnapshotDecode.
+// two kinds of string-table damage as FuzzSnapshotDecode, an undefined
+// flag bit and an object with every flag bit set. An accepted segment
+// must decode, re-encoded, to the same records.
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeSegment(0, nil, nil))
@@ -208,20 +271,25 @@ func FuzzSegmentDecode(f *testing.F) {
 		[]object.ObjectRecord{{
 			Sur: 16, TypeName: "GateInterface_I", ModSeq: 2,
 			Attrs: map[string]domain.Value{"Length": domain.Int(4)},
-		}},
+		}, everyFlagObject()},
 		[]object.BindingRecord{{
 			Sur: 32, RelType: "AllOf_GateInterface", Transmitter: 16, Inheritor: 48,
+			Updates: 3, LastSeq: 40, AckSeq: 38,
 		}}))
 	f.Add(badIndexSegment())
 	f.Add(hugeTableSegment())
+	f.Add(undefinedFlagSegment())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		objs, binds, err := DecodeSegment(b, 0)
 		if err != nil {
 			return
 		}
-		b2 := EncodeSegment(0, objs, binds)
-		if _, _, err := DecodeSegment(b2, 0); err != nil {
+		objs2, binds2, err := DecodeSegment(EncodeSegment(0, objs, binds), 0)
+		if err != nil {
 			t.Fatalf("re-decode of accepted segment failed: %v", err)
+		}
+		if !deepEqualBits(objs, objs2) || !deepEqualBits(binds, binds2) {
+			t.Fatalf("segment round trip changed the records:\nfirst:  %+v %+v\nsecond: %+v %+v", objs, binds, objs2, binds2)
 		}
 	})
 }

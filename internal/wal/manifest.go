@@ -32,7 +32,7 @@ const (
 	manifestMagic   = uint64(0xCADC0FFE)
 	manifestVersion = uint64(2)
 	segMagic        = uint64(0xCAD5E600)
-	segVersion      = uint64(2)
+	segVersion      = uint64(3)
 )
 
 // Manifest describes one committed incremental checkpoint.

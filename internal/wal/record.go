@@ -16,12 +16,26 @@ import (
 // changes the byte format of every snapshot artifact — including the
 // canonical encoding the crash-recovery oracle byte-compares.
 
-// Minimum encoded sizes, for bounding decoded counts against the bytes
-// left: an object record is nine one-byte fields at least, a binding
-// five, an attribute entry a name index plus a value tag.
+// Object record flags: which optional fields follow. Any other bit is
+// corrupt.
 const (
-	minObjectRecord  = 9
-	minBindingRecord = 5
+	flagRel byte = 1 << iota
+	flagParent
+	flagParentSub
+	flagOwnerClass
+	flagAttrs
+	flagParticipants
+	flagsDefined = 1<<iota - 1
+)
+
+// Minimum encoded sizes, for bounding decoded counts against the bytes
+// left: an object record is four one-byte fields at least (surrogate,
+// type, flags, ModSeq), a binding eight (surrogate, relationship,
+// transmitter, inheritor, three bookkeeping counters, attribute count),
+// an attribute entry a name index plus a value tag.
+const (
+	minObjectRecord  = 4
+	minBindingRecord = 8
 	minAttrEntry     = 2
 )
 
@@ -31,70 +45,126 @@ const (
 // string table holding each distinct name once and every record names
 // them by uvarint index. The table is sorted, so equal record lists
 // encode to identical bytes whatever order their maps were filled in.
+//
+// Numbers are written as zigzag varints relative to a near neighbour
+// (DESIGN.md §6 note 23): each Sur as a delta from the previous Sur of
+// its list, Parent, Transmitter and Inheritor as offsets from the
+// record's Sur, each ModSeq as a delta from the previous object's and
+// AckSeq from the binding's LastSeq. An object's flags byte says which
+// of its optional fields follow; a binding's bookkeeping is positional.
 func encodeRecords(e *codec.Buf, objs []object.ObjectRecord, binds []object.BindingRecord) {
 	t := newNameTable(objs, binds)
 	e.Strs(t.names)
 	e.Uvarint(uint64(len(objs)))
+	var sur domain.Surrogate
+	var mod uint64
 	for i := range objs {
 		o := &objs[i]
-		e.Sur(o.Sur)
+		e.Varint(int64(o.Sur - sur))
+		sur = o.Sur
 		t.name(e, o.TypeName)
-		e.Bool(o.IsRel)
-		e.Sur(o.Parent)
-		t.name(e, o.ParentSub)
-		t.name(e, o.OwnerClass)
-		e.Uvarint(o.ModSeq)
-		t.values(e, o.Attrs)
-		t.values(e, o.Participants)
+		f := objectFlags(o)
+		e.Byte(f)
+		if f&flagParent != 0 {
+			e.Varint(int64(o.Parent - o.Sur))
+		}
+		if f&flagParentSub != 0 {
+			t.name(e, o.ParentSub)
+		}
+		if f&flagOwnerClass != 0 {
+			t.name(e, o.OwnerClass)
+		}
+		e.Varint(int64(o.ModSeq - mod))
+		mod = o.ModSeq
+		if f&flagAttrs != 0 {
+			t.values(e, o.Attrs)
+		}
+		if f&flagParticipants != 0 {
+			t.values(e, o.Participants)
+		}
 	}
 	e.Uvarint(uint64(len(binds)))
+	sur = 0
 	for i := range binds {
 		b := &binds[i]
-		e.Sur(b.Sur)
+		e.Varint(int64(b.Sur - sur))
+		sur = b.Sur
 		t.name(e, b.RelType)
-		e.Sur(b.Transmitter)
-		e.Sur(b.Inheritor)
+		e.Varint(int64(b.Transmitter - b.Sur))
+		e.Varint(int64(b.Inheritor - b.Sur))
+		e.Uvarint(uint64(b.Updates))
+		e.Uvarint(uint64(b.LastSeq))
+		e.Varint(b.AckSeq - b.LastSeq)
 		t.values(e, b.Attrs)
 	}
 }
 
+// objectFlags returns an object record's flags byte.
+func objectFlags(o *object.ObjectRecord) byte {
+	var f byte
+	// In flag-bit order: flagRel first.
+	for bit, on := range [...]bool{o.IsRel, o.Parent != 0, o.ParentSub != "", o.OwnerClass != "",
+		len(o.Attrs) > 0, len(o.Participants) > 0} {
+		if on {
+			f |= 1 << bit
+		}
+	}
+	return f
+}
+
 // decodeRecords reads what encodeRecords writes. Every name index is
-// bounds-checked against the table, and decoded records share the
-// table's strings. Explicit nulls in object attribute maps are deleted
-// keys.
+// bounds-checked against the table, an undefined flag bit fails the
+// reader, and decoded records share the table's strings. Explicit nulls
+// in object attribute maps are deleted keys.
 func decodeRecords(r *codec.Reader) ([]object.ObjectRecord, []object.BindingRecord) {
 	names := r.Strs()
 	var objs []object.ObjectRecord
 	if n := r.Count(minObjectRecord); n > 0 {
 		objs = make([]object.ObjectRecord, 0, n)
+		var sur domain.Surrogate
+		var mod uint64
 		for i := 0; i < n && r.Err() == nil; i++ {
-			o := object.ObjectRecord{
-				Sur:        r.Sur(),
-				TypeName:   r.Pick(names),
-				IsRel:      r.Bool(),
-				Parent:     r.Sur(),
-				ParentSub:  r.Pick(names),
-				OwnerClass: r.Pick(names),
-				ModSeq:     r.Uvarint(),
+			sur += domain.Surrogate(r.Varint())
+			o := object.ObjectRecord{Sur: sur, TypeName: r.Pick(names)}
+			f := r.Flags(flagsDefined)
+			o.IsRel = f&flagRel != 0
+			if f&flagParent != 0 {
+				o.Parent = sur + domain.Surrogate(r.Varint())
 			}
-			o.Attrs = decodeValues(r, names)
-			o.Participants = decodeValues(r, names)
-			normalizeNulls(o.Attrs)
-			normalizeNulls(o.Participants)
+			if f&flagParentSub != 0 {
+				o.ParentSub = r.Pick(names)
+			}
+			if f&flagOwnerClass != 0 {
+				o.OwnerClass = r.Pick(names)
+			}
+			mod += uint64(r.Varint())
+			o.ModSeq = mod
+			if f&flagAttrs != 0 {
+				o.Attrs = withoutNulls(decodeValues(r, names))
+			}
+			if f&flagParticipants != 0 {
+				o.Participants = withoutNulls(decodeValues(r, names))
+			}
 			objs = append(objs, o)
 		}
 	}
 	var binds []object.BindingRecord
 	if n := r.Count(minBindingRecord); n > 0 {
 		binds = make([]object.BindingRecord, 0, n)
+		var sur domain.Surrogate
 		for i := 0; i < n && r.Err() == nil; i++ {
-			binds = append(binds, object.BindingRecord{
-				Sur:         r.Sur(),
+			sur += domain.Surrogate(r.Varint())
+			b := object.BindingRecord{
+				Sur:         sur,
 				RelType:     r.Pick(names),
-				Transmitter: r.Sur(),
-				Inheritor:   r.Sur(),
-				Attrs:       decodeValues(r, names),
-			})
+				Transmitter: sur + domain.Surrogate(r.Varint()),
+				Inheritor:   sur + domain.Surrogate(r.Varint()),
+				Updates:     int64(r.Uvarint()),
+				LastSeq:     int64(r.Uvarint()),
+			}
+			b.AckSeq = b.LastSeq + r.Varint()
+			b.Attrs = decodeValues(r, names)
+			binds = append(binds, b)
 		}
 	}
 	return objs, binds
@@ -170,12 +240,17 @@ func decodeValues(r *codec.Reader, names []string) map[string]domain.Value {
 	return m
 }
 
-func normalizeNulls(m map[string]domain.Value) {
+// withoutNulls deletes m's explicit nulls; a map left empty reads as nil.
+func withoutNulls(m map[string]domain.Value) map[string]domain.Value {
 	for k, v := range m {
 		if domain.IsNull(v) {
 			delete(m, k)
 		}
 	}
+	if len(m) == 0 {
+		return nil
+	}
+	return m
 }
 
 func encodeClassRecords(e *codec.Buf, classes []object.ClassRecord) {

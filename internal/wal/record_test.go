@@ -28,13 +28,10 @@ func gateRecords(n int, keys []string) ([]object.ObjectRecord, []object.BindingR
 			Sur: domain.Surrogate(2*i + 1), TypeName: "GateImplementation",
 			OwnerClass: "Implementations", ModSeq: uint64(i + 1), Attrs: attrs,
 		})
-		book := make(map[string]domain.Value)
-		for _, k := range []string{"TransmitterUpdates", "LastUpdateSeq", "AcknowledgedSeq"} {
-			book[k] = domain.Int(int64(i))
-		}
 		binds = append(binds, object.BindingRecord{
 			Sur: domain.Surrogate(2*i + 2), RelType: "AllOf_GateInterface",
-			Transmitter: 1 << 20, Inheritor: domain.Surrogate(2*i + 1), Attrs: book,
+			Transmitter: 1 << 20, Inheritor: domain.Surrogate(2*i + 1),
+			Updates: int64(i), LastSeq: int64(i), AckSeq: int64(i),
 		})
 	}
 	return objs, binds
@@ -66,13 +63,19 @@ func TestRecordEncodingCanonical(t *testing.T) {
 }
 
 // TestSegmentStoresEachNameOnce: a segment of many implementations holds
-// every type, relationship and attribute name exactly once.
+// every type, relationship and attribute name exactly once, and the
+// binding bookkeeping names not at all: the counters are positional.
 func TestSegmentStoresEachNameOnce(t *testing.T) {
 	objs, binds := gateRecords(500, gateAttrs)
 	blob := EncodeSegment(0, objs, binds)
-	for _, name := range append([]string{"GateImplementation", "Implementations", "AllOf_GateInterface", "LastUpdateSeq"}, gateAttrs...) {
+	for _, name := range append([]string{"GateImplementation", "Implementations", "AllOf_GateInterface"}, gateAttrs...) {
 		if n := bytes.Count(blob, []byte(name)); n != 1 {
 			t.Errorf("%q stored %d times, want 1", name, n)
+		}
+	}
+	for _, name := range []string{object.AttrTransmitterUpdates, object.AttrLastUpdateSeq, object.AttrAcknowledgedSeq} {
+		if n := bytes.Count(blob, []byte(name)); n != 0 {
+			t.Errorf("%q stored %d times, want 0", name, n)
 		}
 	}
 }
@@ -123,18 +126,53 @@ func badIndexSegment() []byte {
 	e.Uvarint(segVersion)
 	e.Uvarint(0)
 	e.Strs([]string{"GateImplementation"})
-	e.Uvarint(1)  // objects
-	e.Sur(1)      // Sur
-	e.Uvarint(5)  // TypeName: out of range
-	e.Bool(false) // IsRel
-	e.Sur(0)      // Parent
-	e.Uvarint(0)  // ParentSub
-	e.Uvarint(0)  // OwnerClass
-	e.Uvarint(1)  // ModSeq
-	e.Uvarint(0)  // Attrs
-	e.Uvarint(0)  // Participants
-	e.Uvarint(0)  // bindings
+	e.Uvarint(1) // objects
+	e.Varint(1)  // Sur delta
+	e.Uvarint(5) // TypeName: out of range
+	e.Byte(0)    // flags
+	e.Varint(1)  // ModSeq delta
+	e.Uvarint(0) // bindings
 	return e.Bytes()
+}
+
+// undefinedFlagSegment is a segment whose only object is whole but for
+// a flags byte with a bit no flag defines.
+func undefinedFlagSegment() []byte {
+	var e codec.Buf
+	e.Uvarint(segMagic)
+	e.Uvarint(segVersion)
+	e.Uvarint(0)
+	e.Strs([]string{"GateImplementation"})
+	e.Uvarint(1)             // objects
+	e.Varint(1)              // Sur delta
+	e.Uvarint(0)             // TypeName
+	e.Byte(flagsDefined + 1) // flags: the first undefined bit
+	e.Varint(1)              // ModSeq delta
+	e.Uvarint(0)             // bindings
+	return e.Bytes()
+}
+
+// zeroRecordSegment returns a segment whose object list (bindings
+// false) or binding list (true) claims n records, with fill zero bytes
+// behind the count and the other list empty. An all-zero record of the
+// minimum size decodes (surrogate delta 0, the first name, no flags, all
+// numbers 0), 4 bytes an object and 8 a binding, so n = fill/size
+// decodes and n = fill/size+1 claims more than the payload holds.
+func zeroRecordSegment(bindings bool, n, fill int) []byte {
+	var e codec.Buf
+	e.Uvarint(segMagic)
+	e.Uvarint(segVersion)
+	e.Uvarint(0)
+	e.Strs([]string{"AllOf_GateInterface"})
+	if bindings {
+		e.Uvarint(0) // objects
+	}
+	e.Uvarint(uint64(n))
+	b := append(e.Bytes(), make([]byte, fill)...)
+	if !bindings {
+		b = append(b, 0) // bindings
+	}
+	return b
 }
 
 // hugeTableSegment claims a string table far larger than its payload.
@@ -160,11 +198,14 @@ func badIndexSnapshot() []byte {
 	e.Strs([]string{"AllOf_GateInterface"})
 	e.Uvarint(0) // objects
 	e.Uvarint(1) // bindings
-	e.Sur(2)
+	e.Varint(2)  // Sur delta
 	e.Uvarint(1) // RelType: out of range
-	e.Sur(1)
-	e.Sur(3)
-	e.Uvarint(0)
+	e.Varint(-1) // Transmitter offset
+	e.Varint(1)  // Inheritor offset
+	e.Uvarint(0) // Updates
+	e.Uvarint(0) // LastSeq
+	e.Varint(0)  // AckSeq delta
+	e.Uvarint(0) // Attrs
 	e.Uvarint(4) // NextSur
 	e.Uvarint(9) // Seq
 	encodeVersionState(&e, &version.ManagerState{})
@@ -182,10 +223,25 @@ func hugeTableSnapshot() []byte {
 	return e.Bytes()
 }
 
-// TestRecordDecodeRejectsDamage: an out-of-range string index or a table
-// count beyond the payload is rejected with an error, without a panic
-// and without an allocation sized by the damaged count.
+// TestRecordDecodeRejectsDamage: an out-of-range string index, a table
+// or record count beyond the payload and an undefined flag bit are
+// rejected with an error, without a panic and without an allocation
+// sized by the damaged count.
 func TestRecordDecodeRejectsDamage(t *testing.T) {
+	// Counts one past what fits at the minimum record sizes. Decoding
+	// that many records would allocate several MiB before running out of
+	// bytes; one record fewer decodes. Built ahead, so that their filler
+	// does not count as allocation.
+	const fill = 1 << 18
+	for _, c := range []struct {
+		bindings bool
+		size     int
+	}{{false, 4}, {true, 8}} {
+		if _, _, err := DecodeSegment(zeroRecordSegment(c.bindings, fill/c.size, fill), 0); err != nil {
+			t.Fatalf("%d-byte records (bindings %v) filling the payload: %v", c.size, c.bindings, err)
+		}
+	}
+	objCount, bindCount := zeroRecordSegment(false, fill/4+1, fill), zeroRecordSegment(true, fill/8+1, fill)
 	cases := []struct {
 		name   string
 		decode func() error
@@ -194,6 +250,9 @@ func TestRecordDecodeRejectsDamage(t *testing.T) {
 		{"segment table beyond payload", func() error { _, _, err := DecodeSegment(hugeTableSegment(), 0); return err }},
 		{"snapshot index out of range", func() error { _, _, err := DecodeSnapshotState(badIndexSnapshot()); return err }},
 		{"snapshot table beyond payload", func() error { _, _, err := DecodeSnapshotState(hugeTableSnapshot()); return err }},
+		{"segment object count beyond payload", func() error { _, _, err := DecodeSegment(objCount, 0); return err }},
+		{"segment binding count beyond payload", func() error { _, _, err := DecodeSegment(bindCount, 0); return err }},
+		{"segment undefined flag bit", func() error { _, _, err := DecodeSegment(undefinedFlagSegment(), 0); return err }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

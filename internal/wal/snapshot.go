@@ -10,11 +10,11 @@ import (
 
 // Snapshot format: magic, format version, class and index records, one
 // record section (encodeRecords: string table, objects, bindings), the
-// global counters, version state. Version 3 introduced the string table;
-// older blobs are rejected.
+// global counters, version state. Version 3 introduced the string table,
+// version 4 the delta and flag record layout; older blobs are rejected.
 const (
 	snapMagic   = uint64(0xCADCA55E)
-	snapVersion = uint64(3)
+	snapVersion = uint64(4)
 )
 
 // EncodeSnapshot serializes the full logical state of the store and
