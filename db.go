@@ -91,6 +91,10 @@ var ErrFrozenVersion = errors.New("cadcam: version is frozen")
 // file, so the directory can be repaired or restored.
 var ErrCheckpointUnreadable = wal.ErrCheckpointUnreadable
 
+// ErrClosed reports a mutation after Close: through the Database, or
+// through a Store, Txn or Workspace handle taken from it before Close.
+var ErrClosed = object.ErrClosed
+
 // ErrJournalFormat reports an Open of a directory whose journal is not in
 // this release's record format (see oplog.FormatVersion), such as one
 // written before journal records indexed their names. Open then modifies
@@ -273,7 +277,7 @@ type Database struct {
 	shipper *repl.Shipper
 
 	opsSinceCheckpoint atomic.Int64
-	closed             bool
+	closed             atomic.Bool
 }
 
 // Open creates or recovers a database over a validated catalog.
@@ -540,10 +544,14 @@ func (db *Database) afterWrite(err error) error {
 	return err
 }
 
-// Err reports the first journaling error, if any. A non-nil result means
-// durability is compromised and the database should be closed; mutating
-// facade methods fail fast with this error once it is set.
+// Err reports ErrClosed once the database is closed, else the first
+// journaling error, if any, which means durability is compromised and
+// the database should be closed. Mutating facade methods fail fast with
+// this error once it is set.
 func (db *Database) Err() error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
 	if db.committer == nil {
 		return nil
 	}
@@ -594,11 +602,11 @@ func (db *Database) Checkpoint() error {
 }
 
 func (db *Database) checkpointLocked() error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
 	if db.dir == "" {
 		return nil // in-memory: nothing to do
-	}
-	if db.closed {
-		return fmt.Errorf("cadcam: database closed")
 	}
 	next := db.epoch + 1
 	var vs *version.ManagerState
@@ -660,28 +668,25 @@ func (db *Database) checkpointLocked() error {
 	// The flush above drained every record at or below the pin into the
 	// outgoing log, and the swap directs everything after it to the new
 	// one, so the snapshot's records are exactly the state the rotated
-	// journal chain reproduces. Writers are live again: the export walks
-	// the version chains at the pinned sequence while they mutate.
-	ex := pc.Snap.ExportShards(pc.Marks, pc.Dirty)
-	pc.Snap.Release()
-	return db.publishCheckpoint(next, ex, vs)
+	// journal chain reproduces.
+	return db.publishCheckpoint(next, pc, vs)
 }
 
 // publishCheckpoint encodes the dirty shards' segments, writes them and
 // the committing manifest, and garbage-collects everything the manifest
 // no longer references. It runs after the journal rotation with no store
 // lock held — writers proceed concurrently — but under db.mu, so
-// checkpoints serialize. Until the manifest rename lands, the directory
-// still recovers from the previous checkpoint plus the journal chain; a
-// failure here therefore only removes the new segments and reports.
-func (db *Database) publishCheckpoint(next uint64, ex *object.StoreExport, vs *version.ManagerState) error {
-	parts := len(ex.Shards)
-	segEpochs := make([]uint64, parts)
-	marks := make([]uint64, parts)
+// checkpoints serialize. Each encode worker exports a dirty shard from
+// the pin into its reused record slices, encodes and writes it, then takes
+// the next; the pin ends with the last one (DESIGN.md §6 note 24). Until
+// the manifest rename lands, the directory still recovers from the
+// previous checkpoint plus the journal chain; a failure here therefore
+// only removes the new segments and reports.
+func (db *Database) publishCheckpoint(next uint64, pc *object.PinnedCheckpoint, vs *version.ManagerState) error {
+	segEpochs := make([]uint64, len(pc.Dirty))
 	var dirty []int
-	for i := range ex.Shards {
-		marks[i] = ex.Shards[i].Mark
-		if ex.Shards[i].Exported {
+	for i, d := range pc.Dirty {
+		if d {
 			segEpochs[i] = next
 			dirty = append(dirty, i)
 		} else {
@@ -697,19 +702,19 @@ func (db *Database) publishCheckpoint(next uint64, ex *object.StoreExport, vs *v
 	}
 
 	var bytesEncoded atomic.Uint64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(dirty) {
-		workers = len(dirty)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(dirty))
 	errs := make([]error, len(dirty))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var objs []object.ObjectRecord
+			var binds []object.BindingRecord
 			for di := w; di < len(dirty); di += workers {
 				p := dirty[di]
-				blob := wal.EncodeSegment(p, ex.Shards[p].Objects, ex.Shards[p].Bindings)
+				objs, binds = pc.Snap.ExportShard(p, objs[:0], binds[:0])
+				blob := wal.EncodeSegment(p, objs, binds)
 				bytesEncoded.Add(uint64(len(blob)))
 				if err := fpSegmentWrite.Hit(); err != nil {
 					errs[di] = err
@@ -723,13 +728,15 @@ func (db *Database) publishCheckpoint(next uint64, ex *object.StoreExport, vs *v
 		}(w)
 	}
 	wg.Wait()
+	base := pc.Snap.Base()
+	pc.Snap.Release()
 	for _, err := range errs {
 		if err != nil {
 			return abandon(err)
 		}
 	}
 
-	blob := wal.EncodeManifest(&wal.Manifest{Epoch: next, SegEpochs: segEpochs, Base: ex.Base, Versions: vs})
+	blob := wal.EncodeManifest(&wal.Manifest{Epoch: next, SegEpochs: segEpochs, Base: base, Versions: vs})
 	bytesEncoded.Add(uint64(len(blob)))
 	if err := fpManifestSwap.Hit(); err != nil {
 		return abandon(err)
@@ -743,8 +750,8 @@ func (db *Database) publishCheckpoint(next uint64, ex *object.StoreExport, vs *v
 	// baseline advances with it.
 	db.manifestEpoch = next
 	db.segEpochs = segEpochs
-	db.ckptBaseline = marks
-	db.noteCheckpoint(len(dirty), parts-len(dirty), bytesEncoded.Load(), nil)
+	db.ckptBaseline = pc.Marks
+	db.noteCheckpoint(len(dirty), len(segEpochs)-len(dirty), bytesEncoded.Load(), nil)
 
 	if err := fpSegmentGC.Hit(); err != nil {
 		// The checkpoint committed; only the cleanup was skipped. Stale
@@ -782,20 +789,33 @@ func (db *Database) maybeCheckpoint() {
 	}
 }
 
-// Close syncs and closes the journal. The database must not be used
-// afterwards.
+// Close syncs the journal, closes the store and drops the store,
+// managers, committer and shipper, so a kept handle holds none of their
+// memory; no other call may overlap it. A closed handle reads as empty;
+// mutations fail with ErrClosed, also through Store, Txn or Workspace
+// handles taken earlier; an earlier SnapshotView reads until Release.
 func (db *Database) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return nil
 	}
-	db.closed = true
-	db.store.SetJournal(nil)
+	db.closed.Store(true)
+	db.store.Close()
+	var err error
 	if db.committer != nil {
 		// Close drains and fsyncs the queue before closing the log, so
 		// every acknowledged (and every queued async) mutation is on disk.
-		return db.committer.Close()
+		err = db.committer.Close()
 	}
-	return nil
+	// An empty closed store stands in for the real one; no field is nil.
+	// It cannot fail: Open validated the catalog.
+	empty, _ := object.NewStoreShards(db.cat, 1)
+	empty.Close()
+	db.store, db.reader, db.committer = empty, reader{empty.View}, nil
+	db.versions, db.txns = version.NewManager(empty), txn.NewManager(empty)
+	db.replMu.Lock()
+	db.shipper = nil
+	db.replMu.Unlock()
+	return err
 }

@@ -224,6 +224,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	if err := db.SetAttr(iface, "Width", Int(9)); err != nil {
 		t.Fatal(err)
 	}
+	shards := db.Store().Shards() // a closed handle holds an empty store
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 			segs++
 		}
 	}
-	if snaps != 0 || wals != 1 || mfs != 1 || segs != db.Store().Shards() {
+	if snaps != 0 || wals != 1 || mfs != 1 || segs != shards {
 		t.Errorf("files after checkpoint: %d snaps, %d wals, %d manifests, %d segments",
 			snaps, wals, mfs, segs)
 	}

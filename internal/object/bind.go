@@ -227,6 +227,9 @@ func (s *Store) Acknowledge(relType string, inheritor domain.Surrogate) error {
 	sh := s.shardOf(inheritor)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	b := s.bindingLocked(inheritor, relType)
 	if b == nil {
 		return fmt.Errorf("%w: %s in %s", ErrNotBound, inheritor, relType)

@@ -42,6 +42,8 @@ var (
 	ErrConstraint = errors.New("object: constraint violated")
 	// ErrNotSubobject reports a subobject operation on a top-level object.
 	ErrNotSubobject = errors.New("object: not a subobject")
+	// ErrClosed reports a mutation of a closed store.
+	ErrClosed = errors.New("object: store is closed")
 )
 
 func noObject(sur domain.Surrogate) error {

@@ -36,7 +36,9 @@ func (s *Store) Import(st *StoreState) error {
 // so that each worker writes only its own shard's table; otherwise one
 // at a time. A failed import leaves the store empty.
 func (s *Store) ImportStream(base *StoreState, parts, workers int, next func(p int) ([]ObjectRecord, []BindingRecord, error)) (peak int, err error) {
-	s.lockAll()
+	if err := s.lockOpen(); err != nil {
+		return 0, err
+	}
 	defer s.unlockAll()
 	for i := range s.shards {
 		if s.shards[i].live != 0 {
@@ -267,6 +269,7 @@ func (s *Store) clearLocked() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.objs.dir.Store(nil)
+		sh.objs.far.Store(nil)
 		sh.live = 0
 		clear(sh.relsByParticipant)
 		sh.retained.Store(0)

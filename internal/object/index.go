@@ -480,7 +480,9 @@ func (s *Store) createIndex(name, className, attrName string, replaySeq uint64) 
 	if name == "" || attrName == "" {
 		return fmt.Errorf("object: index needs a name and an attribute")
 	}
-	s.lockAll()
+	if err := s.lockOpen(); err != nil {
+		return err
+	}
 	defer s.unlockAll()
 	cls, err := s.indexClass(name, className)
 	if err != nil {
@@ -553,7 +555,9 @@ func (s *Store) DropIndex(name string) error {
 }
 
 func (s *Store) dropIndex(name string, replaySeq uint64) error {
-	s.lockAll()
+	if err := s.lockOpen(); err != nil {
+		return err
+	}
 	defer s.unlockAll()
 	reg := s.indexes.Load()
 	if reg == nil {

@@ -191,11 +191,7 @@ func (s *Store) CheckInvariants() []string {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		live := 0
-		for j := uint64(0); j < sh.objs.slots(); j++ {
-			o := sh.objs.load(j)
-			if o == nil {
-				continue
-			}
+		sh.objs.each(func(j uint64, o *Object) {
 			if uint64(o.sur) > next {
 				report("surrogate %s exceeds allocation counter %d", o.sur, next)
 			}
@@ -205,7 +201,7 @@ func (s *Store) CheckInvariants() []string {
 			if o.visibleAt(liveSeq) {
 				live++
 			}
-		}
+		})
 		if live != sh.live {
 			report("shard %d counts %d live objects, holds %d", i, sh.live, live)
 		}

@@ -302,8 +302,9 @@ func TestPinCheckpointExport(t *testing.T) {
 	}
 	mustSur(t)(s.NewObject(paperschema.TypePin, "")) // after the pin: not exported
 	got := 0
-	for _, sh := range pc.Snap.ExportShards(pc.Marks, pc.Dirty).Shards {
-		got += len(sh.Objects)
+	for k := range pc.Dirty {
+		objs, _ := pc.Snap.ExportShard(k, nil, nil)
+		got += len(objs)
 	}
 	if n := len(pc.Snap.Export().Objects); got != 1 || n != 1 {
 		t.Errorf("pinned export: %d objects by shard, %d whole, want 1", got, n)

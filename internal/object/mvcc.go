@@ -521,16 +521,12 @@ func (s *Store) SweepVersions() uint64 {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		low := s.lowWater()
-		for j := uint64(0); j < sh.objs.slots(); j++ {
-			o := sh.objs.load(j)
-			if o == nil {
-				continue
-			}
+		sh.objs.each(func(j uint64, o *Object) {
 			if d := o.deletedSeq.Load(); d != 0 {
 				if d <= low {
 					sh.objs.store(j, nil)
 					t.rec++
-					continue
+					return
 				}
 				t.dead++
 			}
@@ -554,7 +550,7 @@ func (s *Store) SweepVersions() uint64 {
 					trimChain(&t, &c.members, low)
 				}
 			}
-		}
+		})
 		sh.mu.Unlock()
 	}
 	for i := range s.stripes {

@@ -478,21 +478,6 @@ func (r View) surrogates() []domain.Surrogate {
 	return out
 }
 
-// shardSurrogates lists the surrogates of shard k visible at the read
-// point, ascending.
-func (r View) shardSurrogates(k int) []domain.Surrogate {
-	var out []domain.Surrogate
-	n := uint64(len(r.s.shards))
-	for i := uint64(0); i < r.s.shards[k].objs.slots(); i++ {
-		if sur := domain.Surrogate(i*n + uint64(k)); sur != 0 {
-			if _, ok := r.obj(sur); ok {
-				out = append(out, sur)
-			}
-		}
-	}
-	return out
-}
-
 // class returns the database-level class visible at the read point.
 // Lock-free: stripe maps are copy-on-write and classes are never removed.
 // Live callers that go on to read the membership hold its stripe lock.

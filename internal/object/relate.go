@@ -20,7 +20,9 @@ type Participants map[string]domain.Value
 // new object's shard and the participant index of every referenced
 // object's shard, so it runs store-wide exclusive.
 func (s *Store) Relate(relType string, parts Participants) (domain.Surrogate, error) {
-	s.lockAll()
+	if err := s.lockOpen(); err != nil {
+		return 0, err
+	}
 	defer s.unlockAll()
 	sur, err := s.relateLocked(relType, parts, 0, "")
 	if err != nil {

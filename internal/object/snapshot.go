@@ -85,7 +85,8 @@ func (r View) Export() *StoreState {
 func (r View) export(nextSur, seq uint64) *StoreState {
 	st := r.baseState(nextSur, seq)
 	for _, sur := range r.surrogates() {
-		st.Objects, st.Bindings = r.record(sur, st.Objects, st.Bindings)
+		o, _ := r.obj(sur)
+		st.Objects, st.Bindings = r.record(o, st.Objects, st.Bindings)
 	}
 	return st
 }
@@ -102,35 +103,31 @@ func (r View) baseState(nextSur, seq uint64) *StoreState {
 	return st
 }
 
-// record appends sur's record as visible at the read point: a binding
+// record appends o's record as visible at the read point: a binding
 // record for an inheritance binding's object, an object record otherwise.
-func (r View) record(sur domain.Surrogate, objs []ObjectRecord, binds []BindingRecord) ([]ObjectRecord, []BindingRecord) {
-	o, _ := r.obj(sur)
+func (r View) record(o *Object, objs []ObjectRecord, binds []BindingRecord) ([]ObjectRecord, []BindingRecord) {
 	if o.binding != nil {
-		return objs, append(binds, bindingRecord(sur, o.binding, r.at))
+		return objs, append(binds, bindingRecord(o.sur, o.binding, r.at))
 	}
 	return append(objs, objectRecord(o, r.at)), binds
 }
 
-// ExportShards captures a partitioned export as of the pin, lock-free:
-// shard i carries records iff dirty[i]; marks[i] becomes its Mark. The
-// checkpointer captures marks and dirtiness under the rotation lock (see
-// PinCheckpoint) and encodes the records here, with writers running.
-func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
-	r := sn.View
-	ex := &StoreExport{Base: r.baseState(sn.nextSur, r.at), Shards: make([]ShardExport, len(r.s.shards))}
-	for i := range r.s.shards {
-		se := &ex.Shards[i]
-		se.Mark = marks[i]
-		se.Exported = dirty[i]
-		if !dirty[i] {
-			continue
+// Base captures the non-partitioned state at the pin: classes, index
+// definitions and the counters, no records.
+func (sn *Snapshot) Base() *StoreState { return sn.baseState(sn.nextSur, sn.at) }
+
+// ExportShard appends the records of shard k visible at the pin to objs
+// and binds, in ascending surrogate order, and returns them. Lock-free
+// like every pinned read: the checkpointer's encode workers call it with
+// writers running, one shard at a time, each reusing its own slices, so
+// a checkpoint holds one shard's records per worker, never the store's.
+func (sn *Snapshot) ExportShard(k int, objs []ObjectRecord, binds []BindingRecord) ([]ObjectRecord, []BindingRecord) {
+	sn.s.shards[k].objs.each(func(_ uint64, o *Object) {
+		if o.visibleAt(sn.at) {
+			objs, binds = sn.record(o, objs, binds)
 		}
-		for _, sur := range r.shardSurrogates(i) {
-			se.Objects, se.Bindings = r.record(sur, se.Objects, se.Bindings)
-		}
-	}
-	return ex
+	})
+	return objs, binds
 }
 
 // bindingRecord captures one binding as visible at sequence point at.
@@ -175,27 +172,6 @@ func (s *Store) dirtyMarks(baseline []uint64) (marks []uint64, dirty []bool) {
 		dirty[i] = full || marks[i] != baseline[i]
 	}
 	return marks, dirty
-}
-
-// ShardExport is one shard's slice of a partitioned export. Mark is the
-// shard's dirty counter at capture time; Exported reports whether the
-// record slices were populated (the shard changed relative to the
-// caller's baseline) or skipped because the previous segment still
-// describes it exactly.
-type ShardExport struct {
-	Mark     uint64
-	Exported bool
-	Objects  []ObjectRecord
-	Bindings []BindingRecord
-}
-
-// StoreExport is a partitioned snapshot of the store: the base state
-// (classes and counters, cheap, always present) plus one ShardExport per
-// shard. Record slices are deep copies ordered by surrogate within each
-// shard, so the caller may encode them after releasing the store locks.
-type StoreExport struct {
-	Base   *StoreState // Classes, NextSur, Seq only — no records
-	Shards []ShardExport
 }
 
 func copyAttrs(m map[string]domain.Value) map[string]domain.Value {

@@ -34,10 +34,12 @@ func (s *Store) pinLocked() *Snapshot {
 }
 
 // PinnedCheckpoint is what PinCheckpoint captures under the store's
-// exclusive lock: a pinned snapshot plus the per-shard dirty marks and
-// the dirtiness verdicts against the caller's baseline. The caller
-// encodes the actual records off-lock via Snap.ExportShards(Marks-order)
-// and must Release the snapshot when done.
+// exclusive lock: a pinned snapshot plus each shard's dirty mark and its
+// dirtiness against the caller's baseline. Off the lock, the caller
+// exports every shard with Dirty[k] set through Snap.ExportShard(k),
+// takes the counters and classes from Snap.Base, adopts Marks as its
+// next baseline once the checkpoint commits, and must Release the
+// snapshot as soon as the last shard is exported.
 type PinnedCheckpoint struct {
 	Snap  *Snapshot
 	Marks []uint64

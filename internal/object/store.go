@@ -3,6 +3,8 @@ package object
 import (
 	"fmt"
 	"hash/maphash"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -127,80 +129,117 @@ type objChunk [1 << chunkBits]atomic.Pointer[Object]
 // objTable maps a shard's slot numbers (surrogate / shard count) to
 // objects. Surrogates are dense and sequential, so it is a copy-on-write
 // directory of fixed-size chunks of atomic slots: a lookup is two loads
-// and an index. Writers hold the shard's write lock; readers load slots
-// without one.
+// and an index. Chunks from maxDenseChunks on live in the copy-on-write
+// far map, so a surrogate far past the rest costs one chunk, not a
+// directory reaching it. Writers hold the shard's write lock.
 type objTable struct {
 	dir atomic.Pointer[[]*objChunk]
+	far atomic.Pointer[map[uint64]*objChunk]
+}
+
+// maxDenseChunks bounds the directory at 512 KiB a shard: 2^25 slots.
+const maxDenseChunks = 1 << 16
+
+// chunk returns chunk c, or nil.
+func (t *objTable) chunk(c uint64) *objChunk {
+	if d := t.dir.Load(); d != nil && c < uint64(len(*d)) {
+		return (*d)[c]
+	}
+	if f := t.far.Load(); f != nil {
+		return (*f)[c]
+	}
+	return nil
 }
 
 // load returns the object in slot i, or nil.
 func (t *objTable) load(i uint64) *Object {
-	d := t.dir.Load()
-	if d == nil || i>>chunkBits >= uint64(len(*d)) {
-		return nil
-	}
-	if c := (*d)[i>>chunkBits]; c != nil {
+	if c := t.chunk(i >> chunkBits); c != nil {
 		return c[i&(1<<chunkBits-1)].Load()
 	}
 	return nil
 }
 
 // store sets slot i (nil clears it). A missing chunk is added by
-// publishing a grown copy of the directory; published directories are
-// never written.
+// publishing a grown copy of the directory or the far map; published
+// ones are never written.
 func (t *objTable) store(i uint64, o *Object) {
-	var d []*objChunk
-	if p := t.dir.Load(); p != nil {
-		d = *p
-	}
 	c := i >> chunkBits
-	if c >= uint64(len(d)) || d[c] == nil {
+	ch := t.chunk(c)
+	if ch == nil {
 		if o == nil {
 			return
 		}
-		next := make([]*objChunk, max(uint64(len(d)), c+1))
-		copy(next, d)
-		next[c] = new(objChunk)
-		t.dir.Store(&next)
-		d = next
+		ch = new(objChunk)
+		if c < maxDenseChunks {
+			var d []*objChunk
+			if p := t.dir.Load(); p != nil {
+				d = *p
+			}
+			next := make([]*objChunk, max(uint64(len(d)), c+1))
+			copy(next, d)
+			next[c] = ch
+			t.dir.Store(&next)
+		} else {
+			next := map[uint64]*objChunk{c: ch}
+			if f := t.far.Load(); f != nil {
+				maps.Copy(next, *f)
+			}
+			t.far.Store(&next)
+		}
 	}
-	d[c][i&(1<<chunkBits-1)].Store(o)
+	ch[i&(1<<chunkBits-1)].Store(o)
 }
 
-// slots reports the table's slot capacity: every occupied slot is below.
-func (t *objTable) slots() uint64 {
+// rows lists the numbers of the allocated chunks, ascending.
+func (t *objTable) rows() []uint64 {
+	var out []uint64
 	if p := t.dir.Load(); p != nil {
-		return uint64(len(*p)) << chunkBits
+		for c, ch := range *p {
+			if ch != nil {
+				out = append(out, uint64(c))
+			}
+		}
 	}
-	return 0
+	if f := t.far.Load(); f != nil {
+		n := len(out)
+		for c := range *f {
+			out = append(out, c)
+		}
+		slices.Sort(out[n:])
+	}
+	return out
+}
+
+// each calls f on every occupied slot in ascending order. It visits the
+// allocated chunks only, so it costs the slots held, not the surrogate
+// range. Lock-free like a lookup; f may clear the slot it is given.
+func (t *objTable) each(f func(i uint64, o *Object)) {
+	for _, c := range t.rows() {
+		ch := t.chunk(c)
+		for j := range ch {
+			if o := ch[j].Load(); o != nil {
+				f(c<<chunkBits|uint64(j), o)
+			}
+		}
+	}
 }
 
 // walk calls f on every object in the shard tables, visible or not, in
 // ascending surrogate order, stopping at the first error. Slot i of shard
-// k holds surrogate i*len(shards)+k, so chunks go outermost, slots next
-// and shards innermost; a chunk row no shard has allocated is skipped, so
-// the walk costs the allocated slots, not the surrogate range. Lock-free
-// like a lookup.
+// k holds surrogate i*len(shards)+k, so chunk rows go outermost, slots
+// next and shards innermost; only rows some shard has allocated are
+// visited, so the walk costs the allocated slots, not the surrogate
+// range. Lock-free like a lookup.
 func (s *Store) walk(f func(*Object) error) error {
-	dirs := make([][]*objChunk, len(s.shards))
-	rows := 0
+	var rows []uint64
 	for k := range s.shards {
-		if p := s.shards[k].objs.dir.Load(); p != nil {
-			dirs[k] = *p
-			rows = max(rows, len(dirs[k]))
-		}
+		rows = append(rows, s.shards[k].objs.rows()...)
 	}
+	slices.Sort(rows)
 	row := make([]*objChunk, len(s.shards))
-	for c := 0; c < rows; c++ {
-		empty := true
-		for k, d := range dirs {
-			row[k] = nil
-			if c < len(d) && d[c] != nil {
-				row[k], empty = d[c], false
-			}
-		}
-		if empty {
-			continue
+	for _, c := range slices.Compact(rows) {
+		for k := range s.shards {
+			row[k] = s.shards[k].objs.chunk(c)
 		}
 		for j := 0; j < 1<<chunkBits; j++ {
 			for _, ch := range row {
@@ -297,6 +336,8 @@ type Store struct {
 	// emitting operation still holds its shard locks, so conflicting ops
 	// appear in serialization order; it must not call back in.
 	journal func(*oplog.Op)
+	// closed refuses every mutation once set (Close).
+	closed bool
 
 	// guard, when set, is consulted before any mutation of an object; a
 	// non-nil result vetoes the mutation. The database facade uses it to
@@ -429,6 +470,27 @@ func (s *Store) runlockAll() {
 	}
 }
 
+// lockOpen takes the store-exclusive lock for a mutation, or returns
+// ErrClosed, holding nothing, once the store is closed.
+func (s *Store) lockOpen() error {
+	s.lockAll()
+	if s.closed {
+		s.unlockAll()
+		return ErrClosed
+	}
+	return nil
+}
+
+// Close detaches the journal and closes the store: every later mutation
+// fails with ErrClosed (lockOpen, guardLocked, or a check under its own
+// shard or stripe lock, which Close's store-exclusive lock excludes), so
+// no write lands that no journal records. Reads and pins go on working.
+func (s *Store) Close() {
+	s.lockAll()
+	defer s.unlockAll()
+	s.closed, s.journal = true, nil
+}
+
 // SetDeletePolicy selects the transmitter delete behaviour.
 func (s *Store) SetDeletePolicy(p DeletePolicy) {
 	s.lockAll()
@@ -463,7 +525,11 @@ func (s *Store) SetWriteGuard(g func(sur domain.Surrogate) error) {
 	s.guard = g
 }
 
+// guardLocked vetoes a mutation of sur before it changes anything.
 func (s *Store) guardLocked(sur domain.Surrogate) error {
+	if s.closed {
+		return ErrClosed
+	}
 	if s.guard != nil {
 		return s.guard(sur)
 	}
@@ -554,6 +620,9 @@ func (s *Store) DefineClass(name, elemType string) error {
 	st := s.stripeOf(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if _, dup := st.classMap()[name]; dup {
 		return fmt.Errorf("object: duplicate class %q", name)
 	}
@@ -574,7 +643,9 @@ func (s *Store) DefineClass(name, elemType string) error {
 // inserting it into a database-level class. Creation inserts into the
 // topology maps, so it runs store-wide exclusive.
 func (s *Store) NewObject(typeName, className string) (domain.Surrogate, error) {
-	s.lockAll()
+	if err := s.lockOpen(); err != nil {
+		return 0, err
+	}
 	defer s.unlockAll()
 	t, ok := s.cat.ObjectType(typeName)
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -77,12 +78,12 @@ func exportCheckpoint(t testing.TB, s *object.Store, vm *version.Manager, epoch 
 		t.Fatal(err)
 	}
 	defer pc.Snap.Release()
-	ex := pc.Snap.ExportShards(pc.Marks, pc.Dirty)
 	cp := &Checkpoint{Epoch: epoch}
-	m := &Manifest{Epoch: epoch, Base: ex.Base, Versions: vs}
-	for p, sh := range ex.Shards {
+	m := &Manifest{Epoch: epoch, Base: pc.Snap.Base(), Versions: vs}
+	for p := range pc.Dirty {
+		objs, binds := pc.Snap.ExportShard(p, nil, nil)
 		m.SegEpochs = append(m.SegEpochs, epoch)
-		cp.Segments = append(cp.Segments, EncodeSegment(p, sh.Objects, sh.Bindings))
+		cp.Segments = append(cp.Segments, EncodeSegment(p, objs, binds))
 	}
 	cp.Manifest, cp.manifest = m, EncodeManifest(m)
 	return cp
@@ -201,4 +202,79 @@ func TestImportCheckpointHugeNextSur(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("import with NextSur = 1<<62 did not finish")
 	}
+}
+
+// hugeSur is the surrogate of the only record of hugeSurrogateCheckpoint.
+const hugeSur = domain.Surrogate(1 << 40)
+
+// hugeSurrogateCheckpoint writes into dir a checkpoint whose only record
+// is a pin at surrogate 2^40, with NextSur there too, every length and
+// CRC valid, and returns its resync payload.
+func hugeSurrogateCheckpoint(t testing.TB, dir string) []byte {
+	t.Helper()
+	m := &Manifest{Epoch: 1, Base: &object.StoreState{NextSur: uint64(hugeSur), Seq: 1}, Versions: &version.ManagerState{}}
+	cp := &Checkpoint{Epoch: 1, Manifest: m}
+	for p := 0; p < checkpointShards; p++ {
+		var objs []object.ObjectRecord
+		if int(uint64(hugeSur)%checkpointShards) == p {
+			objs = []object.ObjectRecord{{Sur: hugeSur, TypeName: paperschema.TypePin, ModSeq: 1}}
+		}
+		m.SegEpochs = append(m.SegEpochs, 1)
+		cp.Segments = append(cp.Segments, EncodeSegment(p, objs, nil))
+		if err := storage.WriteSnapshot(filepath.Join(dir, SegmentFilename(1, p)), cp.Segments[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp.manifest = EncodeManifest(m)
+	if err := storage.WriteSnapshot(filepath.Join(dir, ManifestFilename(1)), cp.manifest); err != nil {
+		t.Fatal(err)
+	}
+	return cp.Encode()
+}
+
+// TestImportCheckpointHugeSurrogate: a checkpoint record at surrogate
+// 2^40 costs one chunk of the object table, not a directory reaching it.
+// The import allocates under 1 MiB; the sweep, the invariant check and an
+// export, which visit the allocated table slots, allocate under 1 MiB
+// too; and the next object created lands past it the same way.
+func TestImportCheckpointHugeSurrogate(t *testing.T) {
+	dir := t.TempDir()
+	hugeSurrogateCheckpoint(t, dir)
+	cp, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, vm := freshShards(t, checkpointShards)
+	alloc := func(what string, f func()) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s allocated %d B, want < 1 MiB", what, n)
+		}
+	}
+	alloc("ImportCheckpoint", func() {
+		if _, err := ImportCheckpoint(cp, s, vm, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !s.Exists(hugeSur) || s.Len() != 1 {
+		t.Fatalf("import holds %d objects, %s exists: %v", s.Len(), hugeSur, s.Exists(hugeSur))
+	}
+	next, err := s.NewObject(paperschema.TypePin, "")
+	if err != nil || next != hugeSur+1 {
+		t.Fatalf("next object %s, %v; want %s", next, err, hugeSur+1)
+	}
+	alloc("SweepVersions, CheckInvariants and Export", func() {
+		s.SweepVersions()
+		if bad := s.CheckInvariants(); len(bad) != 0 {
+			t.Errorf("invariants: %v", bad)
+		}
+		st := s.Export()
+		if len(st.Objects) != 2 || st.Objects[0].Sur != hugeSur || st.Objects[1].Sur != next {
+			t.Errorf("export lists %+v", st.Objects)
+		}
+	})
 }

@@ -304,6 +304,7 @@ func FuzzCheckpointImport(f *testing.F) {
 	payload, _ := shippedPayload(f)
 	f.Add(payload)
 	f.Add(undeclaredAttrPayload(f))
+	f.Add(hugeSurrogateCheckpoint(f, f.TempDir()))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cp, err := DecodeCheckpoint(b)
