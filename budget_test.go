@@ -33,21 +33,33 @@ const (
 	// or not.
 	setAttrAllocs = 2
 
+	// Allocations per Store.NewObject of an implementation: the object,
+	// its attribute slots and the journal op.
+	newObjectAllocs = 3
+
+	// Allocations per Store.Bind of an unbound implementation to an
+	// interface: the binding object, its Binding and the journal op, and
+	// for each of the two binding lists it joins, a copy of the list and
+	// a version node.
+	bindAllocs = 7
+
 	// journalBytesPerOp is the journal payload per op record of the
 	// JournalBytes script, format and name records included and batch
 	// framing excluded: a pure function of the record encoding, the same
 	// on every run, so the budget is the measured value itself (384 ops
-	// in 2,893 bytes, 7.53 B/op). Writing each op's Seq in full instead
-	// of as a delta from the previous op's costs 8.53 B/op; writing every
-	// name inline as well, 25.86; the first encoding, every Op field and
-	// every name in full, cost 30.33.
-	journalBytesPerOp = 2893.0 / 384
+	// in 2,044 bytes, 5.32 B/op). Writing a Seq delta byte for the next
+	// Seq too costs 6.32 B/op; writing every surrogate in full instead of
+	// relative to a neighbour, 6.54; both, as format 3 did, 7.53; each
+	// Seq in full as well, 8.53; every name inline as well, 25.86; the
+	// first encoding, every Op field and every name in full, 30.33.
+	journalBytesPerOp = 2044.0 / 384
 
 	// journalFileBytesPerOp is the journal file per op of the same
-	// script, frame headers included: 4,827 bytes in 384 frames, one per
-	// op (the first also carries the format and name records), 12.57
-	// B/op. The fixed 8-byte length+CRC header and full Seqs cost 16.57.
-	journalFileBytesPerOp = 4827.0 / 384
+	// script, frame headers included: 3,978 bytes in 384 frames, one per
+	// op (the first also carries the format and name records), 10.36
+	// B/op. Format 3 records cost 12.57; the fixed 8-byte length+CRC
+	// header and full Seqs, 16.57.
+	journalFileBytesPerOp = 3978.0 / 384
 
 	// checkpointBytesPerObject is the segment payload per live object of
 	// a checkpoint of buildCorpus at 1,000 chains (14,000 objects, 5,000
@@ -79,7 +91,7 @@ const (
 )
 
 // TestWorkBudgets gates the heap per object, the allocations of the hot
-// store paths, the journal bytes and fsyncs per record, the checkpoint
+// and structural store paths, the journal bytes and fsyncs per record, the checkpoint
 // bytes and allocations per object and the heap a closed handle keeps. It must not run in parallel with other
 // tests: their garbage and goroutines would show up in the heap delta.
 func TestWorkBudgets(t *testing.T) {
@@ -122,6 +134,13 @@ func TestWorkBudgets(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Likewise one unbound implementation per Bind.
+		unbound := make([]cadcam.Surrogate, runs+1)
+		for i := range unbound {
+			if unbound[i], err = s.NewObject(paperschema.TypeGateImplementation, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
 		iface, err := s.NewObject(paperschema.TypeGateInterface, "")
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +161,7 @@ func TestWorkBudgets(t *testing.T) {
 		must(s.SetAttr(impl, "TimeBehavior", cadcam.Int(1)))
 		must(s.SetAttr(iface, "Width", width))
 
-		next := 0
+		next, nextUnbound := 0, 0
 		for _, c := range []struct {
 			name   string
 			budget float64
@@ -154,6 +173,15 @@ func TestWorkBudgets(t *testing.T) {
 			{"Store.SetAttr new own attribute", setAttrAllocs, func() {
 				must(s.SetAttr(fresh[next], "Length", width))
 				next++
+			}},
+			{"Store.NewObject", newObjectAllocs, func() {
+				_, err := s.NewObject(paperschema.TypeGateImplementation, "")
+				must(err)
+			}},
+			{"Store.Bind", bindAllocs, func() {
+				_, err := s.Bind(paperschema.RelAllOfGateInterface, unbound[nextUnbound], iface)
+				must(err)
+				nextUnbound++
 			}},
 			{"Store.GetAttr own route hit", 0, func() {
 				_, err := s.GetAttr(iface, "Width")

@@ -6,6 +6,8 @@ package cadcam_test
 // reopened state must byte-compare against the model oracle.
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"cadcam"
@@ -165,6 +167,62 @@ func TestCheckpointFailureSticky(t *testing.T) {
 	}
 	if st := db.Stats().Checkpoint; st.LastError != "" {
 		t.Errorf("LastError not cleared: %+v", st)
+	}
+}
+
+// TestCheckpointDirSyncFailureSticky: a failed directory sync, of the
+// checkpoint's new journal, of a segment or of the manifest, fails the
+// checkpoint with ErrDirSync, which CheckpointErr keeps until a later
+// checkpoint succeeds. The database goes on journaling, and a reopen
+// recovers every object written around the failure.
+func TestCheckpointDirSyncFailureSticky(t *testing.T) {
+	defer fault.Reset()
+	dir := t.TempDir()
+	open := func() *cadcam.Database {
+		t.Helper()
+		db, err := cadcam.Open(paperschema.MustGates(), cadcam.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	want := len(seedPins(t, db, 4))
+	failed := 0
+	for at := 1; ; at++ {
+		if err := fault.Arm(fmt.Sprintf("wal/dir-sync=error(injected dir sync failure)@%d", at)); err != nil {
+			t.Fatal(err)
+		}
+		want += len(seedPins(t, db, 3))
+		err := db.Checkpoint()
+		fault.Reset()
+		if err == nil {
+			break
+		}
+		failed++
+		if !errors.Is(err, cadcam.ErrDirSync) || !errors.Is(db.CheckpointErr(), cadcam.ErrDirSync) {
+			t.Fatalf("dir sync %d: Checkpoint = %v, CheckpointErr = %v; want ErrDirSync from both", at, err, db.CheckpointErr())
+		}
+		want += len(seedPins(t, db, 1))
+		if db.CheckpointErr() == nil {
+			t.Fatalf("dir sync %d: CheckpointErr cleared by a write", at)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = open()
+		if got := db.Store().Len(); got != want {
+			t.Fatalf("dir sync %d: reopen recovered %d objects, want %d", at, got, want)
+		}
+	}
+	defer db.Close()
+	t.Logf("%d checkpoint directory syncs failed in turn", failed)
+	// The new journal, at least one segment and the manifest.
+	if failed < 3 {
+		t.Errorf("%d checkpoint directory syncs failed, want at least 3", failed)
+	}
+	if db.CheckpointErr() != nil {
+		t.Errorf("CheckpointErr not cleared by a successful checkpoint: %v", db.CheckpointErr())
 	}
 }
 

@@ -296,7 +296,8 @@ func mvccExportProbe(rep *mvccReport) error {
 		return err
 	}
 	// Keep the ops at or below the pin. The whole journal decodes first:
-	// a kept op's names and Seq delta refer to records that may be dropped.
+	// a kept op's names, Seq and surrogates refer to records that may be
+	// dropped.
 	var kept []*oplog.Op
 	var names oplog.Decoder
 	for _, rec := range sc.Records {

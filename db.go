@@ -101,21 +101,9 @@ var ErrClosed = object.ErrClosed
 // no file.
 var ErrJournalFormat = oplog.ErrFormat
 
-// Durability selects when a mutation is acknowledged relative to journal
-// I/O.
-type Durability int
-
-const (
-	// DurabilityAuto derives the mode from SyncEvery: sync when the
-	// effective cadence is 1 (the durable default), async otherwise.
-	DurabilityAuto Durability = iota
-	// DurabilitySync acknowledges a mutation only after the group-commit
-	// batch carrying its journal record is written and fsynced.
-	DurabilitySync
-	// DurabilityAsync acknowledges a mutation once its record is queued;
-	// the committer writes and fsyncs in the background per SyncEvery.
-	DurabilityAsync
-)
+// ErrDirSync reports a failed sync of the database directory, after a
+// file was created or renamed in it; CheckpointErr keeps it.
+var ErrDirSync = storage.ErrDirSync
 
 // Options configures Open.
 type Options struct {
@@ -129,9 +117,6 @@ type Options struct {
 	//	 n ≥ 1        → fsync after at least n journaled records
 	//	 n < 0        → never fsync on append (Close/Checkpoint still sync)
 	SyncEvery int
-	// Durability selects sync-per-batch (durable) vs async
-	// acknowledgment; the default derives it from SyncEvery.
-	Durability Durability
 	// CheckpointEvery, when > 0, triggers an automatic checkpoint after
 	// that many journaled operations.
 	CheckpointEvery int
@@ -163,17 +148,10 @@ func (o Options) syncCadence() int {
 	}
 }
 
-// durable reports whether mutations wait for their group-commit batch.
-func (o Options) durable() bool {
-	switch o.Durability {
-	case DurabilitySync:
-		return true
-	case DurabilityAsync:
-		return false
-	default:
-		return o.syncCadence() == 1
-	}
-}
+// durable reports whether mutations wait for their group-commit batch:
+// they do when every batch is fsynced, and are acknowledged once queued
+// otherwise.
+func (o Options) durable() bool { return o.syncCadence() == 1 }
 
 // workers normalizes RecoveryWorkers.
 func (o Options) workers() int {
@@ -741,7 +719,8 @@ func (db *Database) publishCheckpoint(next uint64, pc *object.PinnedCheckpoint, 
 	if err := fpManifestSwap.Hit(); err != nil {
 		return abandon(err)
 	}
-	if err := storage.WriteSnapshot(db.manifestPath(next), blob); err != nil {
+	err := storage.WriteSnapshot(db.manifestPath(next), blob)
+	if err != nil && !errors.Is(err, ErrDirSync) {
 		return abandon(err)
 	}
 
@@ -752,6 +731,12 @@ func (db *Database) publishCheckpoint(next uint64, pc *object.PinnedCheckpoint, 
 	db.segEpochs = segEpochs
 	db.ckptBaseline = pc.Marks
 	db.noteCheckpoint(len(dirty), len(segEpochs)-len(dirty), bytesEncoded.Load(), nil)
+	if err != nil {
+		// The manifest is in place, but its name may not survive a power
+		// loss: reported, and nothing it replaced is collected.
+		db.noteCheckpoint(0, 0, 0, err)
+		return err
+	}
 
 	if err := fpSegmentGC.Hit(); err != nil {
 		// The checkpoint committed; only the cleanup was skipped. Stale

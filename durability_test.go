@@ -25,8 +25,10 @@ func TestCrashRecoveryTornBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hand-append a two-record batch frame to the journal, the way a
-	// concurrent group commit would have written it.
+	// Hand-append a batch frame with two writes to the journal, the way
+	// the first group commit of a reopened database writes it: a new log
+	// handle's Encoder opens it with the format and name records the
+	// ops' encoding relies on.
 	walPath := filepath.Join(dir, "wal-00000000.log")
 	appendBatch := func(truncateTail int64) {
 		t.Helper()
@@ -34,10 +36,10 @@ func TestCrashRecoveryTornBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := [][]byte{
-			(&oplog.Op{Kind: oplog.KindSetAttr, Sur: iface, Name: "Width", Value: Int(10)}).Encode(),
-			(&oplog.Op{Kind: oplog.KindSetAttr, Sur: iface, Name: "Width", Value: Int(11)}).Encode(),
-		}
+		batch := new(oplog.Encoder).EncodeBatch([]*oplog.Op{
+			{Kind: oplog.KindSetAttr, Sur: iface, Name: "Width", Value: Int(10)},
+			{Kind: oplog.KindSetAttr, Sur: iface, Name: "Width", Value: Int(11)},
+		})
 		if err := log.AppendBatch(batch, true); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +124,7 @@ func TestJournalErrorFailsFast(t *testing.T) {
 
 // TestSyncEverySemantics pins the one documented SyncEvery rule:
 // 0 → cadence 1 (durable default), n ≥ 1 → cadence n, n < 0 → never on
-// append; DurabilityAuto derives the wait mode from the cadence.
+// append; the cadence derives the wait mode.
 func TestSyncEverySemantics(t *testing.T) {
 	cases := []struct {
 		opts    Options
@@ -133,9 +135,6 @@ func TestSyncEverySemantics(t *testing.T) {
 		{Options{SyncEvery: 1}, 1, true},
 		{Options{SyncEvery: 8}, 8, false},
 		{Options{SyncEvery: -1}, 0, false},
-		{Options{SyncEvery: -1, Durability: DurabilitySync}, 0, true},
-		{Options{SyncEvery: 8, Durability: DurabilitySync}, 8, true},
-		{Options{Durability: DurabilityAsync}, 1, false},
 	}
 	for i, c := range cases {
 		if got := c.opts.syncCadence(); got != c.cadence {

@@ -1,8 +1,8 @@
 // Package codec implements the binary serialization used by the
 // persistence layer: a tag-prefixed, varint-based encoding for
-// domain.Value and length-prefixed helpers for strings, surrogates and
-// maps. The encoding is self-describing and stable across releases
-// (tags are append-only).
+// domain.Value and length-prefixed helpers for strings and surrogates.
+// The encoding is self-describing and stable across releases (tags are
+// append-only).
 package codec
 
 import (
@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"cadcam/internal/domain"
 )
@@ -136,20 +135,6 @@ func (e *Buf) Value(v domain.Value) {
 			return
 		}
 		panic(fmt.Sprintf("codec: unencodable value %T", v))
-	}
-}
-
-// ValueMap appends a name->value map in sorted key order.
-func (e *Buf) ValueMap(m map[string]domain.Value) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.Str(k)
-		e.Value(m[k])
 	}
 }
 
@@ -350,27 +335,6 @@ func (r *Reader) Value() domain.Value {
 		r.fail()
 		return domain.NullValue
 	}
-}
-
-// ValueMap reads a name->value map.
-func (r *Reader) ValueMap() map[string]domain.Value {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	if n > uint64(r.Rest()) {
-		r.fail()
-		return nil
-	}
-	m := make(map[string]domain.Value, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.Str()
-		m[k] = r.Value()
-	}
-	return m
 }
 
 // Count reads an element count and fails unless that many elements of

@@ -64,7 +64,6 @@ func TestScalarHelpers(t *testing.T) {
 	e.Bool(true)
 	e.Sur(99)
 	e.Surs([]domain.Surrogate{1, 2, 3})
-	e.ValueMap(map[string]domain.Value{"b": domain.Int(2), "a": domain.Int(1)})
 
 	r := NewReader(e.Bytes())
 	if r.Uvarint() != 300 {
@@ -85,26 +84,17 @@ func TestScalarHelpers(t *testing.T) {
 	if got := r.Surs(); len(got) != 3 || got[2] != 3 {
 		t.Errorf("surs = %v", got)
 	}
-	m := r.ValueMap()
-	if len(m) != 2 || !m["a"].Equal(domain.Int(1)) {
-		t.Errorf("map = %v", m)
-	}
 	if r.Err() != nil || r.Rest() != 0 {
 		t.Errorf("err=%v rest=%d", r.Err(), r.Rest())
 	}
 }
 
+// TestEmptyMapRoundTrip: an empty surrogate list decodes as nil.
 func TestEmptyMapRoundTrip(t *testing.T) {
 	var e Buf
-	e.ValueMap(nil)
+	e.Surs(nil)
 	r := NewReader(e.Bytes())
-	if m := r.ValueMap(); m != nil {
-		t.Errorf("empty map = %v", m)
-	}
-	var e2 Buf
-	e2.Surs(nil)
-	r2 := NewReader(e2.Bytes())
-	if s := r2.Surs(); s != nil {
+	if s := r.Surs(); s != nil {
 		t.Errorf("empty surs = %v", s)
 	}
 }
@@ -137,7 +127,7 @@ func TestCorruptInput(t *testing.T) {
 	if r.Str() != "" || r.Bool() || r.Sur() != 0 {
 		t.Error("post-error reads should be zero")
 	}
-	if r.ValueMap() != nil || r.Surs() != nil {
+	if r.Surs() != nil {
 		t.Error("post-error composite reads should be nil")
 	}
 }
@@ -213,7 +203,6 @@ func TestQuickNoiseNeverPanics(t *testing.T) {
 	f := func(noise []byte) bool {
 		r := NewReader(noise)
 		_ = r.Value()
-		_ = r.ValueMap()
 		_ = r.Surs()
 		return true
 	}

@@ -33,6 +33,9 @@ type matrixPoint struct {
 	// ack multiset check: checkpointed ops legitimately leave the
 	// journal).
 	checkpoint bool
+	// errAt is the error-kind round's countdown (0 means 1), past any
+	// evaluation in Open, where an error would end the round unrun.
+	errAt int
 	// repl: the site lives on the replication path, so its rounds run
 	// with an in-process follower attached and, after the standard
 	// verify, replay the surviving directory through a fresh follower
@@ -61,6 +64,7 @@ var matrixPoints = []matrixPoint{
 	{name: "db/segment-write", errKind: true, checkpoint: true},
 	{name: "db/manifest-swap", errKind: true, checkpoint: true},
 	{name: "db/segment-gc", errKind: true, checkpoint: true},
+	{name: "wal/dir-sync", errKind: true, checkpoint: true, errAt: 2}, // past Open's
 	// Replication path: a follower rides along, and the exit-kind rounds
 	// kill primary and follower together mid-stream. The applier-crash
 	// and resync-gap rounds checkpoint so that a restarted follower must
@@ -147,10 +151,11 @@ func (d *Driver) RunMatrix() error {
 			})
 		}
 		if p.errKind {
+			at := max(p.errAt, 1)
 			rounds = append(rounds, round{
 				point:   p,
-				spec:    fmt.Sprintf("%s=error(injected %s)@1", p.name, p.name),
-				label:   p.name + "/error@1",
+				spec:    fmt.Sprintf("%s=error(injected %s)@%d", p.name, p.name, at),
+				label:   fmt.Sprintf("%s/error@%d", p.name, at),
 				expect:  "error",
 				checkpt: p.checkpoint,
 			})

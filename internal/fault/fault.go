@@ -150,9 +150,6 @@ func Crash(a Action) {
 // Enable turns evaluation on. Arm calls it implicitly.
 func Enable() { enabled.Store(true) }
 
-// Disable turns evaluation off without clearing armings.
-func Disable() { enabled.Store(false) }
-
 // Reset disables evaluation and clears every arming, pending spec and hit
 // counter. Tests that arm points must defer it.
 func Reset() {

@@ -113,18 +113,6 @@ func PendingAdaptations(s object.View) []Adaptation {
 	return out
 }
 
-// AcknowledgeAll clears every pending adaptation and reports how many
-// bindings it acknowledged.
-func AcknowledgeAll(s *object.Store) (int, error) {
-	pending := PendingAdaptations(s.View)
-	for _, a := range pending {
-		if err := s.Acknowledge(a.Rel, a.Inheritor); err != nil {
-			return 0, err
-		}
-	}
-	return len(pending), nil
-}
-
 // Portion names the part of a transmitter that is visible in a composite:
 // the permeable members of one binding. The transaction manager locks
 // exactly these portions ("the parts of the component which are visible

@@ -319,3 +319,15 @@ func TestPermeabilityTailoring(t *testing.T) {
 		t.Errorf("user pins = %v, %v", pins, err)
 	}
 }
+
+// AcknowledgeAll clears every pending adaptation and reports how many
+// bindings it acknowledged.
+func AcknowledgeAll(s *object.Store) (int, error) {
+	pending := PendingAdaptations(s.View)
+	for _, a := range pending {
+		if err := s.Acknowledge(a.Rel, a.Inheritor); err != nil {
+			return 0, err
+		}
+	}
+	return len(pending), nil
+}

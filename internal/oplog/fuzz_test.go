@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -21,25 +22,28 @@ func packRecords(recs [][]byte) []byte {
 	return b
 }
 
-// sameState reports whether two decoders hold the same table, last Seq
-// and started flag.
+// sameState reports whether two decoders hold the same table, last Seq,
+// surrogate register and started flag.
 func sameState(a, b *Decoder) bool {
-	return slices.Equal(a.names, b.names) && a.prev == b.prev && a.started == b.started
+	return slices.Equal(a.names, b.names) && a.prev == b.prev && a.sur == b.sur && a.started == b.started
 }
 
 // FuzzJournalDecode drives a Decoder with a sequence of records, packed
 // as a batch frame packs them (a malformed length ends the sequence):
 // format and name records and ops, what replay and a follower read, so
-// the name table and the Seq delta state carry across records and across
-// format records. It must never panic. A record it rejects fails with
-// ErrCorrupt or ErrFormat and leaves the decoder as it was; a record it
-// accepts is rejected with a trailing byte added, decodes to the same op
-// and state again from a copy of the decoder taken before it (the rewind
-// replay relies on), and moves the last Seq to the op's non-zero Seq; an
-// accepted op re-encodes canonically. The seeds are journals an Encoder
-// wrote (every op kind, several batches, Seqs out of order and zero, a
-// second log handle) and hand-made defects: an undefined index, a sparse
-// name record, a redefined index, records before the format record.
+// the name table, the Seq delta state and the surrogate register carry
+// across records and across format records. It must never panic. A
+// record it rejects fails with ErrCorrupt or ErrFormat and leaves the
+// decoder as it was; a record it accepts is rejected with a trailing
+// byte added, decodes to the same op and state again from a copy of the
+// decoder taken before it (the rewind replay relies on), and moves the
+// last Seq to the op's non-zero Seq and the register to the op's Sur,
+// else its Out; an accepted op re-encodes canonically. The seeds are
+// journals an Encoder wrote (every op kind, several batches, Seqs out of
+// order and zero, a second log handle) and hand-made defects: an
+// undefined index, a sparse name record, a redefined index, records
+// before the format record, Seq and surrogate deltas that wrap past 0
+// or 2^64, and kind bytes with the next-Seq flag that are not ops.
 func FuzzJournalDecode(f *testing.F) {
 	var enc Encoder
 	var journal [][]byte
@@ -62,6 +66,12 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(packRecords([][]byte{{byte(KindName), 0, 1, 'A'}, format}))                              // name before format
 	f.Add(packRecords([][]byte{(&Op{Kind: KindDelete, Sur: 1}).Encode(), format}))                 // op before format
 	f.Add([]byte{})
+	f.Add(packRecords([][]byte{format, opRecord(KindDelete, -2, 1)}))                                                    // Seq past 0
+	f.Add(packRecords([][]byte{format, opRecord(KindDelete, math.MaxInt64, 1), opRecord(KindDelete, math.MaxInt64, 0)})) // Seq past 2^64
+	f.Add(packRecords([][]byte{format, append(opRecord(KindBind|flagNextSeq, 1, -2, 1), 0, 1, 'A')}))                    // Sur2 past 0
+	f.Add(packRecords([][]byte{format, append(opRecord(KindNewObject|flagNextSeq, math.MaxInt64), 0, 0, 0, 0),
+		append(opRecord(KindRelate|flagNextSeq, math.MaxInt64), 0, 0, 0), append(opRecord(KindNewObject|flagNextSeq, 2), 0, 0, 0, 0)})) // Out past 2^64
+	f.Add(packRecords([][]byte{format, {byte(KindFormat | flagNextSeq), FormatVersion}, {byte(KindName | flagNextSeq), 0, 1, 'A'}}))
 
 	// Concurrent writers: Seqs out of order, an op without one, a jump,
 	// then a second handle whose deltas restart from zero.
@@ -116,6 +126,10 @@ func FuzzJournalDecode(f *testing.F) {
 			}
 			if d.prev != wantPrev {
 				t.Fatalf("op with Seq %d left the last Seq at %d (was %d)", op.Seq, d.prev, before.prev)
+			}
+			if want := op.nextSur(before.sur); d.sur != want || rewound.sur != want {
+				t.Fatalf("op %+v left the surrogate register at %d, and %d from a saved decoder (was %d, want %d)",
+					op, d.sur, rewound.sur, before.sur, want)
 			}
 			inline := op.Encode()
 			again, err = Decode(inline)

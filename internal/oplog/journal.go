@@ -5,13 +5,20 @@ import (
 	"fmt"
 
 	"cadcam/internal/codec"
+	"cadcam/internal/domain"
 )
 
 // FormatVersion is the journal record format a format record announces.
 // Version 1, which wrote every Op field and spelled every name in every
 // record, had no format record; version 2 wrote each op's Seq in full
-// and sat in fixed 8-byte frame headers. Journals of either are refused.
-const FormatVersion = 3
+// and sat in fixed 8-byte frame headers; version 3 wrote a Seq delta in
+// every op and every surrogate in full. Journals of any of them are
+// refused.
+const FormatVersion = 4
+
+// flagNextSeq on a journal op's kind byte (kinds stop below it) says its
+// Seq is the handle's previous one plus one and no Seq delta follows.
+const flagNextSeq = 0x80
 
 // ErrFormat reports a journal that does not open with a format record of
 // FormatVersion, such as one written before the name-indexed format.
@@ -21,21 +28,26 @@ var ErrFormat = errors.New("oplog: journal not in a supported record format")
 // is written as an index into a per-handle name table; the first time
 // the handle uses a name, the Encoder puts a name record defining it
 // ahead of the op, in the same batch, and the handle's first batch opens
-// with a format record. Each op's Seq is written as the zigzag varint of
-// Seq − (prev+1), where prev is the last non-zero Seq the handle wrote
-// (0 at its start): one byte for the usual next sequence number, signed
-// because concurrent writers may append out of sequence order. Every log
-// file decodes from its start alone. Reset starts a new handle. An
+// with a format record. Each op's Seq is relative to prev, the last
+// non-zero Seq the handle wrote (0 at its start): the usual prev+1 is
+// the flagNextSeq bit on the kind byte, any other Seq the zigzag varint
+// of Seq − (prev+1), signed because concurrent writers may append out of
+// sequence order. Surrogates are zigzag varints relative to a neighbour
+// (DESIGN.md §6 note 20): Sur from the handle's surrogate register, Sur2
+// and Out from the op's Sur, or Out from the register when the kind has
+// no Sur; the register then moves to Sur, else Out (Op.nextSur). Every
+// log file decodes from its start alone. Reset starts a new handle. An
 // Encoder is not safe for concurrent use; the group-commit leader owns
 // it.
 type Encoder struct {
 	index   map[string]uint64 // name → table index + 1
 	prev    uint64            // the last non-zero Seq written
+	sur     domain.Surrogate  // the surrogate register
 	started bool              // the format record has been emitted
 }
 
-// Reset forgets every emitted name, the last Seq and the format record:
-// the next batch starts a new log handle.
+// Reset forgets every emitted name, the last Seq, the surrogate register
+// and the format record: the next batch starts a new log handle.
 func (enc *Encoder) Reset() { *enc = Encoder{} }
 
 // EncodeBatch returns the journal payloads of a commit batch: the
@@ -93,18 +105,20 @@ func (enc *Encoder) ref(e *codec.Buf, s string) {
 }
 
 // Decoder reads a journal's records in order, keeping the name table its
-// name records build and the last non-zero Seq its ops carried (each
-// op's Seq is a delta from it). Records must be fed in journal order,
-// exactly once each, from the start of a log file (or of a stream of
-// whole log files): the first must be a format record. A format record
-// empties the table and zeroes the last Seq, as each log handle starts
-// both afresh. A copy of a Decoder value saves its state, and assigning
-// the copy back restores it: a reader that decodes records it then
-// fails to apply rewinds that way, so the records decode again to the
-// same ops. A Decoder is not safe for concurrent use.
+// name records build, the last non-zero Seq its ops carried and the
+// surrogate register (each op's Seq and surrogates are written relative
+// to them, see Encoder). Records must be fed in journal order, exactly
+// once each, from the start of a log file (or of a stream of whole log
+// files): the first must be a format record. A format record empties the
+// table and zeroes the last Seq and the register, as each log handle
+// starts them afresh. A copy of a Decoder value saves its state, and
+// assigning the copy back restores it: a reader that decodes records it
+// then fails to apply rewinds that way, so the records decode again to
+// the same ops. A Decoder is not safe for concurrent use.
 type Decoder struct {
 	names   []string // entries are never overwritten in place: a copy shares them
 	prev    uint64
+	sur     domain.Surrogate
 	started bool
 }
 
@@ -141,8 +155,11 @@ func (d *Decoder) Decode(b []byte) (*Op, error) {
 		return nil, nil
 	}
 	op, err := decodeOp(b, d)
-	if err == nil && op.Seq != 0 {
-		d.prev = op.Seq
+	if err == nil {
+		if op.Seq != 0 {
+			d.prev = op.Seq
+		}
+		d.sur = op.nextSur(d.sur)
 	}
 	return op, err
 }

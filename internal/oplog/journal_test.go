@@ -1,11 +1,23 @@
 package oplog
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"cadcam/internal/domain"
 )
+
+// opRecord hand-builds the head of a journal op record: the kind byte,
+// then each delta (Seq, surrogates) as a signed varint.
+func opRecord(kind Kind, vals ...int64) []byte {
+	b := []byte{byte(kind)}
+	for _, v := range vals {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
 
 func decodeAll(t *testing.T, d *Decoder, recs [][]byte) []*Op {
 	t.Helper()
@@ -25,6 +37,7 @@ func decodeAll(t *testing.T, d *Decoder, recs [][]byte) []*Op {
 // TestEncoderNamesOnce: a handle's first batch opens with a format
 // record, a name record precedes the first op using that name, and later
 // batches refer to the name by index only. Reset starts a new handle.
+// The kinds are read with the flagNextSeq bit masked off.
 func TestEncoderNamesOnce(t *testing.T) {
 	var enc Encoder
 	ops := []*Op{
@@ -34,7 +47,7 @@ func TestEncoderNamesOnce(t *testing.T) {
 	first := enc.EncodeBatch(ops)
 	kinds := func(recs [][]byte) (ks []Kind) {
 		for _, r := range recs {
-			ks = append(ks, Kind(r[0]))
+			ks = append(ks, Kind(r[0]&^flagNextSeq))
 		}
 		return ks
 	}
@@ -51,12 +64,14 @@ func TestEncoderNamesOnce(t *testing.T) {
 	if got := kinds(second); len(got) != 2 {
 		t.Fatalf("second batch kinds %v, want the two ops only", got)
 	}
-	// NewObject: kind, Seq, Out (3 bytes), type and class index; SetAttr:
-	// kind, Seq, Sur (3 bytes), attribute index, value tag and varint.
-	if n := len(second[0]); n != 1+1+3+1+1 {
+	// NewObject: kind, Seq delta (9 follows 10), Out relative to the
+	// register (the last op's Sur), type and class index; SetAttr: kind
+	// with the next-Seq flag, Sur relative to the register (the Out just
+	// written), attribute index, value tag and varint.
+	if n := len(second[0]); n != 1+1+1+1+1 {
 		t.Errorf("indexed NewObject is %d bytes", n)
 	}
-	if n := len(second[1]); n != 1+1+3+1+2 {
+	if n := len(second[1]); n != 1+1+1+2 {
 		t.Errorf("indexed SetAttr is %d bytes", n)
 	}
 
@@ -104,6 +119,17 @@ func TestDecoderRejects(t *testing.T) {
 		{"name trailing byte", [][]byte{format, append(name0, 0)}, ErrCorrupt},
 		{"op trailing byte", [][]byte{format, append((&Op{Kind: KindDelete, Sur: 1}).Encode(), 0)}, ErrCorrupt},
 		{"empty record", [][]byte{format, {}}, ErrCorrupt},
+		{"Seq delta past 0", [][]byte{format, opRecord(KindDelete, -2, 1)}, ErrCorrupt},
+		{"Seq delta past 2^64", [][]byte{format, opRecord(KindDelete, math.MaxInt64, 1),
+			opRecord(KindDelete, math.MaxInt64, 0)}, ErrCorrupt},
+		{"next Seq past 2^64", [][]byte{format, opRecord(KindDelete, math.MaxInt64, 1),
+			opRecord(KindDelete, math.MaxInt64-1, 0), opRecord(KindDelete|flagNextSeq, 0)}, ErrCorrupt},
+		{"Sur delta past 0", [][]byte{format, opRecord(KindDelete|flagNextSeq, -1)}, ErrCorrupt},
+		{"Out delta past 0", [][]byte{format, append(opRecord(KindNewObject|flagNextSeq, -1), 0, 0, 0, 0)}, ErrCorrupt},
+		{"Sur2 offset past 0", [][]byte{format, append(opRecord(KindBind|flagNextSeq, 1, -2, 1), 0, 1, 'A')}, ErrCorrupt},
+		{"Sur delta past 2^64", [][]byte{format, opRecord(KindDelete|flagNextSeq, math.MaxInt64),
+			opRecord(KindDelete|flagNextSeq, math.MaxInt64), opRecord(KindDelete|flagNextSeq, 2)}, ErrCorrupt},
+		{"flagged format record", [][]byte{format, {byte(KindFormat | flagNextSeq), FormatVersion}}, ErrCorrupt},
 	} {
 		var d Decoder
 		var err error
@@ -114,6 +140,22 @@ func TestDecoderRejects(t *testing.T) {
 		}
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	// Deltas that stay within [0, 2^64) reach both ends of it.
+	var edge Decoder
+	ops := decodeAll(t, &edge, [][]byte{format,
+		opRecord(KindDelete, math.MaxInt64, math.MaxInt64),
+		opRecord(KindDelete, math.MaxInt64-1, math.MaxInt64),
+		opRecord(KindDelete, math.MinInt64, 1),
+		opRecord(KindDelete, math.MinInt64, math.MinInt64),
+		opRecord(KindDelete, -2, math.MinInt64+1),
+		opRecord(KindDelete|flagNextSeq, 0)})
+	for i, want := range [][2]uint64{{1 << 63, 1<<63 - 1}, {math.MaxUint64, math.MaxUint64 - 1},
+		{1 << 63, math.MaxUint64}, {1, 1<<63 - 1}, {0, 0}, {2, 0}} {
+		if ops[i].Seq != want[0] || uint64(ops[i].Sur) != want[1] {
+			t.Errorf("edge op %d: Seq %d, Sur %d; want %d, %d", i, ops[i].Seq, ops[i].Sur, want[0], want[1])
 		}
 	}
 
@@ -137,9 +179,10 @@ func TestDecoderRejects(t *testing.T) {
 }
 
 // TestEncoderSeqDelta: an op's Seq is written as a signed delta from the
-// handle's last non-zero Seq plus one, so the next sequence number costs
-// one byte; Seqs out of order and zero round-trip, a zero leaves the
-// last Seq where it was, and a new handle starts the deltas afresh.
+// handle's last non-zero Seq plus one, except that the next sequence
+// number costs no byte (the kind byte's flagNextSeq bit); Seqs out of
+// order and zero round-trip, a zero leaves the last Seq where it was,
+// and a new handle starts the deltas afresh.
 func TestEncoderSeqDelta(t *testing.T) {
 	seqs := []uint64{70000, 70001, 70003, 69990, 0, 69991, 1 << 40}
 	var enc Encoder
@@ -148,8 +191,9 @@ func TestEncoderSeqDelta(t *testing.T) {
 		recs = append(recs, enc.EncodeBatch([]*Op{{Kind: KindDelete, Sur: 5, Seq: seq}})...)
 	}
 	// Format record, then kind, Seq delta and surrogate per op: the
-	// first Seq and the zero are far from the last, the others near it.
-	for i, want := range []int{1 + 3 + 1, 1 + 1 + 1, 1 + 1 + 1, 1 + 1 + 1, 1 + 3 + 1, 1 + 1 + 1} {
+	// first Seq and the zero are far from the last, two are near it and
+	// two are the next one, which writes no delta.
+	for i, want := range []int{1 + 3 + 1, 1 + 0 + 1, 1 + 1 + 1, 1 + 1 + 1, 1 + 3 + 1, 1 + 0 + 1} {
 		if n := len(recs[i+1]); n != want {
 			t.Errorf("op %d (Seq %d) is %d bytes, want %d", i, seqs[i], n, want)
 		}

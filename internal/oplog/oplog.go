@@ -7,6 +7,7 @@ package oplog
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"cadcam/internal/codec"
@@ -118,6 +119,18 @@ var kindFields = [...]fields{
 	KindDropIndex:       fName,
 }
 
+// nextSur returns the surrogate register after the op, given the one
+// before: the op's Sur, else its Out, else the register unchanged.
+func (op *Op) nextSur(reg domain.Surrogate) domain.Surrogate {
+	switch f := op.Kind.fields(); {
+	case f&fSur != 0:
+		return op.Sur
+	case f&fOut != 0:
+		return op.Out
+	}
+	return reg
+}
+
 // fields returns the fields an op of kind k encodes; 0 when k is not an
 // op kind (every op kind carries at least one field besides Seq).
 func (k Kind) fields() fields {
@@ -156,28 +169,38 @@ func (op *Op) Encode() []byte {
 }
 
 // encode appends the op record: [kind][Seq] and then the kind's fields.
-// With an Encoder, Seq is a delta from the handle's last Seq and names
-// go through its table; with a nil one, Seq is a uvarint and names are
-// inline.
+// With an Encoder, Seq and the surrogates are relative to the handle's
+// state (see Encoder) and names go through its table; with a nil one,
+// Seq and the surrogates are uvarints and names are inline.
 func (op *Op) encode(e *codec.Buf, enc *Encoder) {
 	f := op.Kind.fields()
-	e.Byte(byte(op.Kind))
+	var base domain.Surrogate
+	num := func(v, base uint64) { e.Uvarint(v) }
 	if enc == nil {
+		e.Byte(byte(op.Kind))
 		e.Uvarint(op.Seq)
 	} else {
-		e.Varint(int64(op.Seq - (enc.prev + 1)))
+		num = func(v, base uint64) { e.Varint(int64(v - base)) }
+		if op.Seq == enc.prev+1 {
+			e.Byte(byte(op.Kind) | flagNextSeq)
+		} else {
+			e.Byte(byte(op.Kind))
+			num(op.Seq, enc.prev+1)
+		}
 		if op.Seq != 0 {
 			enc.prev = op.Seq
 		}
+		base, enc.sur = enc.sur, op.nextSur(enc.sur)
 	}
 	if f&fSur != 0 {
-		e.Sur(op.Sur)
+		num(uint64(op.Sur), uint64(base))
+		base = op.Sur
 	}
 	if f&fSur2 != 0 {
-		e.Sur(op.Sur2)
+		num(uint64(op.Sur2), uint64(base))
 	}
 	if f&fOut != 0 {
-		e.Sur(op.Out)
+		num(uint64(op.Out), uint64(base))
 	}
 	if f&fName != 0 {
 		enc.ref(e, op.Name)
@@ -229,35 +252,62 @@ func sortedKeys(m map[string]domain.Value) []string {
 	return keys
 }
 
-// Decode deserializes an op written by Op.Encode: names must be inline.
-// Journal records go through a Decoder, which holds the name table.
+// Decode deserializes an op written by Op.Encode: names must be inline,
+// and a kind byte with the flagNextSeq bit is not an op. Journal records
+// go through a Decoder, which holds the name table and the Seq and
+// surrogate state.
 func Decode(b []byte) (*Op, error) { return decodeOp(b, nil) }
 
-// decodeOp decodes one op record. With a Decoder, Seq is a delta from
-// its last Seq and name indices resolve in its table; with a nil one,
-// Seq is a uvarint and names must be inline.
+// decodeOp decodes one op record. With a Decoder, Seq and the surrogates
+// are relative to its state, one that would wrap past 0 or 2^64 is
+// corrupt, and name indices resolve in its table; with a nil one, Seq
+// and the surrogates are uvarints and names must be inline.
 func decodeOp(b []byte, d *Decoder) (*Op, error) {
 	r := codec.NewReader(b)
-	op := &Op{Kind: Kind(r.Byte())}
+	k := r.Byte()
+	next := d != nil && k&flagNextSeq != 0
+	if d != nil {
+		k &^= flagNextSeq
+	}
+	op := &Op{Kind: Kind(k)}
 	f := op.Kind.fields()
 	if r.Err() == nil && f == 0 {
-		return nil, fmt.Errorf("%w: kind %d is not an op", ErrCorrupt, op.Kind)
+		return nil, fmt.Errorf("%w: kind byte %d is not an op", ErrCorrupt, b[0])
 	}
 	var names []string
-	if d == nil {
-		op.Seq = r.Uvarint()
-	} else {
-		op.Seq = d.prev + 1 + uint64(r.Varint())
-		names = d.names
+	var prev uint64
+	var base domain.Surrogate
+	if d != nil {
+		names, prev, base = d.names, d.prev, d.sur
 	}
+	// num reads Seq or a surrogate: a uvarint in the stateless form, else
+	// from + inc + a signed delta, which is 0 without a byte when implied.
+	inRange := true
+	num := func(from, inc uint64, implied bool) uint64 {
+		if d == nil {
+			return r.Uvarint()
+		}
+		var delta int64
+		if !implied {
+			delta = r.Varint()
+		}
+		v, carry := bits.Add64(from, uint64(delta), inc)
+		inRange = inRange && (carry == 0) == (delta >= 0)
+		return v
+	}
+	op.Seq = num(prev, 1, next)
 	if f&fSur != 0 {
-		op.Sur = r.Sur()
+		op.Sur = domain.Surrogate(num(uint64(base), 0, false))
+		base = op.Sur
 	}
 	if f&fSur2 != 0 {
-		op.Sur2 = r.Sur()
+		op.Sur2 = domain.Surrogate(num(uint64(base), 0, false))
 	}
 	if f&fOut != 0 {
-		op.Out = r.Sur()
+		op.Out = domain.Surrogate(num(uint64(base), 0, false))
+	}
+	if !inRange && r.Err() == nil {
+		return nil, fmt.Errorf("%w: kind %d: a Seq or surrogate delta wraps past 0 or 2^64", ErrCorrupt, op.Kind)
 	}
 	if f&fName != 0 {
 		op.Name = r.Ref(names)

@@ -1,6 +1,7 @@
 package oplog
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -133,6 +134,15 @@ func TestDecodeErrors(t *testing.T) {
 	for _, b := range bad {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("input % x should fail", b)
+		}
+	}
+	// The next-Seq flag belongs to journal records only: with it, a
+	// stateless record that decodes without it is not an op.
+	for k := KindDefineClass; k <= KindDropIndex; k++ {
+		b := onlyFields(fullOp(k)).Encode()
+		b[0] |= flagNextSeq
+		if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("kind %d with the next-Seq flag: %v, want ErrCorrupt", k, err)
 		}
 	}
 }

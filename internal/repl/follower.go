@@ -66,7 +66,7 @@ type Follower struct {
 	mu         sync.Mutex
 	store      *object.Store
 	vm         *version.Manager
-	names      *oplog.Decoder // the stream's name table and Seq state, kept across batches
+	names      *oplog.Decoder // the stream's name table, Seq and surrogate state, kept across batches
 	pos        wal.ChainPos
 	applied    uint64 // stream seq of the last applied record
 	sealed     uint64 // newest stream seq the shipper reported
@@ -240,11 +240,11 @@ func (f *Follower) handle(fr *Frame) error {
 // replays only the unseen suffix; one starting past applied+1 is a gap
 // — records were lost, so the follower flags itself for resync rather
 // than apply a diverged suffix. Records decode through the follower's
-// one decoder (name table and Seq state), which advances only with
-// records that were applied: skipped records were decoded when first
-// applied, and wal.ReplayN rewinds it when a batch fails, so the batch
-// sent again after a reconnect decodes as it first did. A record that
-// does not decode (an undefined name index, say) makes the frame
+// one decoder (name table, Seq and surrogate state), which advances only
+// with records that were applied: skipped records were decoded when
+// first applied, and wal.ReplayN rewinds it when a batch fails, so the
+// batch sent again after a reconnect decodes as it first did. A record
+// that does not decode (an undefined name index, say) makes the frame
 // corrupt, and the follower resyncs. So does a batch that failed to
 // apply after some of its ops were applied, since sent again those ops
 // would apply twice; a batch whose first op failed is tried again when

@@ -26,7 +26,12 @@ var (
 	fpSyncError    = fault.New("wal/sync-error")
 	fpTornWrite    = fault.New("wal/torn-write")
 	fpPartialBatch = fault.New("wal/partial-batch")
+	fpDirSync      = fault.New("wal/dir-sync")
 )
+
+// ErrDirSync reports a failed sync of the directory that holds a new log
+// or a renamed snapshot: the file's name may not survive a power loss.
+var ErrDirSync = errors.New("storage: directory sync failed")
 
 // ErrCorrupt reports a record whose checksum does not match. A corrupt
 // record in the *middle* of the log is fatal; a torn record at the tail
@@ -68,7 +73,10 @@ type Log struct {
 }
 
 // OpenLog opens (creating if necessary) the log at path, scans and
-// returns all intact records, and truncates a torn tail.
+// returns all intact records, and truncates a torn tail. An empty log,
+// just created or left empty by a crash, has its directory synced, so
+// its name is durable before any record is acked into it; if that sync
+// fails, the log is removed again and the error wraps ErrDirSync.
 func OpenLog(path string) (*Log, [][]byte, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -86,6 +94,14 @@ func OpenLog(path string) (*Log, [][]byte, error) {
 	if _, err := f.Seek(validSize, io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, err
+	}
+	if validSize == 0 {
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			// An empty next-epoch log marks its predecessor complete.
+			f.Close()
+			_ = os.Remove(path)
+			return nil, nil, err
+		}
 	}
 	return &Log{f: f, path: path, size: validSize}, records, nil
 }
@@ -482,12 +498,15 @@ func ReadSnapshot(path string) ([]byte, error) {
 	return payload, nil
 }
 
+// syncDir makes the entries of dir durable: the names of the files just
+// created in it or renamed into it. Errors wrap ErrDirSync.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
-	if err != nil {
-		return nil // best effort; not all platforms support dir sync
+	if err == nil {
+		err = errors.Join(fpDirSync.Hit(), d.Sync(), d.Close())
 	}
-	defer d.Close()
-	_ = d.Sync()
+	if err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrDirSync, dir, err)
+	}
 	return nil
 }

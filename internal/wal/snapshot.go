@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"fmt"
-
 	"cadcam/internal/codec"
 	"cadcam/internal/object"
 	"cadcam/internal/version"
@@ -34,29 +32,4 @@ func EncodeSnapshot(st *object.StoreState, vs *version.ManagerState) []byte {
 
 	encodeVersionState(&e, vs)
 	return e.Bytes()
-}
-
-// DecodeSnapshotState decodes a snapshot blob into its raw state records
-// without importing them anywhere, so verification tooling can feed the
-// same bytes to an independent model of the store.
-func DecodeSnapshotState(b []byte) (*object.StoreState, *version.ManagerState, error) {
-	r := codec.NewReader(b)
-	if r.Uvarint() != snapMagic {
-		return nil, nil, fmt.Errorf("wal: bad snapshot magic")
-	}
-	if v := r.Uvarint(); v != snapVersion {
-		return nil, nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
-	}
-	st := &object.StoreState{}
-	st.Classes = decodeClassRecords(r)
-	st.Indexes = decodeIndexRecords(r)
-	st.Objects, st.Bindings = decodeRecords(r)
-	st.NextSur = r.Uvarint()
-	st.Seq = r.Uvarint()
-
-	vs := decodeVersionState(r)
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return st, vs, nil
 }

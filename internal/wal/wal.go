@@ -68,20 +68,21 @@ func applyShardLocal(op *oplog.Op, s *object.Store) error {
 }
 
 // ReplayN decodes journal records through names, the journal's name
-// table and Seq state, replays the ops as Replay does on up to `workers`
-// goroutines (<= 0: GOMAXPROCS), and returns the number of ops the
-// records held (format and name records are not ops).
+// table and Seq and surrogate state, replays the ops as Replay does on
+// up to `workers` goroutines (<= 0: GOMAXPROCS), and returns the number
+// of ops the records held (format and name records are not ops).
 // A caller that feeds one journal in several calls (a follower, batch by
 // batch) passes the same Decoder each time. Records decode serially, in
 // order, since a name record defines what later records refer to and
-// each op's Seq is a delta from the one before; a decode error wraps
-// oplog.ErrCorrupt or oplog.ErrFormat and applies nothing. On any error
-// the Decoder is rewound to its state before the call, so the same
-// records, fed again, decode to the same ops. Decoding is all the rewind
-// restores: on an apply error ReplayN returns how many ops may already
-// be in the store (those before the failing op, and in a parallel run
-// the rest of that run), and unless that is 0 the records cannot be fed
-// again to the same store, since those ops would apply twice.
+// each op's Seq and surrogates are written relative to the ops before
+// it; a decode error wraps oplog.ErrCorrupt or oplog.ErrFormat and
+// applies nothing. On any error the Decoder is rewound to its state
+// before the call, so the same records, fed again, decode to the same
+// ops. Decoding is all the rewind restores: on an apply error ReplayN
+// returns how many ops may already be in the store (those before the
+// failing op, and in a parallel run the rest of that run), and unless
+// that is 0 the records cannot be fed again to the same store, since
+// those ops would apply twice.
 //
 // The ops are split into maximal runs of *shard-local* ops — attribute
 // writes and acknowledgements, which in a long-running store are almost

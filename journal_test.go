@@ -142,11 +142,13 @@ func TestJournalAcrossReopen(t *testing.T) {
 // out, no format record) holds a class, interfaces, an implementation
 // bound to one, and attribute writes; testdata/v2-journal (format record
 // 2, each Seq in full, fixed 8-byte frame headers, which recovery must
-// recognise before the varint layout misreads them) holds interfaces
-// with their Length, and implementations bound to them with their
+// recognise before the varint layout misreads them) and
+// testdata/v3-journal (format record 3, a Seq delta in every op and
+// every surrogate in full, in varint frame headers) hold interfaces with
+// their Length, and implementations bound to them with their
 // TimeBehavior.
 func TestOldJournalRefused(t *testing.T) {
-	for _, fixture := range []string{"v1-journal", "v2-journal"} {
+	for _, fixture := range []string{"v1-journal", "v2-journal", "v3-journal"} {
 		t.Run(fixture, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("testdata", fixture, WALFilename(0)))
 			if err != nil {
