@@ -28,20 +28,21 @@ const (
 	heapBudgetPerObject = 436
 
 	// Allocations per Store.SetAttr of an own attribute of an object with
-	// no inheritors and no index: one version node for the slot and one
-	// for the modification sequence, whether the attribute was set before
-	// or not.
+	// no inheritors and no index on that attribute: one version node for
+	// the slot and one for the modification sequence, whether the
+	// attribute was set before or not, and whether or not the object's
+	// class has an index on another attribute. This budget and the next
+	// two are for an in-memory store, which builds no journal op.
 	setAttrAllocs = 2
 
-	// Allocations per Store.NewObject of an implementation: the object,
-	// its attribute slots and the journal op.
-	newObjectAllocs = 3
+	// Allocations per Store.NewObject of an implementation: the object
+	// and its attribute slots.
+	newObjectAllocs = 2
 
 	// Allocations per Store.Bind of an unbound implementation to an
-	// interface: the binding object, its Binding and the journal op, and
-	// for each of the two binding lists it joins, a copy of the list and
-	// a version node.
-	bindAllocs = 7
+	// interface: the binding object and its Binding, and for each of the
+	// two binding lists it joins, a copy of the list and a version node.
+	bindAllocs = 6
 
 	// journalBytesPerOp is the journal payload per op record of the
 	// JournalBytes script, format and name records included and batch
@@ -160,6 +161,18 @@ func TestWorkBudgets(t *testing.T) {
 		}
 		must(s.SetAttr(impl, "TimeBehavior", cadcam.Int(1)))
 		must(s.SetAttr(iface, "Width", width))
+		// A member of a class indexed on Width, written on Length. It
+		// gets a store of its own: an index anywhere in a store puts
+		// Bind on the index maintenance path.
+		idb, err := cadcam.OpenMemory(paperschema.MustGates())
+		must(err)
+		defer idb.Close()
+		is := idb.Store()
+		must(is.DefineClass("gates", paperschema.TypeGateInterface))
+		must(is.CreateIndex("gates_width", "gates", "Width"))
+		member, err := is.NewObject(paperschema.TypeGateInterface, "gates")
+		must(err)
+		must(is.SetAttr(member, "Length", width))
 
 		next, nextUnbound := 0, 0
 		for _, c := range []struct {
@@ -173,6 +186,9 @@ func TestWorkBudgets(t *testing.T) {
 			{"Store.SetAttr new own attribute", setAttrAllocs, func() {
 				must(s.SetAttr(fresh[next], "Length", width))
 				next++
+			}},
+			{"Store.SetAttr unindexed attribute of an indexed class", setAttrAllocs, func() {
+				must(is.SetAttr(member, "Length", width))
 			}},
 			{"Store.NewObject", newObjectAllocs, func() {
 				_, err := s.NewObject(paperschema.TypeGateImplementation, "")

@@ -8,8 +8,9 @@
 //	cadbench            # run all experiments
 //	cadbench -exp E7    # run one experiment
 //	cadbench -list      # list experiments
-//	cadbench -json      # machine-readable smoke run + read-path probes
-//	cadbench -serve     # wire-protocol soak: 10k sessions of mixed traffic
+//
+// Every selected experiment runs; the exit status is 1 if any of them
+// failed and 2 if -exp names none.
 package main
 
 import (
@@ -43,33 +44,15 @@ var experiments = []experiment{
 func main() {
 	expFlag := flag.String("exp", "", "run a single experiment (e.g. E7)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonOut := flag.Bool("json", false, "suppress experiment output, print a JSON report")
-	serveSoak := flag.Bool("serve", false, "run the wire-protocol load generator (10k sessions by default)")
-	serveConns := flag.Int("serve-conns", 0, "pipe-transport connection count for -serve (0 = 10000 or $CADBENCH_SERVE_CONNS)")
-	serveOps := flag.Int("serve-ops", 0, "mixed-op iterations per -serve session (0 = 20 or $CADBENCH_SERVE_OPS)")
 	flag.Parse()
 
-	if *serveSoak {
-		if err := runServeBench(*jsonOut, *serveConns, *serveOps); err != nil {
-			fmt.Fprintf(os.Stderr, "cadbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut {
-		if err := runJSON(*expFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "cadbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, e := range experiments {
 			fmt.Printf("%-4s %s\n", e.id, e.title)
 		}
 		return
 	}
-	ran := 0
+	ran, failed := 0, 0
 	for _, e := range experiments {
 		if *expFlag != "" && e.id != *expFlag {
 			continue
@@ -77,7 +60,7 @@ func main() {
 		fmt.Printf("==== %s: %s ====\n", e.id, e.title)
 		if err := e.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.id, err)
-			os.Exit(1)
+			failed++
 		}
 		fmt.Println()
 		ran++
@@ -85,6 +68,10 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *expFlag)
 		os.Exit(2)
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "%d of %d experiments failed\n", failed, ran)
+		os.Exit(1)
 	}
 }
 

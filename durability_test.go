@@ -219,8 +219,9 @@ func TestConcurrentDurableWritersVsCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDurableWriteStatsExposed: Stats().WAL reflects the pipeline (the
-// cadbench smoke asserts the same through -json).
+// TestDurableWriteStatsExposed: Stats().WAL reflects the pipeline:
+// batches, records and fsyncs are counted, and every enqueued record is
+// durable once its write is acknowledged.
 func TestDurableWriteStatsExposed(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(paperschema.MustGates(), Options{Dir: dir, SyncEvery: 1})

@@ -1,7 +1,7 @@
-// Package bench builds the parameterized workloads shared by the cadbench
-// experiment harness and the root benchmark suite: flip-flop composites
-// (Figure 1), interface hierarchies (§4.2), steel structures (Figure 5)
-// and version sets (§6).
+// Package bench builds the parameterized workloads shared by cadbench's
+// paper experiments and the root benchmarks and timing tests: flip-flop
+// composites (Figure 1), interface hierarchies (§4.2), steel structures
+// (Figure 5) and version sets (§6).
 package bench
 
 import (

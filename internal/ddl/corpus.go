@@ -8,7 +8,8 @@ import (
 
 // PaperDDL is the complete schema corpus of the paper in DDL form,
 // embedded for tools and benchmarks (cmd/caddl demonstrates parsing it
-// from a file; cmd/cadbench and the benchmark suite parse this copy).
+// from a file; cadbench's E11 and the root benchmarks and tests parse
+// this copy).
 //
 //go:embed testdata/paper.ddl
 var PaperDDL string

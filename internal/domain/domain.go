@@ -174,9 +174,6 @@ func (d *Domain) Name() string { return d.name }
 // Kind reports the domain constructor.
 func (d *Domain) Kind() Kind { return d.kind }
 
-// Symbols returns the declared symbols of an enum domain, in order.
-func (d *Domain) Symbols() []string { return d.symbols }
-
 // SymbolIndex reports the declaration position of an enum symbol, or -1.
 func (d *Domain) SymbolIndex(sym string) int {
 	for i, s := range d.symbols {

@@ -37,8 +37,8 @@ func TestEnumDomain(t *testing.T) {
 	if got := io.SymbolIndex("INOUT"); got != -1 {
 		t.Errorf("SymbolIndex(INOUT) = %d, want -1", got)
 	}
-	if len(io.Symbols()) != 2 {
-		t.Errorf("symbols = %v", io.Symbols())
+	if len(io.symbols) != 2 {
+		t.Errorf("symbols = %v", io.symbols)
 	}
 }
 

@@ -182,20 +182,6 @@ func (r *Rec) Get(name string) Value {
 	return NullValue
 }
 
-// With returns a copy of the record with the named field set.
-func (r *Rec) With(name string, v Value) *Rec {
-	c := r.Copy().(*Rec)
-	for i, n := range c.names {
-		if n == name {
-			c.vals[i] = v
-			return c
-		}
-	}
-	c.names = append(c.names, name)
-	c.vals = append(c.vals, v)
-	return c
-}
-
 func (r *Rec) String() string {
 	var b strings.Builder
 	b.WriteString("(")
@@ -244,11 +230,6 @@ func (l *List) At(i int) Value { return l.elems[i] }
 
 // Elems returns the backing slice; callers must not mutate it.
 func (l *List) Elems() []Value { return l.elems }
-
-// Append returns a new list with v appended.
-func (l *List) Append(v Value) *List {
-	return &List{elems: append(append([]Value(nil), l.elems...), v)}
-}
 
 func (l *List) String() string {
 	var b strings.Builder
@@ -323,24 +304,6 @@ func (s *Set) Contains(v Value) bool {
 		}
 	}
 	return false
-}
-
-// With returns a new set including v.
-func (s *Set) With(v Value) *Set {
-	c := &Set{elems: append([]Value(nil), s.elems...)}
-	c.add(v)
-	return c
-}
-
-// Without returns a new set excluding v.
-func (s *Set) Without(v Value) *Set {
-	c := &Set{}
-	for _, e := range s.elems {
-		if !e.Equal(v) {
-			c.elems = append(c.elems, e)
-		}
-	}
-	return c
 }
 
 func (s *Set) String() string {

@@ -73,7 +73,9 @@ func (s *Store) Bind(relType string, inheritor, transmitter domain.Surrogate) (d
 	// reads through the new binding enter the secondary indexes at seq.
 	s.idxTouch(inheritor)
 	s.idxCommit(seq)
-	s.emit(&oplog.Op{Kind: oplog.KindBind, Name: relType, Sur: inheritor, Sur2: transmitter, Out: obj.sur, Seq: seq})
+	if s.journal != nil { // guard here so an in-memory store never allocates the op
+		s.emit(&oplog.Op{Kind: oplog.KindBind, Name: relType, Sur: inheritor, Sur2: transmitter, Out: obj.sur, Seq: seq})
+	}
 	return obj.sur, nil
 }
 

@@ -669,7 +669,9 @@ func (s *Store) NewObject(typeName, className string) (domain.Surrogate, error) 
 	seq := s.seq.Add(1)
 	s.publishObj(o, seq)
 	s.commitClassHist(seq)
-	s.emit(&oplog.Op{Kind: oplog.KindNewObject, Name: typeName, Name2: className, Out: o.sur, Seq: seq})
+	if s.journal != nil { // guard here so an in-memory store never allocates the op
+		s.emit(&oplog.Op{Kind: oplog.KindNewObject, Name: typeName, Name2: className, Out: o.sur, Seq: seq})
+	}
 	return o.sur, nil
 }
 

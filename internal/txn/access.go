@@ -24,19 +24,15 @@ const (
 // locks on them.
 type AccessControl struct {
 	mu sync.RWMutex
-	// perObject rights per user; fall back to perUser default, then the
-	// global default (RightUpdate).
+	// perObject rights per user, the empty user for every user; without
+	// an entry a user may update.
 	perObject map[string]map[domain.Surrogate]Right
-	perUser   map[string]Right
 }
 
 // NewAccessControl creates a manager granting everyone full update rights
 // until configured otherwise.
 func NewAccessControl() *AccessControl {
-	return &AccessControl{
-		perObject: make(map[string]map[domain.Surrogate]Right),
-		perUser:   make(map[string]Right),
-	}
+	return &AccessControl{perObject: make(map[string]map[domain.Surrogate]Right)}
 }
 
 // Grant sets a user's right on one object. The empty user name configures
@@ -50,14 +46,6 @@ func (a *AccessControl) Grant(user string, sur domain.Surrogate, r Right) {
 		a.perObject[user] = m
 	}
 	m[sur] = r
-}
-
-// GrantDefault sets a user's default right for objects without a
-// per-object entry.
-func (a *AccessControl) GrantDefault(user string, r Right) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.perUser[user] = r
 }
 
 // RightOf resolves the effective right of a user on an object.
@@ -74,20 +62,12 @@ func (a *AccessControl) RightOf(user string, sur domain.Surrogate) Right {
 			return r
 		}
 	}
-	if r, ok := a.perUser[user]; ok {
-		return r
-	}
 	return RightUpdate
 }
 
 // MayUpdate reports whether the user may update the object.
 func (a *AccessControl) MayUpdate(user string, sur domain.Surrogate) bool {
 	return a.RightOf(user, sur) >= RightUpdate
-}
-
-// MayRead reports whether the user may read the object.
-func (a *AccessControl) MayRead(user string, sur domain.Surrogate) bool {
-	return a.RightOf(user, sur) >= RightRead
 }
 
 // CapMode limits a requested lock mode to what the user's rights admit:

@@ -305,14 +305,6 @@ func TestAccessControl(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Default rights per user.
-	m.Access().GrantDefault("guest", RightRead)
-	if m.Access().MayUpdate("guest", sur+1000) {
-		t.Error("guest default should be read-only")
-	}
-	if !m.Access().MayRead("guest", sur) {
-		t.Error("guest may read")
-	}
 	// Global per-object default (empty user).
 	other, _ := m.store.NewObject(paperschema.TypePin, "")
 	m.Access().Grant("", other, RightRead)

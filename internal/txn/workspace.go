@@ -53,34 +53,6 @@ func (w *Workspace) Checkout(sur domain.Surrogate) error {
 	return nil
 }
 
-// CheckoutAt snapshots several objects into the workspace at one
-// consistent sequence point: an MVCC pin freezes the store-wide state,
-// so every recorded checkout sequence belongs to the same moment and a
-// later checkin validates the whole set against that moment instead of
-// a ragged collection of per-object instants. Nothing is checked out on
-// error.
-func (w *Workspace) CheckoutAt(surs ...domain.Surrogate) error {
-	sn := w.mgr.store.Snapshot()
-	defer sn.Release()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	seqs := make([]uint64, len(surs))
-	for i, sur := range surs {
-		if _, dup := w.entries[sur]; dup {
-			return fmt.Errorf("txn: %s already checked out", sur)
-		}
-		seq, err := sn.ModSeq(sur)
-		if err != nil {
-			return err
-		}
-		seqs[i] = seq
-	}
-	for i, sur := range surs {
-		w.entries[sur] = &wsEntry{seqAtCheckout: seqs[i], edits: make(map[string]domain.Value)}
-	}
-	return nil
-}
-
 // Set records a local edit of a checked-out object.
 func (w *Workspace) Set(sur domain.Surrogate, attr string, v domain.Value) error {
 	w.mu.Lock()
@@ -166,16 +138,4 @@ func (w *Workspace) Revert() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.entries = make(map[domain.Surrogate]*wsEntry)
-}
-
-// CheckedOut lists the checked-out objects, sorted.
-func (w *Workspace) CheckedOut() []domain.Surrogate {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]domain.Surrogate, 0, len(w.entries))
-	for sur := range w.entries {
-		out = append(out, sur)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,11 +2,24 @@ package txn
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"cadcam/internal/domain"
 	"cadcam/internal/paperschema"
 )
+
+// checkedOut lists a workspace's checked-out objects, sorted.
+func checkedOut(w *Workspace) []domain.Surrogate {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]domain.Surrogate, 0, len(w.entries))
+	for sur := range w.entries {
+		out = append(out, sur)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 
 func TestWorkspaceCheckoutCheckin(t *testing.T) {
 	m := gateManager(t)
@@ -20,7 +33,7 @@ func TestWorkspaceCheckoutCheckin(t *testing.T) {
 	if err := ws.Checkout(pin); err != nil {
 		t.Fatal(err)
 	}
-	if got := ws.CheckedOut(); len(got) != 1 || got[0] != pin {
+	if got := checkedOut(ws); len(got) != 1 || got[0] != pin {
 		t.Errorf("checked out = %v", got)
 	}
 	if err := ws.Checkout(pin); err == nil {
@@ -54,7 +67,7 @@ func TestWorkspaceCheckoutCheckin(t *testing.T) {
 	if v, _ := m.store.GetAttr(pin, "PinId"); !v.Equal(intVal(42)) {
 		t.Errorf("checkin must publish edits, got %s", v)
 	}
-	if len(ws.CheckedOut()) != 0 {
+	if len(checkedOut(ws)) != 0 {
 		t.Error("workspace should be empty after checkin")
 	}
 }
@@ -81,11 +94,11 @@ func TestWorkspaceCheckinConflict(t *testing.T) {
 	if v, _ := m.store.GetAttr(sur, "PinId"); !v.Equal(intVal(7)) {
 		t.Errorf("conflicting checkin must not write, got %s", v)
 	}
-	if len(ws.CheckedOut()) != 1 {
+	if len(checkedOut(ws)) != 1 {
 		t.Error("workspace should keep state after conflict")
 	}
 	ws.Revert()
-	if len(ws.CheckedOut()) != 0 {
+	if len(checkedOut(ws)) != 0 {
 		t.Error("revert should clear the workspace")
 	}
 }
@@ -173,60 +186,5 @@ func TestRelatedObjects(t *testing.T) {
 		if !want[r] {
 			t.Errorf("unexpected relation %v", r)
 		}
-	}
-}
-
-func TestWorkspaceCheckoutAt(t *testing.T) {
-	m := gateManager(t)
-	a, _ := m.store.NewObject(paperschema.TypePin, "")
-	b, _ := m.store.NewObject(paperschema.TypePin, "")
-
-	ws := m.NewWorkspace("designer")
-	if err := ws.CheckoutAt(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if got := ws.CheckedOut(); len(got) != 2 {
-		t.Fatalf("checked out = %v", got)
-	}
-	// A write after the pinned checkout conflicts the whole set.
-	if err := m.store.SetAttr(b, "PinId", intVal(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Set(a, "PinId", intVal(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Checkin(); !errors.Is(err, ErrCheckinConflict) {
-		t.Fatalf("checkin should conflict, got %v", err)
-	}
-	ws.Revert()
-
-	// A clean pinned checkout of both commits.
-	if err := ws.CheckoutAt(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Set(a, "PinId", intVal(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Set(b, "PinId", intVal(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Checkin(); err != nil {
-		t.Fatal(err)
-	}
-	va, _ := m.store.GetAttr(a, "PinId")
-	vb, _ := m.store.GetAttr(b, "PinId")
-	if !va.Equal(intVal(3)) || !vb.Equal(intVal(4)) {
-		t.Errorf("published values = %s, %s", va, vb)
-	}
-	// Checkout of a missing object leaves nothing checked out.
-	if err := ws.CheckoutAt(a, 9999); err == nil {
-		t.Fatal("checkout of missing object accepted")
-	}
-	if got := ws.CheckedOut(); len(got) != 0 {
-		t.Errorf("failed CheckoutAt must not leave partial state: %v", got)
-	}
-	// Pins drained.
-	if st := m.store.Stats().MVCC; st.Pins != 0 {
-		t.Errorf("pins = %d after checkout", st.Pins)
 	}
 }

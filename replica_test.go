@@ -26,6 +26,11 @@ func TestAttachFollower(t *testing.T) {
 	if err := f.WaitCaughtUp(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// A fresh follower of an uncheckpointed journal streams the chain
+	// instead of resyncing around it.
+	if st := f.Stats(); st.Applied == 0 || st.Resyncs != 0 {
+		t.Fatalf("fresh follower applied %d records with %d resyncs, want > 0 and 0", st.Applied, st.Resyncs)
+	}
 
 	view, err := f.SnapshotView()
 	if err != nil {

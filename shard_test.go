@@ -346,7 +346,8 @@ func TestUpdateHookReentrancy(t *testing.T) {
 }
 
 // TestStatsPerShard checks that the per-shard statistics are present,
-// cover the configured shard count, and sum to the aggregates.
+// cover the configured (or default) shard count, and sum to the
+// aggregates.
 func TestStatsPerShard(t *testing.T) {
 	db, err := cadcam.Open(paperschema.MustGates(), cadcam.Options{Shards: 4})
 	if err != nil {
@@ -404,5 +405,15 @@ func TestStatsPerShard(t *testing.T) {
 	}
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("expected cache traffic, got hits=%d misses=%d", st.Hits, st.Misses)
+	}
+
+	// The default shard count is at least one, and reported per shard.
+	def, err := cadcam.OpenMemory(paperschema.MustGates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer def.Close()
+	if st := def.Stats(); st.Shards < 1 || len(st.PerShard) != st.Shards {
+		t.Errorf("default Shards = %d, len(PerShard) = %d, want >= 1 and equal", st.Shards, len(st.PerShard))
 	}
 }
