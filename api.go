@@ -436,13 +436,17 @@ func (v *SnapshotView) Surrogates() []Surrogate { return v.snap.Surrogates() }
 // ---- queries ----
 
 // Eval evaluates a constraint-language expression against one object,
-// e.g. db.Eval(gate, "count(Pins) = 3").
+// e.g. db.Eval(gate, "count(Pins) = 3"). An object that does not exist,
+// or no longer does, is object.ErrNoSuchObject.
 func (db *Database) Eval(sur Surrogate, src string) (Value, error) {
 	e, err := expr.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return expr.EvalValue(e, db.store.Env(sur))
+	if _, err := db.store.Get(sur); err != nil {
+		return nil, err
+	}
+	return expr.Compile(e).Eval(db.store.Env(sur))
 }
 
 // EvalClass evaluates an expression over the database-level classes,
@@ -452,7 +456,7 @@ func (db *Database) EvalClass(src string) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return expr.EvalValue(e, db.store.ClassEnv())
+	return expr.Compile(e).Eval(db.store.ClassEnv())
 }
 
 // ---- indexed queries ----

@@ -389,7 +389,7 @@ func parseValue(src string) (cadcam.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return expr.EvalValue(e, expr.NewMapEnv())
+	return expr.Compile(e).Eval(expr.NewMapEnv())
 }
 
 func printExpansion(out io.Writer, e *cadcam.Expansion, indent string) {

@@ -101,6 +101,22 @@ func TestInMemoryBasics(t *testing.T) {
 	if _, err := db.EvalClass("count("); err == nil {
 		t.Error("bad class query should fail")
 	}
+	// An object that never existed, or was deleted, is an error, as it is
+	// for GetAttr: not a scope in which every name reads as a symbol.
+	gone, err := db.NewObject(paperschema.TypeGateInterface, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	for _, sur := range []Surrogate{999999, gone} {
+		for _, src := range []string{"Length", "Length = 4"} {
+			if v, err := db.Eval(sur, src); !errors.Is(err, object.ErrNoSuchObject) {
+				t.Errorf("Eval(%v, %q) = %v, %v; want ErrNoSuchObject", sur, src, v, err)
+			}
+		}
+	}
 	// Inheritance utilities.
 	if anc := db.Ancestors(impl); len(anc) != 2 || anc[0] != iface {
 		t.Errorf("Ancestors = %v", anc)

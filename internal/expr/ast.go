@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strconv"
 	"strings"
 
 	"cadcam/internal/domain"
@@ -20,8 +21,22 @@ type Expr interface {
 // symbol produced by name resolution at evaluation time).
 type Lit struct{ V domain.Value }
 
-func (l Lit) String() string        { return l.V.String() }
 func (l Lit) roots(map[string]bool) {}
+
+// String renders a real with a decimal point and no exponent, the one
+// form the lexer reads as a real, so 4.0 does not come back as the
+// integer 4 and 1000000.0 not as the unreadable 1e+06.
+func (l Lit) String() string {
+	r, ok := l.V.(domain.Rl)
+	if !ok {
+		return l.V.String()
+	}
+	s := strconv.FormatFloat(float64(r), 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
+}
 
 // Path is a dotted identifier path such as Length, Pins.InOut or
 // Wire.Pin1. A single-segment path is a bare identifier.

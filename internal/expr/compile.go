@@ -6,15 +6,24 @@ import (
 	"cadcam/internal/domain"
 )
 
-// Closure compilation: Compile walks the AST once and returns a chain of
-// closures, so repeated evaluation (the planner evaluates one predicate
-// against thousands of candidate rows) does no per-row AST type switch,
-// no per-row Roots() map allocation for `where` filters, and no operator
-// string dispatch. The interpreter in eval.go stays as the differential
-// oracle: Compile must agree with it on value AND error for every
-// expression (FuzzCompile and the query differential harness enforce
-// this), so each compiled closure mirrors the corresponding eval case
-// exactly, including error construction.
+// Compile is the evaluator of the constraint language: it walks the AST
+// once and returns a chain of closures, so repeated evaluation (a catalog
+// constraint checked on every object, a planner predicate against
+// thousands of candidate rows) does no per-row AST type switch, no
+// per-row Roots() map allocation for `where` filters, and no operator
+// string dispatch. A reference interpreter in the tests is its
+// differential oracle: the two must agree on value AND error text for
+// every expression (FuzzCompile and TestCompileAgreesWithInterpreter).
+
+// EvalError reports an evaluation failure with the offending expression.
+type EvalError struct {
+	E   Expr
+	Msg string
+}
+
+func (e *EvalError) Error() string {
+	return fmt.Sprintf("expr: cannot evaluate %s: %s", e.E, e.Msg)
+}
 
 // thunk is a compiled expression: evaluate under a context.
 type thunk func(c cctx) (domain.Value, error)
@@ -23,16 +32,15 @@ type thunk func(c cctx) (domain.Value, error)
 type colThunk func(c cctx) ([]domain.Value, error)
 
 // cfilter is a compiled active `where` filter: the filter body compiled,
-// plus its root set (computed once at compile time — the interpreter
-// recomputes Roots() per evaluation).
+// plus its root set, computed once at compile time.
 type cfilter struct {
 	roots  map[string]bool
 	filter thunk
 	src    Expr
 }
 
-// cctx is the runtime context of a compiled evaluation; it mirrors
-// evalCtx with compiled filters.
+// cctx is the runtime context of a compiled evaluation: the environment
+// and the `where` filters active at this point of the expression.
 type cctx struct {
 	env     Env
 	filters []cfilter
@@ -40,41 +48,37 @@ type cctx struct {
 
 // Compiled is a closure-compiled expression, safe for concurrent use.
 type Compiled struct {
-	src  Expr
-	run  thunk
-	bool func(env Env) (bool, error)
+	src Expr
+	run thunk
 }
 
 // Compile compiles e into a closure chain. Compilation never fails:
-// malformed nodes compile to closures returning the interpreter's exact
-// evaluation error.
-func Compile(e Expr) *Compiled {
-	p := &Compiled{src: e, run: compile(e)}
-	p.bool = func(env Env) (bool, error) {
-		v, err := p.Eval(env)
-		if err != nil {
-			return false, err
-		}
-		b, ok := domain.Truth(v)
-		if !ok {
-			return false, &EvalError{e, fmt.Sprintf("non-boolean result %s", v)}
-		}
-		return b, nil
-	}
-	return p
-}
+// malformed nodes compile to closures returning their evaluation error.
+func Compile(e Expr) *Compiled { return &Compiled{src: e, run: compile(e)} }
 
 // Expr returns the source AST.
 func (p *Compiled) Expr() Expr { return p.src }
 
-// Eval evaluates the compiled expression against env; it is the compiled
-// counterpart of EvalValue.
+// Eval evaluates the compiled expression against env and returns its
+// value.
 func (p *Compiled) Eval(env Env) (domain.Value, error) {
 	return p.run(cctx{env: env})
 }
 
-// EvalBool evaluates as a condition with EvalBool's exact semantics.
-func (p *Compiled) EvalBool(env Env) (bool, error) { return p.bool(env) }
+// EvalBool evaluates as a condition (the form constraints take). A null
+// result counts as false, matching three-valued logic folded to
+// "constraint not satisfied"; any other non-boolean result is an error.
+func (p *Compiled) EvalBool(env Env) (bool, error) {
+	v, err := p.Eval(env)
+	if err != nil {
+		return false, err
+	}
+	b, ok := domain.Truth(v)
+	if !ok {
+		return false, &EvalError{p.src, fmt.Sprintf("non-boolean result %s", v)}
+	}
+	return b, nil
+}
 
 func compile(e Expr) thunk {
 	switch n := e.(type) {
@@ -378,7 +382,8 @@ func compilePath(p Path) thunk {
 	}
 }
 
-// cfield mirrors evalCtx.field for compiled paths.
+// cfield selects one field of a value: a record field, an attribute of a
+// referenced object, or null from null.
 func cfield(c cctx, v domain.Value, name string, p Path) (domain.Value, error) {
 	switch x := v.(type) {
 	case *domain.Rec:
@@ -442,8 +447,9 @@ func compileCollection(p Path) colThunk {
 	}
 }
 
-// applyCFilters mirrors evalCtx.applyFilters: filters nested in filters
-// are not re-applied, so the filter body runs with a filter-free context.
+// applyCFilters restricts the members of a root collection by every
+// active filter that mentions the root. Filters nested in filters are not
+// re-applied, so the filter body runs with a filter-free context.
 func applyCFilters(c cctx, root string, items []domain.Value) ([]domain.Value, error) {
 	for _, f := range c.filters {
 		if !f.roots[root] {

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"cadcam/internal/domain"
@@ -11,21 +13,7 @@ import (
 // must be indistinguishable from the oracle.
 func assertAgree(t *testing.T, src string, env Env) {
 	t.Helper()
-	e := MustParse(src)
-	iv, ierr := EvalValue(e, env)
-	cv, cerr := Compile(e).Eval(env)
-	if (ierr == nil) != (cerr == nil) {
-		t.Fatalf("%q: interpreted err=%v, compiled err=%v", src, ierr, cerr)
-	}
-	if ierr != nil {
-		if ierr.Error() != cerr.Error() {
-			t.Fatalf("%q: error text diverges:\n  interpreted: %v\n  compiled:    %v", src, ierr, cerr)
-		}
-		return
-	}
-	if !iv.Equal(cv) || !cv.Equal(iv) {
-		t.Fatalf("%q: interpreted %s, compiled %s", src, iv, cv)
-	}
+	evalBoth(t, src, env)
 }
 
 func TestCompileAgreesWithInterpreter(t *testing.T) {
@@ -75,9 +63,80 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 		"IN in Pins.InOut",
 		"count (Pins) = 3 where Pins.PinId > 0",
 		"sum (Pins.PinId) where Pins.InOut = IN",
+		// The planner tests' fixed predicates (internal/query).
+		"Width = 2",
+		"2 = Width",
+		"Width >= 3 and Function = AND",
+		"Length = 2",
+		"Width = Length",
+		"Function = AND",
+		"Width >= 0",
+		"Length >= 0 or Width >= 0",
+		"Width = 2 and Length = 7",
+		"Width > 2 and Function = OR",
+		"Width >= 5 and Width <= 12",
+		"Length = 8",
+		"Width = 7",
 	}
 	for _, src := range cases {
 		assertAgree(t, src, env)
+	}
+}
+
+// TestCompileAgreesOnPlannerPredicates runs the predicate grammar of the
+// planner's differential test (internal/query) through both evaluators.
+// That test checks the planner against a full scan that evaluates
+// compiled too, so the evaluators are cross-checked on its forms here:
+// comparisons over Width/Length with int and real literals on either
+// side, path against path, and and/or/not mixtures, on rows where the
+// attributes are ints, reals, null or absent.
+func TestCompileAgreesOnPlannerPredicates(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	attr := func() string { return []string{"Width", "Length"}[rng.Intn(2)] }
+	op := func() string { return []string{"=", "<", "<=", ">", ">="}[rng.Intn(5)] }
+	cmp := func() string {
+		switch rng.Intn(4) {
+		case 0:
+			return fmt.Sprintf("%d %s %s", rng.Intn(20), op(), attr())
+		case 1:
+			return fmt.Sprintf("%s %s %.1f", attr(), op(), float64(rng.Intn(40))/2)
+		case 2:
+			return "Width " + op() + " Length"
+		default:
+			return fmt.Sprintf("%s %s %d", attr(), op(), rng.Intn(20))
+		}
+	}
+	pred := func() string {
+		switch rng.Intn(4) {
+		case 0:
+			return cmp()
+		case 1:
+			return cmp() + " and " + cmp()
+		case 2:
+			return cmp() + " or " + cmp()
+		default:
+			return "not (" + cmp() + ")"
+		}
+	}
+	vals := []domain.Value{nil, domain.NullValue, domain.Int(3), domain.Int(12), domain.Rl(7.5)}
+	var envs []Env
+	for _, w := range vals {
+		for _, l := range vals {
+			env := NewMapEnv()
+			env.Vals["Function"] = domain.Sym("NAND")
+			for name, v := range map[string]domain.Value{"Width": w, "Length": l} {
+				if v != nil {
+					env.Vals[name] = v
+				}
+			}
+			envs = append(envs, env)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		src := pred()
+		for _, env := range envs {
+			evalBoolBoth(t, src, env)
+		}
 	}
 }
 

@@ -35,7 +35,8 @@ func FuzzParse(f *testing.F) {
 // FuzzCompile is the compiled-evaluation differential oracle: for every
 // parseable expression, the closure chain from Compile must agree with
 // the interpreter on value and on error (presence and text). The corpus
-// seeds the query grammar forms the planner emits.
+// seeds the query grammar forms the planner emits. The compiled evaluator
+// is the only one in the program, so this is its guard.
 func FuzzCompile(f *testing.F) {
 	f.Add("delay < 5")
 	f.Add("delay = 3 and Function = NAND")
@@ -48,6 +49,11 @@ func FuzzCompile(f *testing.F) {
 	f.Add("1 in Pins.PinId")
 	f.Add("-x * (y / z)")
 	f.Add("#s in Pins = 3")
+	// The planner's differential predicate forms (internal/query).
+	f.Add("3 <= Width and Length > 9.5")
+	f.Add("not (Width >= Length)")
+	f.Add("Width = 2.5 or 7 > Length")
+	f.Add("Width >= 3 and Function = AND")
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Parse(src)
 		if err != nil {
@@ -95,6 +101,6 @@ func FuzzEval(f *testing.F) {
 		env.Colls["Pins"] = []domain.Value{domain.Ref(1), domain.Ref(2)}
 		env.Objs[1] = map[string]domain.Value{"PinId": domain.Int(1), "InOut": domain.Sym("IN")}
 		env.Objs[2] = map[string]domain.Value{"PinId": domain.Int(2), "InOut": domain.Sym("OUT")}
-		_, _ = EvalValue(e, env)
+		_, _ = Compile(e).Eval(env)
 	})
 }

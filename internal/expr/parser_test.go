@@ -30,6 +30,8 @@ func TestParseRendering(t *testing.T) {
 		{"done = true or done = false", "((done = true) or (done = false))"},
 		{`Name = "girder"`, `(Name = "girder")`},
 		{"1.5 * w", "(1.5 * w)"},
+		{"x / 4.0", "(x / 4.0)"},
+		{"1000000.0 + 0.000001", "(1000000.0 + 0.000001)"},
 	}
 	for _, c := range cases {
 		e, err := Parse(c.src)

@@ -41,8 +41,8 @@ func (s *Store) CheckConstraints(sur domain.Surrogate) ([]ConstraintViolation, e
 func (s *Store) checkConstraintsLocked(o *Object) []ConstraintViolation {
 	var out []ConstraintViolation
 	env := s.lockedEnv(o.sur)
-	check := func(src string, e expr.Expr) {
-		holds, err := expr.EvalBool(e, env)
+	check := func(src string, e *expr.Compiled) {
+		holds, err := e.EvalBool(env)
 		switch {
 		case err != nil:
 			out = append(out, ConstraintViolation{Object: o.sur, Type: o.lay.name, Src: src, Reason: err.Error()})
@@ -81,7 +81,7 @@ func (s *Store) checkConstraintsLocked(o *Object) []ConstraintViolation {
 		}
 		for _, m := range cls.Members() {
 			bound := s.whereEnvLocked(o, &sr, m)
-			holds, err := expr.EvalBool(sr.Where.E, bound)
+			holds, err := sr.Where.E.EvalBool(bound)
 			switch {
 			case err != nil:
 				out = append(out, ConstraintViolation{Object: m, Type: sr.RelType, Src: sr.Where.Src, Reason: err.Error()})

@@ -13,7 +13,7 @@ func evalBoolSrc(src string, env expr.Env) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return expr.EvalBool(e, env)
+	return expr.Compile(e).EvalBool(env)
 }
 
 func TestStoreEnvResolution(t *testing.T) {

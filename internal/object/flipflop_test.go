@@ -143,6 +143,8 @@ func TestFlipFlopConstruction(t *testing.T) {
 		"Pin2": domain.Ref(strayPins[0]),
 	}); !errors.Is(err, ErrConstraint) {
 		t.Errorf("stray wire should violate the where restriction, got %v", err)
+	} else if want := "object: constraint violated: (Pin1 in Pins or Pin1 in SubGates.Pins) and (Pin2 in Pins or Pin2 in SubGates.Pins)"; err.Error() != want {
+		t.Errorf("where violation reads %q, want %q", err, want)
 	}
 	// The failed wire must not linger.
 	wires, _ = s.Members(ff, "Wires")

@@ -61,7 +61,7 @@ func (s *Store) RelateIn(owner domain.Surrogate, subrel string, parts Participan
 		}
 		if sr.Where != nil {
 			bound := s.whereEnvLocked(oo, sr, sur)
-			holds, werr := expr.EvalBool(sr.Where.E, bound)
+			holds, werr := sr.Where.E.EvalBool(bound)
 			if werr == nil && !holds {
 				werr = fmt.Errorf("%w: %s", ErrConstraint, sr.Where.Src)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"cadcam/internal/ddl"
 	"cadcam/internal/domain"
 	"cadcam/internal/paperschema"
 	"cadcam/internal/schema"
@@ -195,6 +196,34 @@ func TestSimpleGateConstraints(t *testing.T) {
 	}
 	if v[0].Object != g || v[0].Reason != "" {
 		t.Errorf("violation = %+v", v[0])
+	}
+}
+
+// TestConstraintReasonText pins the Reason of a constraint that cannot
+// be evaluated on a stored object: the evaluator's error text, verbatim.
+func TestConstraintReasonText(t *testing.T) {
+	cat, err := ddl.Parse(`
+obj-type Box =
+   attributes:
+      Length: integer;
+   constraints:
+      count (Missing) = 0;
+end Box;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := mustSur(t)(s.NewObject("Box", ""))
+	v, err := s.CheckConstraints(box)
+	if err != nil || len(v) != 1 {
+		t.Fatalf("violations = %v, err = %v", v, err)
+	}
+	const want = `expr: cannot evaluate Missing: unknown collection "Missing"`
+	if v[0].Object != box || v[0].Type != "Box" || v[0].Src != "count (Missing) = 0" || v[0].Reason != want {
+		t.Errorf("violation = %+v, want Reason %q", v[0], want)
 	}
 }
 

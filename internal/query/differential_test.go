@@ -2,7 +2,7 @@ package query
 
 // Differential harness: random workloads interleaving mutations, index
 // churn and queries, with every planner execution checked element for
-// element against the naive interpreted full scan — on the live store and
+// element against the naive full scan — on the live store and
 // on a pinned snapshot. Runs in the ordinary test suite, so CI executes
 // it on every push.
 

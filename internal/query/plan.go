@@ -353,22 +353,25 @@ func Run(src object.View, className, where string) ([]domain.Surrogate, *Plan, e
 	return out, p, err
 }
 
-// Naive is the planner's differential oracle: it interprets the
-// predicate (no compilation, no index, no route grouping) over every
-// class member. Run must agree with it element for element on any
-// view.
+// Naive is the planner's access-path oracle: a full scan that evaluates
+// the predicate on every class member, with no index and no route
+// probe. Run must agree with it element for element on any view.
 func Naive(src object.View, className string, where expr.Expr) ([]domain.Surrogate, error) {
 	members, err := src.Class(className)
 	if err != nil {
 		return nil, err
 	}
+	var pred *expr.Compiled
+	if where != nil {
+		pred = expr.Compile(where)
+	}
 	out := make([]domain.Surrogate, 0, len(members))
 	for _, m := range members {
-		if where == nil {
+		if pred == nil {
 			out = append(out, m)
 			continue
 		}
-		if ok, err := expr.EvalBool(where, src.Env(m)); err == nil && ok {
+		if ok, err := pred.EvalBool(src.Env(m)); err == nil && ok {
 			out = append(out, m)
 		}
 	}

@@ -17,21 +17,22 @@ type Attribute struct {
 	Domain *domain.Domain
 }
 
-// Constraint is a local integrity constraint: the parsed expression plus
-// its source text for diagnostics.
+// Constraint is a local integrity constraint or where-restriction: its
+// source text for diagnostics and the expression, compiled once when it
+// is parsed. E.Expr() is the AST.
 type Constraint struct {
 	Src string
-	E   expr.Expr
+	E   *expr.Compiled
 }
 
-// NewConstraint parses src into a Constraint; it is the normal way
-// constraints enter a type definition.
+// NewConstraint parses and compiles src into a Constraint; it is the way
+// constraints and where-restrictions enter a type definition.
 func NewConstraint(src string) (Constraint, error) {
 	e, err := expr.Parse(src)
 	if err != nil {
 		return Constraint{}, err
 	}
-	return Constraint{Src: src, E: e}, nil
+	return Constraint{Src: src, E: expr.Compile(e)}, nil
 }
 
 // MustConstraint is NewConstraint for statically known-good sources.

@@ -100,10 +100,11 @@ func (m *Manager) Resolve(ref GenericRef, env *Environment) (domain.Surrogate, e
 			return 0, err
 		}
 		// Latest match wins: scan from the newest version backwards.
+		q := expr.Compile(ref.Query)
 		for i := len(vs) - 1; i >= 0; i-- {
 			info := vs[i]
 			menv := &metaEnv{base: m.store.Env(info.Object), info: info}
-			ok, err := expr.EvalBool(ref.Query, menv)
+			ok, err := q.EvalBool(menv)
 			if err != nil {
 				return 0, fmt.Errorf("version: selection query on %s: %w", info.Object, err)
 			}
